@@ -4,8 +4,9 @@ four-dimensional special linear and unitary groups over small odd fields.
 The package builds certificates naming a semisimple element whose order,
 multiplied by the field characteristic, falls outside the spectrum of the
 projective group; an independent verifier re-checks every claim, an exact
-spectrum oracle confirms the order-theoretic facts at small q, and explicit
-matrix realization plus random sampling cross-check the whole pipeline.
+spectrum oracle confirms the order-theoretic facts for every supported q,
+and explicit matrix realization plus random sampling cross-check the whole
+pipeline.
 """
 
 from .arith import (PrimePower, SIZE_LIMIT, factorize, is_prime,
@@ -13,7 +14,7 @@ from .arith import (PrimePower, SIZE_LIMIT, factorize, is_prime,
                     primitive_prime_divisor, two_part)
 from .params import (GroupParams, KIND_R2_TWO_PART, KIND_R3, KIND_R4,
                      KIND_TWO_PART, Q_CAP, TargetOrderKind, derive,
-                     sign_from_str, sign_to_str, target_orders)
+                     derive_from_q, sign_from_str, sign_to_str, target_orders)
 from .witness import (Adjustment, CASE_A, CASE_B, CASE_C, CASE_D,
                       CaseDInternals, ConstructionError, Selection,
                       WitnessCertificate, classify_profile, construct)
@@ -38,9 +39,10 @@ __all__ = [
     "TargetOrderKind", "VerificationReport", "WitnessCertificate",
     "brute_force_selections", "canonical_json", "certificate_from_document",
     "certificate_to_document", "class_order", "classify_profile",
-    "construct", "derive", "element_of_order", "enumerate_orbits",
-    "factorize", "format_dump", "build_field", "is_prime", "iter_class_data",
-    "main", "member", "omega", "order_in_cyclic", "parse_dump",
+    "construct", "derive", "derive_from_q", "element_of_order",
+    "enumerate_orbits", "factorize", "format_dump", "build_field",
+    "is_prime", "iter_class_data", "main", "member", "omega",
+    "order_in_cyclic", "parse_dump",
     "prime_divisors", "primitive_prime_divisor", "realize", "sample_orders",
     "sign_from_str", "sign_to_str", "target_orders", "two_part", "verify",
 ]

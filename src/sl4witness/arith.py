@@ -10,6 +10,7 @@ the same way.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 # Inputs above this size are refused rather than risking unbounded work.
 SIZE_LIMIT = 1 << 128
@@ -47,7 +48,7 @@ def _small_primes() -> tuple[int, ...]:
     for i in range(2, math.isqrt(_TRIAL_LIMIT - 1) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(range(i * i, _TRIAL_LIMIT, i)))
-    return tuple(i for i in range(_TRIAL_LIMIT) if sieve[i])
+    return tuple(compress(range(_TRIAL_LIMIT), sieve))
 
 
 def is_prime(n: int) -> bool:

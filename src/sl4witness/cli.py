@@ -19,7 +19,7 @@ import sys
 from itertools import product
 
 from . import arith, spectrum as spectrum_mod, verifier, witness
-from .params import derive, sign_from_str, sign_to_str
+from .params import derive, derive_from_q, sign_from_str, sign_to_str
 from .witness import (Adjustment, CaseDInternals, Selection,
                       WitnessCertificate)
 
@@ -298,11 +298,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    powers = arith.factorize(args.q)
-    if len(powers) != 1:
-        raise ValueError(f"q = {args.q} is not a prime power")
-    params = derive(sign_from_str(args.epsilon), powers[0].prime,
-                    powers[0].exponent)
+    params = derive_from_q(sign_from_str(args.epsilon), args.q)
     _write_text(args.out, spectrum_mod.format_dump(params, args.group))
     return 0
 

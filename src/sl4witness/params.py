@@ -63,6 +63,10 @@ def derive(epsilon: int, p: int, m: int) -> GroupParams:
         raise ValueError(f"p must be an odd prime, got {p}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    # p >= 3 > 2, so this m already puts p^m past the cap; refusing it
+    # here keeps p**m from running on an unbounded exponent
+    if m >= Q_CAP.bit_length():
+        raise ValueError(f"q = {p}^{m} exceeds supported bound {Q_CAP}")
     q = p**m
     if q > Q_CAP:
         raise ValueError(f"q = {q} exceeds supported bound {Q_CAP}")
@@ -81,6 +85,20 @@ def derive(epsilon: int, p: int, m: int) -> GroupParams:
         two_part_q2m1=arith.two_part(q * q - 1),
         center_order=math.gcd(4, q_minus_eps),
     )
+
+
+def derive_from_q(epsilon: int, q: int) -> GroupParams:
+    """derive() for a field given by its order q = p^m.
+
+    q is bounded before it is factorized, so an oversized q is refused at
+    once rather than after a long factorization.
+    """
+    if q > Q_CAP:
+        raise ValueError(f"q = {q} exceeds supported bound {Q_CAP}")
+    powers = arith.factorize(q)
+    if len(powers) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    return derive(epsilon, powers[0].prime, powers[0].exponent)
 
 
 @dataclass(frozen=True)

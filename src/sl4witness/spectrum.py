@@ -1,17 +1,44 @@
 """Exact element-order spectra of SL4^eps(q) and its projective quotient.
 
-Conjugacy data of a group element splits into a semisimple part, described
-by the Frobenius-twist orbits of its characteristic-value exponents with
-multiplicities, and a commuting unipotent part, one partition of each
-multiplicity.  The element order is
+A group element is a commuting product of a semisimple part and a
+unipotent part, and its order is
 
-    p_part(largest Jordan block) * (multiplicative order of the semisimple part)
+    p_part(largest Jordan block) * (order of the semisimple part)
 
-so omega() never enumerates partitions: for a fixed semisimple datum the
-achievable largest blocks are exactly 1..max(multiplicity), because the
-partition (b, 1, ..., 1) realizes any b up to its multiplicity and the
-other factors can stay trivial.  iter_class_data() exposes the full
-partition-level enumeration so tests can confirm the shortcut loses nothing.
+The semisimple part is described by the Frobenius-twist orbits of its
+eigenvalue exponents: an orbit of size d lives in the cyclic group of
+order q^d - eps^d, and the eigenvalue multiset splits into orbits of
+degrees d_i with multiplicities mu_i, sum d_i * mu_i = 4.  The unipotent
+part commutes with it, so its largest Jordan block is any b up to
+max(mu_i).
+
+omega() works type by type, a type being the multiset of pairs (d, mu); the
+eleven types correspond to the maximal tori of the group (Carter, Finite
+Groups of Lie Type, 1985).  The semisimple elements of one type, degenerate
+ones included, form the abelian group
+
+    K = {x in prod C_{q^d_i - eps^d_i} : prod N_{d_i}(x_i)^mu_i = 1}
+
+where N_d is the norm down to the base field.  K is cut out by one relation
+row, so an extended-Euclid column reduction gives its generators, and the
+orders K attains are exactly the divisors of exp K; in the projective group
+the same holds for the image of K modulo scalars.  Hence
+
+    omega(SL)  = union over types, b <= max mu, of p_part(b) * Div(exp K)
+    omega(PSL) = the same with exp(K S / S), S the scalar matrices
+
+which is how Buturlakis, "Spectra of finite linear and unitary groups",
+Algebra and Logic 47 (2008), describes these spectra.  A degenerate element
+of K (orbits that collide or shrink) is a regular element of a coarser type
+whose multiplicities are at least as large, so nothing outside the spectrum
+is added.  The cost is independent of q apart from factoring the cyclotomic
+values q - eps, q + eps, q^2 + eps*q + 1 and q^2 + 1.
+
+The brute-force enumeration of orbits and class data is kept as the
+reference the closed form is tested against: iter_class_data() walks every
+determinant-one orbit assignment and every Jordan partition, and
+_enumerated_omega_sets() is the O(q^4) oracle.  Both are capped at
+SPECTRUM_Q_CAP.
 
 All exponent arithmetic happens inside one cyclic group of order q^12 - 1,
 which contains every q^d - (eps)^d for d <= 4 as a divisor; degree-d
@@ -25,8 +52,11 @@ from functools import lru_cache
 from itertools import product
 
 from . import arith
-from .params import GroupParams, derive, sign_from_str, sign_to_str
+from .params import GroupParams, derive_from_q, sign_from_str, sign_to_str
 
+# Bounds only the reference enumeration, whose O(q^4) orbit walk takes
+# about 2 s per group at q = 27; omega() itself accepts every q that
+# derive() does.
 SPECTRUM_Q_CAP = 27
 
 GROUP_FULL = "SL"
@@ -150,26 +180,40 @@ def _p_part(p: int, b: int) -> int:
     return v
 
 
-def _orders_for_blocks(params: GroupParams, blocks) -> tuple[int, int]:
-    """(semisimple order, least k making the semisimple part scalar)."""
+def _eigen_exponents(params: GroupParams, embedded) -> list[int]:
+    """Exponents mod q^12 - 1 of all eigenvalues: each (d, x) pair
+    contributes the twist orbit x, eps*q*x, ..., of length d."""
     big = _big_order(params)
-    quot = big // (params.q - params.epsilon)
     step = (params.epsilon * params.q) % big
-    ss_order = 1
     xs = []
-    for orb, _mu in blocks:
-        ss_order = math.lcm(ss_order, big // math.gcd(big, orb.embedded))
-        x = orb.embedded
-        for _ in range(orb.d):
+    for d, x in embedded:
+        for _ in range(d):
             xs.append(x)
             x = (x * step) % big
+    return xs
+
+
+def _scalar_order(params: GroupParams, xs) -> int:
+    """Least k > 0 making the diagonal with eigenvalue exponents xs a
+    scalar of order dividing q - eps: its order modulo scalars."""
+    big = _big_order(params)
+    quot = big // (params.q - params.epsilon)
     k_pairs = 1
     for u in range(len(xs)):
         for v in range(u + 1, len(xs)):
             diff = (xs[u] - xs[v]) % big
             k_pairs = math.lcm(k_pairs, big // math.gcd(big, diff))
-    k0 = k_pairs * (quot // math.gcd(quot, (xs[0] * k_pairs) % quot))
-    return ss_order, k0
+    return k_pairs * (quot // math.gcd(quot, (xs[0] * k_pairs) % quot))
+
+
+def _orders_for_blocks(params: GroupParams, blocks) -> tuple[int, int]:
+    """(semisimple order, least k making the semisimple part scalar)."""
+    big = _big_order(params)
+    ss_order = 1
+    for orb, _mu in blocks:
+        ss_order = math.lcm(ss_order, big // math.gcd(big, orb.embedded))
+    xs = _eigen_exponents(params, [(orb.d, orb.embedded) for orb, _ in blocks])
+    return ss_order, _scalar_order(params, xs)
 
 
 def iter_class_data(params: GroupParams):
@@ -193,8 +237,9 @@ def class_order(params: GroupParams, datum: ClassDatum,
     raise ValueError(f"unknown group flavor {group!r}")
 
 
-@lru_cache(maxsize=None)
-def _omega_sets(params: GroupParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _enumerated_omega_sets(params: GroupParams):
+    """Reference for _omega_sets: every determinant-one orbit assignment
+    with exact orbit sizes, walked one by one."""
     if params.q > SPECTRUM_Q_CAP:
         raise ValueError(
             f"spectrum enumeration is capped at q <= {SPECTRUM_Q_CAP}")
@@ -211,6 +256,117 @@ def _omega_sets(params: GroupParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sorted(full)), tuple(sorted(proj))
 
 
+# The eleven semisimple types: for each way of filling dimension 4 with
+# degree-d blocks, one partition of each block count into the
+# multiplicities of distinct orbits.  A type is a tuple of (d, mu).
+_TYPES = tuple(
+    tuple(block for group in parts for block in group)
+    for split in _DIM_SPLITS
+    for parts in product(*(
+        [tuple((d, mu) for mu in part) for part in _PARTITIONS[n]]
+        for d, n in zip((1, 2, 3, 4), split) if n))
+)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        quo, rem = divmod(a, b)
+        a, b = b, rem
+        s0, s1 = s1, s0 - quo * s1
+        t0, t1 = t1, t0 - quo * t1
+    return a, s0, t0
+
+
+def _relation_kernel(weights, modulus: int) -> list[list[int]]:
+    """Generators of {x in Z^k : sum w_i x_i = 0 mod modulus}.
+
+    Unimodular column operations (extended Euclid, one column at a time)
+    turn the row [w_1 .. w_k, modulus] into [g, 0, .., 0]; the columns of
+    the transform that end at 0 are a basis of the row's kernel in
+    Z^(k+1), and dropping their last coordinate gives the solutions.
+    """
+    k = len(weights)
+    row = [*weights, modulus]
+    cols = [[int(i == j) for i in range(k + 1)] for j in range(k + 1)]
+    for j in range(1, k + 1):
+        a, b = row[0], row[j]
+        if b == 0:
+            continue
+        g, s, t = _xgcd(a, b)
+        c0, cj = cols[0], cols[j]
+        cols[0] = [s * u + t * v for u, v in zip(c0, cj)]
+        cols[j] = [(b // g) * u - (a // g) * v for u, v in zip(c0, cj)]
+        row[0], row[j] = g, 0
+    return [col[:k] for col in cols[1:]]
+
+
+def _type_exponents(params: GroupParams, blocks) -> tuple[int, int]:
+    """(exp K, exp K S/S) for the torus-type group K of these blocks."""
+    big = _big_order(params)
+    eps, q = params.epsilon, params.q
+    moduli = [q**d - eps**d for d, _ in blocks]
+    weights = [mu * (big // n) * _geom_sum(params, d) % big
+               for (d, mu), n in zip(blocks, moduli)]
+    exp_full = exp_proj = 1
+    for gen in _relation_kernel(weights, big):
+        embedded = [(d, x % n * (big // n))
+                    for (d, _), x, n in zip(blocks, gen, moduli)]
+        for _, x in embedded:
+            exp_full = math.lcm(exp_full, big // math.gcd(big, x))
+        xs = _eigen_exponents(params, embedded)
+        exp_proj = math.lcm(exp_proj, _scalar_order(params, xs))
+    return exp_full, exp_proj
+
+
+def _prime_support(params: GroupParams) -> set[int]:
+    """Primes dividing q^d - eps^d for some d <= 4: these values factor
+    into q - 1, q + 1, q^2 + eps*q + 1 and q^2 + 1."""
+    q = params.q
+    found = set()
+    for n in (q - 1, q + 1, params.phi3, params.phi4):
+        found.update(arith.prime_divisors(n))
+    return found
+
+
+def _divisors(n: int, primes) -> list[int]:
+    """All divisors of n, whose prime factors all lie in primes."""
+    divs = [1]
+    for r in primes:
+        power, rest = 1, []
+        while n % r == 0:
+            n //= r
+            power *= r
+            rest.extend(v * power for v in divs)
+        divs.extend(rest)
+    if n != 1:
+        raise ArithmeticError(f"{n} is not covered by the given primes")
+    return divs
+
+
+@lru_cache(maxsize=None)
+def _omega_sets(params: GroupParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Closed form: p_part(b) * Div(exponent) over the torus types."""
+    full_gens: set[tuple[int, int]] = set()
+    proj_gens: set[tuple[int, int]] = set()
+    for blocks in _TYPES:
+        exp_full, exp_proj = _type_exponents(params, blocks)
+        max_mu = max(mu for _, mu in blocks)
+        for b in range(1, max_mu + 1):
+            up = _p_part(params.p, b)
+            full_gens.add((up, exp_full))
+            proj_gens.add((up, exp_proj))
+
+    primes = _prime_support(params)
+
+    def orders(gens):
+        return tuple(sorted({up * v for up, e in gens
+                             for v in _divisors(e, primes)}))
+
+    return orders(full_gens), orders(proj_gens)
+
+
 def omega(params: GroupParams, group: str = GROUP_FULL) -> tuple[int, ...]:
     """All element orders of the chosen flavor, ascending."""
     full, proj = _omega_sets(params)
@@ -222,7 +378,8 @@ def omega(params: GroupParams, group: str = GROUP_FULL) -> tuple[int, ...]:
 
 
 def member(orders, x: int) -> bool:
-    """Spectrum membership: x divides some attained order."""
+    """Membership in a divisor-closed order set given by its attained
+    orders: x divides some attained order."""
     if x < 1:
         raise ValueError("order must be positive")
     return any(o % x == 0 for o in orders)
@@ -247,11 +404,7 @@ def parse_dump(text: str):
     if not got:
         raise ValueError(f"bad spectrum header: {lines[0]!r}")
     eps = sign_from_str(got.group(1))
-    q = int(got.group(2))
-    powers = arith.factorize(q)
-    if len(powers) != 1:
-        raise ValueError(f"q = {q} is not a prime power")
-    params = derive(eps, powers[0].prime, powers[0].exponent)
+    params = derive_from_q(eps, int(got.group(2)))
     orders = tuple(int(ln) for ln in lines[1:])
     if any(a >= b for a, b in zip(orders, orders[1:])) or not orders:
         raise ValueError("spectrum orders must be strictly ascending")

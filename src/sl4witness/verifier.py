@@ -32,6 +32,7 @@ from itertools import combinations, product
 
 from . import arith, params as params_mod, witness
 from .params import GroupParams
+from .spectrum import member as in_spectrum
 from .witness import Selection, WitnessCertificate
 
 _CHECK_LABELS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8")
@@ -50,13 +51,6 @@ class VerificationReport:
     def failed_checks(self) -> tuple[str, ...]:
         return tuple(l for l in _CHECK_LABELS
                      if any(label == l for label, _ in self.failures))
-
-
-def in_spectrum(orders, x: int) -> bool:
-    """Membership in a divisor-closed order set given by its attained orders."""
-    if x < 1:
-        raise ValueError("order must be positive")
-    return any(o % x == 0 for o in orders)
 
 
 def _structural_check(cert: WitnessCertificate) -> None:

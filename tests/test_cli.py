@@ -7,6 +7,7 @@ construction, 2 malformed input or usage error.
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -197,6 +198,34 @@ def test_spectrum_rejects_non_prime_power(capsys):
     assert run_main("spectrum", "--epsilon", "+", "--q", "4") == 2
     assert run_main("spectrum", "--epsilon", "+", "--q", "1") == 2
     capsys.readouterr()
+
+
+# a 126-bit semiprime, far past Q_CAP and slow to factorize
+HUGE_Q = "42535295865117425710771050546041187593"
+
+
+def test_oversized_inputs_exit_2_promptly(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    run_main("construct", "--epsilon", "+", "--p", "3", "--m", "1",
+             "--profile", "2", "--out", str(cert))
+    dump = tmp_path / "huge.txt"
+    dump.write_text(f"# epsilon=+ q={HUGE_Q} group=PSL\n1\n")
+    start = time.perf_counter()
+    assert run_main("spectrum", "--epsilon", "+", "--q", HUGE_Q) == 2
+    assert run_main("verify", "--spectrum", str(dump), str(cert)) == 2
+    assert run_main("construct", "--epsilon", "+", "--p", "3",
+                    "--m", "1000000000000", "--profile", "1") == 2
+    assert time.perf_counter() - start < 2.0
+    assert "exceeds supported bound" in capsys.readouterr().err
+
+
+def test_spectrum_at_largest_prime_field(capsys):
+    start = time.perf_counter()
+    for eps in ("+", "-"):
+        assert run_main("spectrum", "--epsilon", eps, "--q", "65521") == 0
+        pr, group, orders = spectrum.parse_dump(capsys.readouterr().out)
+        assert (pr.q, group, orders[0]) == (65521, "PSL", 1)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_sweep_exit_codes(capsys):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from sl4witness import params
@@ -32,6 +34,26 @@ def test_derive_validation():
         params.derive(1, 3, 0)
     with pytest.raises(ValueError):
         params.derive(1, 3, 11)  # 3^11 > Q_CAP
+
+
+def test_derive_bounds_m_before_power():
+    # 3**(10**12) would never finish; the bound on m comes first
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds supported bound"):
+        params.derive(1, 3, 10**12)
+    assert time.perf_counter() - start < 1.0
+    assert params.derive(1, 3, 10).q == 3**10  # 59049 is still in
+
+
+def test_derive_from_q():
+    assert params.derive_from_q(-1, 49) == params.derive(-1, 7, 2)
+    for bad in (1, 4, 6, 2**16 + 1):
+        with pytest.raises(ValueError):
+            params.derive_from_q(1, bad)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds supported bound"):
+        params.derive_from_q(1, 42535295865117425710771050546041187593)
+    assert time.perf_counter() - start < 1.0
 
 
 def _orders(pr):

@@ -3,12 +3,17 @@
 The cheapest independent cross-checks are counting identities: orbits of
 e -> eps*q*e partition Z/(q^d - eps^d), so sizes must add up exactly, and
 every order in the table must carry all of its divisors (an element power
-realizes each one).
+realizes each one).  The closed-form omega() is compared live against the
+orbit enumeration for q <= 17, and pinned by digest for 19 <= q <= 27,
+where the enumeration takes seconds per group.
 """
+
+import hashlib
+import time
 
 import pytest
 
-from sl4witness import params, spectrum
+from sl4witness import arith, params, spectrum, verifier
 
 # published spectra for the two linear groups of dimension 4 over F_3 and
 # the full preimage of the first; any regression here is a real bug
@@ -93,10 +98,80 @@ def test_member():
 
 
 def test_q_cap_enforced():
-    pr = params.derive(1, 29, 1)  # fine to derive, too big to enumerate
+    # the cap bounds only the reference enumeration; omega() goes on
+    pr = params.derive(1, 29, 1)
     with pytest.raises(ValueError):
-        spectrum.omega(pr)
-    assert spectrum.omega(params.derive(1, 5, 2), group="PSL")  # 25 is in
+        spectrum._enumerated_omega_sets(pr)
+    table = spectrum.omega(pr, group="PSL")
+    assert table[0] == 1 and spectrum.member(table, 29)
+    assert not spectrum.member(table, 29 * 29)
+
+
+def _small_fields(limit):
+    for q in range(3, limit + 1, 2):
+        powers = arith.factorize(q)
+        if len(powers) == 1:
+            yield powers[0].prime, powers[0].exponent
+
+
+def test_closed_form_matches_enumeration():
+    for p, m in _small_fields(17):
+        for eps in (1, -1):
+            pr = params.derive(eps, p, m)
+            assert spectrum._omega_sets(pr) == \
+                spectrum._enumerated_omega_sets(pr), (eps, p**m)
+
+
+# sha256 of format_dump for the fields the enumeration is slow on, as the
+# enumeration wrote them: sign, q, group, digest
+ENUMERATED_DUMP_SHA256 = """
++ 19 SL c90784f3547302f9af039c46910e8a0fed698a6b3e6e2d009348f41522e4b8a4
++ 19 PSL 01678ed11f9bbbbff0679a76638675433daf9c9fae3f9e8bcfc9f1eb89bceddb
+- 19 SL cf128d50e3f1722b64500d0dff8cb84ac681fafd7b041296ffd1712858821195
+- 19 PSL 7d5e88b5206d2f2a4360ec20f6f02425925b4a5067da9c700f7a69962d22113f
++ 23 SL 4d01692d0a0335fe543068093dbab24de43593cd256bdf6403885892d54cf38e
++ 23 PSL ced0bae46aab2cfcaf560db3c3074b0c6aa53d2dd93a9d42658e10a0f945d6f1
+- 23 SL 909c758908ebeee3d22d25f2aec5742f3895fd8d49768d9700ff4c82e9f229ad
+- 23 PSL 46fa565e4e8495d67cdccf2a12686c1429cef6c9422d04c7c21730ccb5c9cc55
++ 25 SL 1bcf3f4d1ed2db4316adddb4ef4bb42ebdbf2ea062dcdb3d03f7e6111a7eef40
++ 25 PSL f1e7bf64f0b83c3865ec0b202d481cdb04978390604814f5417e48402c5cf923
+- 25 SL f69736b72f5829e0c47efc06144151cc52c76183598dc258a7398b73b6ac2f14
+- 25 PSL 27ac54db1770d70abcf207c0b49491e2e5ef3ee3b83f8c6bc154cb6c6a30c4af
++ 27 SL f163bbb65af9bd2deabbeec0f15cd757413d948be904de587b1e3aa86172a740
++ 27 PSL 3fcd3b03ddeb98123221071a6ddb93effc5e61df399da9728538e8fbb736871a
+- 27 SL 169d472fd97934bfa79752897de72e9654c71d154e8cd1e1e883dad19a05d6c8
+- 27 PSL 33fb62c00e4d3f0740374c5c21fa3368a6718901bedb30c099beb4ed38259a31
+"""
+
+
+def test_closed_form_matches_pinned_enumeration():
+    rows = [ln.split() for ln in ENUMERATED_DUMP_SHA256.strip().splitlines()]
+    assert len(rows) == 16
+    for sign, q, group, digest in rows:
+        pr = params.derive_from_q(params.sign_from_str(sign), int(q))
+        text = spectrum.format_dump(pr, group)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, \
+            (sign, q, group)
+
+
+def test_omega_at_q_cap_scale():
+    # the largest prime field derive() accepts, both signs, well within
+    # a second; every order divides |SL4^eps(q)| and is divisor-closed
+    start = time.perf_counter()
+    for eps in (1, -1):
+        pr = params.derive(eps, 65521, 1)
+        q = pr.q
+        group_order = q**6 * (q**2 - 1) * (q**3 - eps) * (q**4 - 1)
+        for group in ("SL", "PSL"):
+            table = spectrum.omega(pr, group)
+            assert all(group_order % o == 0 for o in table)
+            assert spectrum.member(table, 65521)
+            assert not spectrum.member(table, 65521**2)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_one_membership_test():
+    assert verifier.in_spectrum is spectrum.member
 
 
 def test_dump_round_trip():
@@ -127,3 +202,4 @@ def test_parse_dump_rejects_garbage():
         spectrum.parse_dump("# epsilon=+ q=3 group=PSL\n2\n1\n")  # not ascending
     with pytest.raises(ValueError):
         spectrum.parse_dump("# epsilon=+ q=3 group=PSL\n1\nx\n")
+
