@@ -157,7 +157,10 @@ def primitive_prime_divisor(a: int, n: int, eps: int) -> int | None:
         raise ValueError("eps must be +1 or -1")
     if a < 2 or n < 2:
         raise ValueError("need a >= 2 and n >= 2")
-    if a**n > SIZE_LIMIT:
+    # a**n has at least n * (a.bit_length() - 1) + 1 bits, so a huge power
+    # is refused by that bound before it is computed
+    if (n * (a.bit_length() - 1) >= SIZE_LIMIT.bit_length()
+            or a**n > SIZE_LIMIT):
         raise ValueError("a**n exceeds supported size")
     target = a**n - eps**n
     # cheap pre-filter: a prime shared with an earlier term is never

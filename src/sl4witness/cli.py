@@ -105,7 +105,7 @@ def certificate_from_document(doc) -> WitnessCertificate:
         "schema_version", "params", "profile", "case", "theta_order",
         "exponents", "claimed_order", "target_order", "selections",
     ), optional=("case_d",))
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if _plain_int(doc["schema_version"], "schema_version") != SCHEMA_VERSION:
         raise DocumentError(
             f"unsupported schema_version {doc['schema_version']!r}")
 

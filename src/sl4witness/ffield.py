@@ -1,12 +1,14 @@
-"""Explicit small finite fields, 4x4 matrices, and sampling cross-checks.
+"""Explicit small finite fields, diagonal realization, and sampling
+cross-checks.
 
 Field elements are little-endian coefficient tuples of polynomials modulo a
 monic irreducible.  The modulus is found by a counter scan, so repeated runs
 always pick the same field and the same element tables; nothing here is
-randomized except sample_orders, which takes an explicit seed.
+randomized except sample_orders, which takes an explicit seed.  Orders of
+realized elements are found by the prime-divisor test: start from a known
+multiple and divide out each prime while the power stays the identity.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,43 +22,13 @@ class RealizationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# bare polynomial helpers (little-endian coefficient lists, used only while
-# hunting for an irreducible modulus)
+# polynomial gcd over F_p (little-endian coefficient lists), used only while
+# hunting for an irreducible modulus
 
 def _ptrim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _pmulmod(a, b, f, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    df = len(f) - 1
-    for deg in range(len(out) - 1, df - 1, -1):
-        c = out[deg]
-        if c:
-            out[deg] = 0
-            for j in range(df):
-                out[deg - df + j] = (out[deg - df + j] - c * f[j]) % p
-    return _ptrim(out[:df])
-
-
-def _ppowmod(a, e, f, p):
-    result = [1]
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, p)
-        e >>= 1
-        if e:
-            base = _pmulmod(base, base, f, p)
-    return result
 
 
 def _pgcd(a, b, p):
@@ -73,26 +45,36 @@ def _pgcd(a, b, p):
     return a
 
 
-def _is_irreducible(f, p):
-    """Monic f of degree k: no factor of degree <= k // 2 survives the sieve.
+def _is_irreducible(ring):
+    """The monic modulus f of degree k has no factor of degree <= k // 2.
 
-    The i-th pass computes gcd(x^(p^i) - x, f); any factor of degree
-    dividing i shows up there, and an irreducible f of degree k > k // 2
-    never does, so no final confirmation step is needed.
+    ring is a Field built on the candidate f; its arithmetic reduces
+    correctly modulo any monic f, irreducible or not.  The i-th pass
+    computes gcd(x^(p^i) - x, f); any factor of degree dividing i shows up
+    there, and an irreducible f of degree k > k // 2 never does, so no final
+    confirmation step is needed.
     """
-    k = len(f) - 1
-    u = [0, 1]
-    for _ in range(1, k // 2 + 1):
-        u = _ppowmod(u, p, f, p)
-        diff = list(u) + [0] * (2 - len(u))
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(diff, f, p)
-        if len(g) - 1 >= 1:
+    p, k = ring.p, ring.k
+    if k == 1:
+        return True
+    x = u = ring.element(p)  # index p is the polynomial x
+    for _ in range(k // 2):
+        u = ring.pow(u, p)
+        if len(_pgcd(ring.sub(u, x), ring.modulus, p)) > 1:
             return False
     return True
 
 
 # ---------------------------------------------------------------------------
+
+def _digits(n: int, p: int, k: int) -> tuple:
+    """The k base-p digits of n, least digit first."""
+    digits = []
+    for _ in range(k):
+        n, d = divmod(n, p)
+        digits.append(d)
+    return tuple(digits)
+
 
 class Field:
     """F_{p^k}; elements are length-k tuples, constant coefficient first."""
@@ -117,10 +99,6 @@ class Field:
     def sub(self, a, b):
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
 
     def mul(self, a, b):
         if a == self.zero or b == self.zero:
@@ -159,12 +137,7 @@ class Field:
         """The index-th element: base-p digits of index, least digit first."""
         if not 0 <= index < self.order:
             raise ValueError("element index out of range")
-        digits = []
-        n = index
-        for _ in range(self.k):
-            digits.append(n % self.p)
-            n //= self.p
-        return tuple(digits)
+        return _digits(index, self.p, self.k)
 
 
 @lru_cache(maxsize=None)
@@ -174,18 +147,25 @@ def build_field(p: int, k: int) -> Field:
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be positive")
-    idx = 0
-    while idx < p**k:
-        digits = []
-        n = idx
-        for _ in range(k):
-            digits.append(n % p)
-            n //= p
-        f = [*digits, 1]
-        if _is_irreducible(f, p):
-            return Field(p, k, tuple(f))
-        idx += 1
+    for idx in range(p**k):
+        field = Field(p, k, (*_digits(idx, p, k), 1))
+        if _is_irreducible(field):
+            return field
     raise RuntimeError("no irreducible polynomial found")  # unreachable
+
+
+def _order_dividing(field: Field, entries, bound: int):
+    """Multiplicative order of the diagonal element with these entries, by
+    the prime-divisor test; None when it does not divide bound."""
+    one = field.one
+    if any(field.pow(v, bound) != one for v in entries):
+        return None
+    order = bound
+    for ell in ([] if bound == 1 else arith.prime_divisors(bound)):
+        while order % ell == 0 and all(
+                field.pow(v, order // ell) == one for v in entries):
+            order //= ell
+    return order
 
 
 def element_of_order(field: Field, n: int):
@@ -193,10 +173,9 @@ def element_of_order(field: Field, n: int):
     if n < 1 or (field.order - 1) % n != 0:
         raise ValueError(f"F_{field.order} has no element of order {n}")
     cofactor = (field.order - 1) // n
-    checks = [] if n == 1 else [n // ell for ell in arith.prime_divisors(n)]
     for idx in range(1, field.order):
         y = field.pow(field.element(idx), cofactor)
-        if all(field.pow(y, c) != field.one for c in checks):
+        if _order_dividing(field, (y,), n) == n:
             return y
     raise RealizationError(f"no element of order {n} found")  # unreachable
 
@@ -229,19 +208,6 @@ class Matrix4:
         return all(self.rows[i][j] == (F.one if i == j else F.zero)
                    for i in range(4) for j in range(4))
 
-    def is_scalar(self) -> bool:
-        F = self.field
-        first = self.rows[0][0]
-        return first != F.zero and all(
-            self.rows[i][j] == (first if i == j else F.zero)
-            for i in range(4) for j in range(4))
-
-
-def identity(field: Field) -> Matrix4:
-    return Matrix4(field, tuple(
-        tuple(field.one if i == j else field.zero for j in range(4))
-        for i in range(4)))
-
 
 def diagonal(field: Field, entries) -> Matrix4:
     entries = tuple(entries)
@@ -257,7 +223,8 @@ def realize(cert, *, size_limit: int = arith.SIZE_LIMIT) -> Matrix4:
 
     That one field contains every characteristic value the four cases can
     ask for, since each case modulus divides q^12 - 1.  The element order
-    is recomputed by repeated multiplication and compared with the claim.
+    is recomputed from the diagonal entries by the prime-divisor test,
+    starting from the theta order, and compared with the claim.
     """
     pr = cert.params
     k = 12 * pr.m
@@ -272,18 +239,13 @@ def realize(cert, *, size_limit: int = arith.SIZE_LIMIT) -> Matrix4:
         det = field.mul(det, v)
     if det != field.one:
         raise RealizationError("diagonal determinant is not 1")
-    g = diagonal(field, entries)
-    acc = g
-    order = 1
-    while not acc.is_identity():
-        acc = acc.mul(g)
-        order += 1
-        if order > cert.theta_order:
-            raise RealizationError("order exceeded the theta-order bound")
+    order = _order_dividing(field, entries, cert.theta_order)
+    if order is None:
+        raise RealizationError("order exceeded the theta-order bound")
     if order != cert.claimed_order:
         raise RealizationError(
             f"explicit order {order} != claimed {cert.claimed_order}")
-    return g
+    return diagonal(field, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ Check labels:
   V3  N is coprime to the characteristic (the element is semisimple)
   V4  the claimed order is exactly lcm(N / gcd(N, e_j))
   V5  no power claimed/ell is scalar, so the image in the projective
-      quotient keeps the full claimed order
+      quotient keeps the full claimed order: g^k is scalar exactly when k
+      is a multiple of k_s = lcm over u < v of N / gcd(N, e_u - e_v), so
+      V5 fails when k_s is a proper divisor of the claimed order
   V6  selections cover exactly the active profile slots, with the profile's
       cardinality and, by default, pairwise distinct selected values
   V7  sum_i p^i * (sum of selected exponents) vanishes mod N: the weighted
@@ -156,12 +158,12 @@ def verify(cert: WitnessCertificate, *, strict_values: bool = True,
         fail("V4", f"element order is {order}, certificate claims "
                    f"{cert.claimed_order}")
 
-    if cert.claimed_order > 1:
-        for ell in arith.prime_divisors(cert.claimed_order):
-            k = cert.claimed_order // ell
-            if len({(e * k) % N for e in cert.exponents}) == 1:
-                fail("V5", f"power claimed/{ell} is scalar, so the projective "
-                           "order is smaller than claimed")
+    k_s = 1
+    for u, v in combinations(cert.exponents, 2):
+        k_s = math.lcm(k_s, arith.order_in_cyclic(N, u - v))
+    if cert.claimed_order % k_s == 0 and cert.claimed_order != k_s:
+        fail("V5", f"g^{k_s} is scalar and {k_s} properly divides the "
+                   "claimed order, so the projective order is smaller")
 
     active = tuple(i for i, k in enumerate(cert.profile) if k > 0)
     if tuple(s.factor for s in cert.selections) != active:

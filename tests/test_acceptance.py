@@ -215,11 +215,13 @@ def test_06_tamper_detection(sweep, report):
 
 
 def test_07_matrix_realization(sweep, report):
-    """Every certificate small enough for explicit matrices realizes as a
-    diagonal matrix of exactly the claimed order."""
+    """Every certificate whose field F_{p^(12m)} fits the size limit
+    realizes as a diagonal matrix of exactly the claimed order, and a spread
+    of them, with every exponent multiplied by a prime dividing N, is
+    rejected because the explicit order drops."""
     budget = 120.0
     small = [c for c in sweep[0]
-             if c.params.p in (3, 5) and c.params.m <= 2]
+             if c.params.p ** (12 * c.params.m) <= arith.SIZE_LIMIT]
     start = time.perf_counter()
     problems = 0
     for cert in small:
@@ -230,11 +232,22 @@ def test_07_matrix_realization(sweep, report):
             continue
         if mat.field.order != cert.params.p ** (12 * cert.params.m):
             problems += 1
+    tampered = small[::40]
+    for cert in tampered:
+        n = cert.theta_order
+        ell = arith.prime_divisors(n)[0]
+        bad = dataclasses.replace(
+            cert, exponents=tuple(e * ell % n for e in cert.exponents))
+        try:
+            ffield.realize(bad)
+        except ffield.RealizationError:
+            continue
+        problems += 1
     elapsed = time.perf_counter() - start
-    ok = problems == 0 and len(small) == 80 and elapsed < budget
+    ok = problems == 0 and len(small) == 712 and elapsed < budget
     report(7, "matrix-realization", ok,
-            "%d matrices, %d problems, %.1fs, budget %.0fs"
-            % (len(small), problems, elapsed, budget))
+            "%d matrices, %d tampered, %d problems, %.1fs, budget %.0fs"
+            % (len(small), len(tampered), problems, elapsed, budget))
 
 
 def test_08_selection_brute_force(sweep, report):

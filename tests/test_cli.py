@@ -79,6 +79,16 @@ def test_parse_rejects_bad_schema_version(cert_a):
         cli.certificate_from_document(doc)
 
 
+def test_verify_rejects_bool_schema_version(tmp_path, capsys, cert_a):
+    # True == 1 in Python, so the version must be read as a plain integer
+    doc = doc_of(cert_a)
+    doc["schema_version"] = True
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert run_main("verify", str(path)) == 2
+    assert "schema_version" in capsys.readouterr().err
+
+
 def test_parse_rejects_inconsistent_q(cert_a):
     doc = doc_of(cert_a)
     doc["params"]["q"] = 27
@@ -215,6 +225,8 @@ def test_oversized_inputs_exit_2_promptly(tmp_path, capsys):
     assert run_main("verify", "--spectrum", str(dump), str(cert)) == 2
     assert run_main("construct", "--epsilon", "+", "--p", "3",
                     "--m", "1000000000000", "--profile", "1") == 2
+    assert run_main("ppd", "--a", "3", "--n", "1000000000000",
+                    "--epsilon", "+") == 2
     assert time.perf_counter() - start < 2.0
     assert "exceeds supported bound" in capsys.readouterr().err
 

@@ -35,7 +35,7 @@ def test_field_axioms_seeded(p, k):
         assert field.mul(x, field.add(y, z)) == field.add(
             field.mul(x, y), field.mul(x, z))
         assert field.sub(x, x) == field.zero
-        assert field.add(x, field.neg(x)) == field.zero
+        assert field.add(x, field.sub(field.zero, x)) == field.zero
         if x != field.zero:
             assert field.pow(x, field.order - 1) == field.one
 
@@ -72,22 +72,37 @@ def test_element_index_validation():
 
 def test_matrix_ops():
     field = ffield.build_field(3, 2)
-    ident = ffield.identity(field)
-    assert ident.is_identity()
-    assert ident.is_scalar()
+    assert ffield.diagonal(field, (field.one,) * 4).is_identity()
     two = field.element(2)
     scal = ffield.diagonal(field, (two, two, two, two))
-    assert scal.is_scalar() and not scal.is_identity()
-    mixed = ffield.diagonal(field, (field.one, two, two, two))
-    assert not mixed.is_scalar()
+    assert not scal.is_identity()
     assert scal.mul(scal).mul(scal).rows == ffield.diagonal(
         field, tuple(field.pow(two, 3) for _ in range(4))).rows
     g = ffield.element_of_order(field, 8)
     d = ffield.diagonal(field, (g, g, g, g))
-    acc = ident
-    for _ in range(8):
+    acc = d
+    for _ in range(7):
+        assert not acc.is_identity()
         acc = acc.mul(d)
     assert acc.is_identity()
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (7, 2)])
+def test_order_dividing_matches_repeated_multiplication(p, k):
+    field = ffield.build_field(p, k)
+    rnd = random.Random(10 * p + k)
+    bound = field.order - 1
+    for _ in range(100):
+        entries = tuple(field.element(rnd.randrange(1, field.order))
+                        for _ in range(4))
+        acc, order = entries, 1
+        while acc != (field.one,) * 4:
+            acc = tuple(field.mul(a, v) for a, v in zip(acc, entries))
+            order += 1
+        assert ffield._order_dividing(field, entries, bound) == order
+        assert ffield._order_dividing(field, entries, 2 * bound) == order
+        if order > 1:
+            assert ffield._order_dividing(field, entries, order - 1) is None
 
 
 def test_realize_worked_example():
@@ -99,8 +114,11 @@ def test_realize_worked_example():
     for i in range(4):
         dets = field.mul(dets, mat.rows[i][i])
     assert dets == field.one
-    acc = ffield.identity(field)
-    for _ in range(cert.claimed_order):
+    # repeated multiplication is the reference for the prime-divisor test:
+    # the first identity power is exactly the claimed order
+    acc = mat
+    for _ in range(1, cert.claimed_order):
+        assert not acc.is_identity()
         acc = acc.mul(mat)
     assert acc.is_identity()
 

@@ -1,10 +1,13 @@
 """Verifier tests: each check must catch the tampering aimed at it."""
 
 import dataclasses
+import itertools
+import random
+import time
 
 import pytest
 
-from sl4witness import params, spectrum, verifier, witness
+from sl4witness import arith, params, spectrum, verifier, witness
 from sl4witness.verifier import MalformedCertificate
 from sl4witness.witness import Selection
 
@@ -74,6 +77,50 @@ def test_primitivity_check():
         target_order=6, selections=())
     report = verifier.verify(bad)
     assert "V5" in report.failed_checks()
+
+
+def _v5_fails_by_factorization(n, exponents, claimed):
+    """Reference V5 predicate: some power claimed/ell, ell a prime divisor
+    of the claimed order, has all four exponents equal mod N."""
+    if claimed == 1:
+        return False
+    return any(len({e * (claimed // ell) % n for e in exponents}) == 1
+               for ell in arith.prime_divisors(claimed))
+
+
+def test_primitivity_check_matches_factorization_reference(cert_a):
+    cases = [(n, exps, claimed)
+             for n in range(2, 7)
+             for exps in itertools.product(range(n), repeat=4)
+             for claimed in range(1, n + 1)]
+    rnd = random.Random(5)
+    for _ in range(2000):
+        n = rnd.randrange(2, 1000)
+        exps = tuple(rnd.randrange(n) for _ in range(4))
+        claimed = rnd.choice((n, rnd.randrange(1, 2 * n)))
+        cases.append((n, exps, claimed))
+    mismatches = fails = 0
+    for n, exps, claimed in cases:
+        bad = dataclasses.replace(cert_a, theta_order=n, exponents=exps,
+                                  claimed_order=claimed)
+        want = _v5_fails_by_factorization(n, exps, claimed)
+        fails += want
+        mismatches += ("V5" in failed(bad)) != want
+    assert mismatches == 0
+    assert 0 < fails < len(cases)
+
+
+def test_primitivity_check_on_huge_claimed_order(cert_a):
+    # a 128-bit semiprime is out of reach of the factorizer, and 2^130 + 1
+    # is past SIZE_LIMIT; neither may hang or raise
+    semiprime = (2**64 - 59) * (2**64 - 83)
+    for claimed in (semiprime, 2**130 + 1):
+        bad = dataclasses.replace(cert_a, claimed_order=claimed,
+                                  target_order=3 * claimed)
+        start = time.perf_counter()
+        report = verifier.verify(bad)
+        assert time.perf_counter() - start < 2.0
+        assert "V4" in report.failed_checks()
 
 
 def test_selection_value_collision_strict_vs_lenient(cert_a):
