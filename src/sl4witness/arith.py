@@ -15,6 +15,7 @@ from itertools import compress
 # Inputs above this size are refused rather than risking unbounded work.
 SIZE_LIMIT = 1 << 128
 
+_LOW_TRIAL_LIMIT = 1 << 10
 _TRIAL_LIMIT = 1 << 16
 
 # Miller-Rabin with the first 13 primes as bases is a proven-deterministic
@@ -41,14 +42,36 @@ def two_part(a: int) -> int:
     return a & -a
 
 
-@lru_cache(maxsize=1)
-def _small_primes() -> tuple[int, ...]:
-    sieve = bytearray([1]) * _TRIAL_LIMIT
+def _primes_below(limit: int) -> tuple[int, ...]:
+    """The primes below limit, ascending."""
+    sieve = bytearray([1]) * limit
     sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(_TRIAL_LIMIT - 1) + 1):
+    for i in range(2, math.isqrt(limit - 1) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(range(i * i, _TRIAL_LIMIT, i)))
-    return tuple(compress(range(_TRIAL_LIMIT), sieve))
+            sieve[i * i :: i] = bytearray(len(range(i * i, limit, i)))
+    return tuple(compress(range(limit), sieve))
+
+
+_LOW_PRIMES = _primes_below(_LOW_TRIAL_LIMIT)
+
+
+@lru_cache(maxsize=1)
+def _high_primes() -> tuple[int, ...]:
+    """The primes from _LOW_TRIAL_LIMIT up to _TRIAL_LIMIT, built on the
+    first input that needs them."""
+    return _primes_below(_TRIAL_LIMIT)[len(_LOW_PRIMES):]
+
+
+def _trial_divide(n: int, primes, found: dict[int, int]) -> int:
+    """Divide out of n the given ascending primes, stopping once p^2 > n;
+    record each in found and return the cofactor."""
+    for p in primes:
+        if p * p > n:
+            break
+        while n % p == 0:
+            found[p] = found.get(p, 0) + 1
+            n //= p
+    return n
 
 
 def is_prime(n: int) -> bool:
@@ -122,12 +145,11 @@ def factorize(n: int) -> list[PrimePower]:
     if n > SIZE_LIMIT:
         raise ValueError(f"{n} exceeds supported size {SIZE_LIMIT}")
     found: dict[int, int] = {}
-    for p in _small_primes():
-        if p * p > n:
-            break
-        while n % p == 0:
-            found[p] = found.get(p, 0) + 1
-            n //= p
+    n = _trial_divide(n, _LOW_PRIMES, found)
+    # a cofactor below _LOW_TRIAL_LIMIT^2 with no prime factor below
+    # _LOW_TRIAL_LIMIT is 1 or prime, so only larger ones need the rest
+    if n >= _LOW_TRIAL_LIMIT * _LOW_TRIAL_LIMIT:
+        n = _trial_divide(n, _high_primes(), found)
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

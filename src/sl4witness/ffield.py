@@ -2,13 +2,20 @@
 cross-checks.
 
 Field elements are little-endian coefficient tuples of polynomials modulo a
-monic irreducible.  The modulus is found by a counter scan, so repeated runs
-always pick the same field and the same element tables; nothing here is
-randomized except sample_orders, which takes an explicit seed.  Orders of
-realized elements are found by the prime-divisor test: start from a known
-multiple and divide out each prime while the power stays the identity.
+monic irreducible.  Field.mul is the one polynomial multiply: it packs each
+tuple into one integer, one coefficient per 1-, 2-, 4- or 8-byte slot wide
+enough that no slot of the product carries (Kronecker substitution), so a
+product is one big-integer multiplication plus a fold of the degrees >= k
+by the few nonzero terms of the modulus.  The modulus is found by a counter
+scan, so repeated runs always pick the same field and the same element
+tables; nothing here is randomized except sample_orders, which takes an
+explicit seed.  Orders of realized elements are found by the prime-divisor
+test: start from a known multiple and divide out each prime while the
+power stays the identity.
 """
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,6 +83,36 @@ def _digits(n: int, p: int, k: int) -> tuple:
     return tuple(digits)
 
 
+# Unsigned array typecodes by item size; the sizes of 'I' and 'L' depend on
+# the platform, so the code is looked up by size, never by letter.
+_CODES = {array(code).itemsize: code for code in "BHILQ"}
+_SWAP = sys.byteorder != "little"
+
+
+def _slot_code(bound: int) -> str:
+    """Typecode of the narrowest slot of 1, 2, 4 or 8 bytes above bound."""
+    for size in (1, 2, 4, 8):
+        if bound < 1 << (8 * size):
+            return _CODES[size]
+    raise ValueError("field too wide for packed multiplication")
+
+
+def _pack(code: str, coeffs) -> int:
+    """The integer whose little-endian slots hold coeffs."""
+    words = array(code, coeffs)
+    if _SWAP:
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+def _unpack(code: str, value: int, nbytes: int) -> list:
+    """The slots of value, least first; inverse of _pack."""
+    words = array(code, value.to_bytes(nbytes, "little"))
+    if _SWAP:
+        words.byteswap()
+    return words.tolist()
+
+
 class Field:
     """F_{p^k}; elements are length-k tuples, constant coefficient first."""
 
@@ -87,7 +124,12 @@ class Field:
         self.zero = (0,) * k
         self.one = tuple(1 if i == 0 else 0 for i in range(k))
         # modulus is monic, so x^k folds down to minus its lower part
-        self._xk = tuple((-c) % p for c in modulus[:k])
+        self._fold = tuple((j, (-c) % p) for j, c in enumerate(modulus[:k])
+                           if c)
+        # a product slot sums at most k terms below p^2, so it never
+        # carries into the next slot
+        self._code = _slot_code(k * (p - 1) ** 2)
+        self._prod_bytes = (2 * k - 1) * array(self._code).itemsize
 
     def __repr__(self):
         return f"Field(p={self.p}, k={self.k})"
@@ -101,23 +143,18 @@ class Field:
         return tuple((x - y) % p for x, y in zip(a, b))
 
     def mul(self, a, b):
-        if a == self.zero or b == self.zero:
-            return self.zero
-        p, k = self.p, self.k
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        xk = self._xk
+        """Product modulo the modulus: the 2k - 1 slots of the packed
+        operands' integer product, folded below degree k and reduced."""
+        k, p = self.k, self.p
+        prod = _unpack(self._code, _pack(self._code, a) * _pack(self._code, b),
+                       self._prod_bytes)
+        fold = self._fold
         for deg in range(2 * k - 2, k - 1, -1):
             c = prod[deg] % p
             if c:
                 base = deg - k
-                for j, rj in enumerate(xk):
-                    if rj:
-                        prod[base + j] += c * rj
+                for j, rj in fold:
+                    prod[base + j] += c * rj
         return tuple(c % p for c in prod[:k])
 
     def pow(self, a, e: int):
@@ -169,13 +206,22 @@ def _order_dividing(field: Field, entries, bound: int):
 
 
 def element_of_order(field: Field, n: int):
-    """Deterministic element of exact multiplicative order n."""
+    """Deterministic element of exact multiplicative order n: the first
+    index whose element, raised to the cofactor (order - 1) / n, has
+    order n."""
     if n < 1 or (field.order - 1) % n != 0:
         raise ValueError(f"F_{field.order} has no element of order {n}")
     cofactor = (field.order - 1) // n
-    for idx in range(1, field.order):
+    # y = g^cofactor has y^n = 1, so its order is n unless y^(n/l) = 1 for
+    # some prime l | n
+    exponents = [] if n == 1 else [n // ell for ell in arith.prime_divisors(n)]
+    one = field.one
+    # indices below p are the constants of F_p, whose powers have order
+    # dividing p - 1: none of them can qualify unless n divides p - 1
+    start = 1 if (field.p - 1) % n == 0 else field.p
+    for idx in range(start, field.order):
         y = field.pow(field.element(idx), cofactor)
-        if _order_dividing(field, (y,), n) == n:
+        if all(field.pow(y, e) != one for e in exponents):
             return y
     raise RealizationError(f"no element of order {n} found")  # unreachable
 
@@ -297,22 +343,29 @@ def sample_orders(q: int, count: int, seed: int = 0, *,
 
     full = np.zeros(count, dtype=np.int64)
     proj = np.zeros(count, dtype=np.int64)
+    # active, powers, bases and unseen (no projective order yet) stay
+    # compacted to the rows whose identity power is still to come
     active = np.arange(count)
-    powers = mats.copy()
+    powers = bases = mats
+    unseen = np.ones(count, dtype=bool)
+    off_diagonal = ~np.eye(4, dtype=bool)
     k = 1
-    while active.size:
-        cur = powers[active]
-        diag = np.einsum("nii->ni", cur)
-        off_zero = (cur.sum(axis=(1, 2)) - diag.sum(axis=1)) == 0
-        scalar = off_zero & (diag == diag[:, :1]).all(axis=1)
-        newly_scalar = scalar & (proj[active] == 0)
+    while True:
+        diag = np.einsum("nii->ni", powers)
+        scalar = (~powers[:, off_diagonal].any(axis=1)
+                  & (diag == diag[:, :1]).all(axis=1))
+        newly_scalar = scalar & unseen
         proj[active[newly_scalar]] = k
+        unseen &= ~newly_scalar
         ident = scalar & (diag[:, 0] == 1)
-        full[active[ident]] = k
-        active = active[~ident]
-        if active.size == 0:
-            break
-        powers[active] = np.matmul(powers[active], mats[active]) % q
+        if ident.any():
+            full[active[ident]] = k
+            keep = ~ident
+            if not keep.any():
+                break
+            active, powers, bases, unseen = (
+                active[keep], powers[keep], bases[keep], unseen[keep])
+        powers = np.matmul(powers, bases) % q
         k += 1
         if k > step_cap:
             raise RealizationError("order search exceeded the step cap")

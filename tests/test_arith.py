@@ -128,6 +128,40 @@ def test_factorize_random_roundtrip():
         assert primes == sorted(set(primes))
 
 
+def _sympy_factors(n):
+    return sorted(sympy.factorint(n).items())
+
+
+def test_factorize_around_trial_tiers():
+    # factorize trial-divides by the primes below 2^10, and by those below
+    # 2^16 only while the cofactor is at least 2^20
+    values = list(range(2**20 - 64, 2**20 + 64))
+    edges = (1009, 1013, 1019, 1021, 1031, 1033, 1039,
+             65497, 65519, 65521, 65537, 65539, 65543)
+    for i, a in enumerate(edges):
+        for b in edges[i:]:
+            values += [a * b, 2 * a * b, 3**5 * a * b, a * b * 65521 * 65537]
+    rnd = random.Random(1024)
+    mid_primes = [q for q in (rnd.randrange(2**10, 2**16) for _ in range(400))
+                  if sympy.isprime(q)]
+    values += [q * q for q in mid_primes + [1031, 65521]]
+    values += [q * q * 1021 for q in mid_primes[:20]]
+    for n in values:
+        got = [(f.prime, f.exponent) for f in arith.factorize(n)]
+        assert got == _sympy_factors(n), n
+
+
+def test_factorize_builds_large_table_only_when_needed():
+    arith._high_primes.cache_clear()
+    arith.factorize(2**20 - 3)
+    arith.factorize(1021 * 1031)  # cofactor 1031 after the small primes
+    assert arith._high_primes.cache_info().currsize == 0
+    arith.factorize(1031 * 1033)
+    assert arith._high_primes.cache_info().currsize == 1
+    assert arith._LOW_PRIMES + arith._high_primes() == tuple(
+        sympy.primerange(2, 2**16))
+
+
 def test_prime_divisors():
     assert arith.prime_divisors(360) == [2, 3, 5]
     assert arith.prime_divisors(41) == [41]

@@ -1,12 +1,42 @@
 """Field arithmetic and realization tests."""
 
+import hashlib
+import json
 import random
+from array import array
 
 import numpy as np
 import pytest
 
-from sl4witness import ffield, params, spectrum, witness
+from sl4witness import arith, ffield, params, spectrum, witness
 from sl4witness.ffield import RealizationError
+
+
+def schoolbook_mul(field, a, b):
+    """Reference product: the k^2 coefficient products, then degrees >= k
+    folded down one at a time with x^k = -(lower part of the modulus)."""
+    p, k = field.p, field.k
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    xk = [(-c) % p for c in field.modulus[:k]]
+    for deg in range(2 * k - 2, k - 1, -1):
+        c = prod[deg] % p
+        for j, rj in enumerate(xk):
+            prod[deg - k + j] += c * rj
+    return tuple(c % p for c in prod[:k])
+
+
+def full_scan_element_of_order(field, n):
+    """Reference: the first index from 1 whose element, raised to the
+    cofactor, has exact order n by the prime-divisor test."""
+    cofactor = (field.order - 1) // n
+    for idx in range(1, field.order):
+        y = field.pow(field.element(idx), cofactor)
+        if ffield._order_dividing(field, (y,), n) == n:
+            return y
+    raise AssertionError("no element of that order")
 
 
 def test_build_field_frozen_moduli():
@@ -40,6 +70,38 @@ def test_field_axioms_seeded(p, k):
             assert field.pow(x, field.order - 1) == field.one
 
 
+@pytest.mark.parametrize("p,k", [(3, 12), (3, 36), (5, 36), (7, 24),
+                                 (31, 12), (1621, 12)])
+def test_packed_mul_matches_schoolbook(p, k):
+    # (1621, 12) has the widest slots realize can reach: 1621^12 is the
+    # largest p^12 within SIZE_LIMIT
+    field = ffield.build_field(p, k)
+    rnd = random.Random(100 * p + k)
+    top = (p - 1,) * k  # every slot of top * top sums k terms (p - 1)^2
+    pairs = [(top, top), (top, field.one), (field.zero, top)]
+    pairs += [(field.element(rnd.randrange(field.order)),
+               field.element(rnd.randrange(field.order)))
+              for _ in range(200)]
+    for a, b in pairs:
+        assert field.mul(a, b) == schoolbook_mul(field, a, b)
+
+
+def test_packed_slots_hold_every_realizable_field():
+    # every field realize can build is F_{p^(12m)} with p^(12m) <= SIZE_LIMIT;
+    # the modulus does not affect the slot width
+    primes = [p for p in range(2, 1700)
+              if arith.is_prime(p) and p**12 <= arith.SIZE_LIMIT]
+    assert primes[-1] == 1621
+    for p in primes:
+        for k in range(12, 12 * 11, 12):
+            if p**k > arith.SIZE_LIMIT:
+                break
+            field = ffield.Field(p, k, (0,) * k + (1,))
+            assert 2 ** (8 * array(field._code).itemsize) > k * (p - 1) ** 2
+    with pytest.raises(ValueError):
+        ffield.Field(2**32 + 15, 1, (0, 1))
+
+
 def test_field_has_primitive_root():
     # existence of an element of full multiplicative order certifies that
     # the scanned modulus really is irreducible
@@ -60,6 +122,27 @@ def test_element_of_order_exact():
                 assert field.pow(y, n // pp.prime) != field.one
     with pytest.raises(ValueError):
         ffield.element_of_order(field, 3)  # 3 does not divide 8
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (7, 2), (13, 2), (7, 1),
+                                 (7, 3), (3, 6)])
+def test_element_of_order_matches_full_scan(p, k):
+    # every n dividing Q - 1: n = 1, n = Q - 1, n | p - 1, where constants
+    # may qualify, and n not dividing p - 1, where the scan skips them
+    field = ffield.build_field(p, k)
+    for n in range(1, field.order):
+        if (field.order - 1) % n == 0:
+            y = ffield.element_of_order(field, n)
+            assert y == full_scan_element_of_order(field, n)
+            if (p - 1) % n:
+                assert any(y[1:])  # never a constant
+
+
+def test_element_of_order_can_be_a_constant():
+    # in F_49 the cofactor for n = 3 is 16, and the constant 2 has order 3
+    # in F_7 with 2^16 = 2, so the scan must not skip the constants
+    field = ffield.build_field(7, 2)
+    assert ffield.element_of_order(field, 3) == (2, 0)
 
 
 def test_element_index_validation():
@@ -171,6 +254,14 @@ def test_sample_orders_deterministic():
     assert c != a  # overwhelmingly unlikely to coincide
 
 
+# sha256 of json.dumps([full, proj]) for sample_orders(q, 2000, seed=11),
+# recorded from the one-gather-per-step implementation it replaced
+SAMPLE_DIGESTS = {
+    3: "565dda139bab4080a0752ecbcfb4c20bbaa286f6d605540be224e20bbc9ec385",
+    5: "2f36b44951aa981d9acefb3f328142707b7666052c1a14adc00831fbd6fb816a",
+}
+
+
 def test_sample_orders_contained_in_exact_tables():
     for q, p in ((3, 3), (5, 5)):
         pr = params.derive(1, p, 1)
@@ -178,6 +269,8 @@ def test_sample_orders_contained_in_exact_tables():
         proj_tab = set(spectrum.omega(pr, "PSL"))
         full, proj = ffield.sample_orders(q, 2000, seed=11)
         assert len(full) == len(proj) == 2000
+        assert hashlib.sha256(json.dumps([full, proj]).encode()).hexdigest() \
+            == SAMPLE_DIGESTS[q]
         assert set(full) <= full_tab
         assert set(proj) <= proj_tab
         # projective order divides the full order, with 2-power quotient
