@@ -20,9 +20,8 @@ from .witness import (Adjustment, CASE_A, CASE_B, CASE_C, CASE_D,
                       WitnessCertificate, classify_profile, construct)
 from .verifier import (MalformedCertificate, VerificationReport,
                        brute_force_selections, verify)
-from .spectrum import (SPECTRUM_Q_CAP, ClassDatum, OrbitRep, class_order,
-                       enumerate_orbits, format_dump, iter_class_data,
-                       member, omega, parse_dump)
+from .spectrum import (SPECTRUM_Q_CAP, OrbitRep, enumerate_orbits,
+                       format_dump, member, omega, parse_dump)
 from .ffield import (Field, Matrix4, RealizationError, build_field,
                      element_of_order, realize, sample_orders)
 from .cli import (canonical_json, certificate_from_document,
@@ -32,16 +31,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adjustment", "CASE_A", "CASE_B", "CASE_C", "CASE_D", "CaseDInternals",
-    "ClassDatum", "ConstructionError", "Field", "GroupParams",
+    "ConstructionError", "Field", "GroupParams",
     "KIND_R2_TWO_PART", "KIND_R3", "KIND_R4", "KIND_TWO_PART",
     "MalformedCertificate", "Matrix4", "OrbitRep", "PrimePower", "Q_CAP",
     "RealizationError", "SIZE_LIMIT", "SPECTRUM_Q_CAP", "Selection",
     "TargetOrderKind", "VerificationReport", "WitnessCertificate",
     "brute_force_selections", "canonical_json", "certificate_from_document",
-    "certificate_to_document", "class_order", "classify_profile",
+    "certificate_to_document", "classify_profile",
     "construct", "derive", "derive_from_q", "element_of_order",
     "enumerate_orbits", "factorize", "format_dump", "build_field",
-    "is_prime", "iter_class_data", "main", "member", "omega",
+    "is_prime", "main", "member", "omega",
     "order_in_cyclic", "parse_dump",
     "prime_divisors", "primitive_prime_divisor", "realize", "sample_orders",
     "sign_from_str", "sign_to_str", "target_orders", "two_part", "verify",

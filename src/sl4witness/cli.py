@@ -26,6 +26,9 @@ from .witness import (Adjustment, CaseDInternals, Selection,
 SCHEMA_VERSION = 1
 
 _INT_STRING = re.compile(r"^-?[0-9]+$")
+# No integer in a valid document comes near SIZE_LIMIT; longer strings are
+# refused before int() parses them (Python refuses past 4300 digits itself).
+_MAX_DIGITS = len(str(arith.SIZE_LIMIT))
 
 
 class DocumentError(ValueError):
@@ -91,6 +94,8 @@ def _expect_keys(obj, required, optional=(), where="document"):
 def _int_from_string(value, where):
     if not isinstance(value, str) or not _INT_STRING.match(value):
         raise DocumentError(f"{where} must be a decimal string")
+    if len(value.lstrip("-")) > _MAX_DIGITS:
+        raise DocumentError(f"{where} has more than {_MAX_DIGITS} digits")
     return int(value)
 
 
@@ -249,7 +254,7 @@ def cmd_verify(args) -> int:
     report = verifier.verify(cert, strict_values=not args.lenient_values,
                              psl_orders=psl_orders)
     failed = {label for label, _ in report.failures}
-    for label in ("V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8"):
+    for label in verifier.CHECK_LABELS:
         print(f"{label} {'FAIL' if label in failed else 'ok'}")
     for label, msg in report.warnings:
         print(f"{label} warning: {msg}")

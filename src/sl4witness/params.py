@@ -5,7 +5,6 @@ odd prime power.  All downstream modules consume a GroupParams value rather
 than recomputing these quantities.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,13 +45,10 @@ class GroupParams:
     p: int
     m: int
     q: int
-    q_minus_eps: int
-    q_plus_eps: int
     phi3: int  # q^2 + eps*q + 1
     phi4: int  # q^2 + 1
     two_part_qme: int  # (q - eps)_2
     two_part_q2m1: int  # (q^2 - 1)_2
-    center_order: int  # gcd(4, q - eps)
 
 
 def derive(epsilon: int, p: int, m: int) -> GroupParams:
@@ -70,20 +66,15 @@ def derive(epsilon: int, p: int, m: int) -> GroupParams:
     q = p**m
     if q > Q_CAP:
         raise ValueError(f"q = {q} exceeds supported bound {Q_CAP}")
-    q_minus_eps = q - epsilon
-    q_plus_eps = q + epsilon
     return GroupParams(
         epsilon=epsilon,
         p=p,
         m=m,
         q=q,
-        q_minus_eps=q_minus_eps,
-        q_plus_eps=q_plus_eps,
         phi3=q * q + epsilon * q + 1,
         phi4=q * q + 1,
-        two_part_qme=arith.two_part(q_minus_eps),
+        two_part_qme=arith.two_part(q - epsilon),
         two_part_q2m1=arith.two_part(q * q - 1),
-        center_order=math.gcd(4, q_minus_eps),
     )
 
 

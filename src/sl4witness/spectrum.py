@@ -34,11 +34,10 @@ whose multiplicities are at least as large, so nothing outside the spectrum
 is added.  The cost is independent of q apart from factoring the cyclotomic
 values q - eps, q + eps, q^2 + eps*q + 1 and q^2 + 1.
 
-The brute-force enumeration of orbits and class data is kept as the
-reference the closed form is tested against: iter_class_data() walks every
-determinant-one orbit assignment and every Jordan partition, and
-_enumerated_omega_sets() is the O(q^4) oracle.  Both are capped at
-SPECTRUM_Q_CAP.
+The brute-force enumeration is kept as the reference the closed form is
+tested against: _enumerated_omega_sets() walks every determinant-one orbit
+assignment and every Jordan partition of its multiplicities, so it checks
+the largest-block shortcut too.  It is O(q^4) and capped at SPECTRUM_Q_CAP.
 
 All exponent arithmetic happens inside one cyclic group of order q^12 - 1,
 which contains every q^d - (eps)^d for d <= 4 as a divisor; degree-d
@@ -87,14 +86,6 @@ class OrbitRep:
     d: int
     e: int         # smallest exponent in the orbit, mod q^d - eps^d
     embedded: int  # same value as an exponent mod q^12 - 1
-
-
-@dataclass(frozen=True)
-class ClassDatum:
-    """One conjugacy datum: orbit multiplicities plus Jordan partitions."""
-
-    blocks: tuple  # ((OrbitRep, multiplicity), ...)
-    partitions: tuple  # one partition of each multiplicity, same order
 
 
 def _big_order(params: GroupParams) -> int:
@@ -216,30 +207,10 @@ def _orders_for_blocks(params: GroupParams, blocks) -> tuple[int, int]:
     return ss_order, _scalar_order(params, xs)
 
 
-def iter_class_data(params: GroupParams):
-    """Full class enumeration, partitions included; used for cross-checks."""
-    for blocks in _semisimple_data(params):
-        pools = [_PARTITIONS[mu] for _, mu in blocks]
-        for parts in product(*pools):
-            yield ClassDatum(blocks=blocks, partitions=parts)
-
-
-def class_order(params: GroupParams, datum: ClassDatum,
-                group: str = GROUP_FULL) -> int:
-    """Exact order of any element with this conjugacy datum."""
-    ss_order, k0 = _orders_for_blocks(params, datum.blocks)
-    largest = max(max(part) for part in datum.partitions)
-    up = _p_part(params.p, largest)
-    if group == GROUP_FULL:
-        return up * ss_order
-    if group == GROUP_PROJECTIVE:
-        return math.lcm(up, k0)
-    raise ValueError(f"unknown group flavor {group!r}")
-
-
 def _enumerated_omega_sets(params: GroupParams):
     """Reference for _omega_sets: every determinant-one orbit assignment
-    with exact orbit sizes, walked one by one."""
+    with exact orbit sizes and every Jordan partition of each multiplicity,
+    walked one by one."""
     if params.q > SPECTRUM_Q_CAP:
         raise ValueError(
             f"spectrum enumeration is capped at q <= {SPECTRUM_Q_CAP}")
@@ -248,9 +219,8 @@ def _enumerated_omega_sets(params: GroupParams):
     proj: set[int] = set()
     for blocks in _semisimple_data(params):
         ss_order, k0 = _orders_for_blocks(params, blocks)
-        max_mu = max(mu for _, mu in blocks)
-        for b in range(1, max_mu + 1):
-            up = _p_part(p, b)
+        for parts in product(*(_PARTITIONS[mu] for _, mu in blocks)):
+            up = _p_part(p, max(max(part) for part in parts))
             full.add(up * ss_order)
             proj.add(math.lcm(up, k0))
     return tuple(sorted(full)), tuple(sorted(proj))

@@ -37,7 +37,7 @@ from .params import GroupParams
 from .spectrum import member as in_spectrum
 from .witness import Selection, WitnessCertificate
 
-_CHECK_LABELS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8")
+CHECK_LABELS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8")
 
 
 class MalformedCertificate(ValueError):
@@ -51,7 +51,7 @@ class VerificationReport:
     warnings: tuple[tuple[str, str], ...]
 
     def failed_checks(self) -> tuple[str, ...]:
-        return tuple(l for l in _CHECK_LABELS
+        return tuple(l for l in CHECK_LABELS
                      if any(label == l for label, _ in self.failures))
 
 
@@ -91,24 +91,17 @@ def _structural_check(cert: WitnessCertificate) -> None:
             "case_d data must be present exactly for case D_QcongEps")
 
 
-_KIND_FOR_CASE = {
-    witness.CASE_A: params_mod.KIND_R4,
-    witness.CASE_B: params_mod.KIND_R3,
-    witness.CASE_C: params_mod.KIND_TWO_PART,
-    witness.CASE_D: params_mod.KIND_R2_TWO_PART,
-}
-
-
-def _check_case_d(cert: WitnessCertificate, fail) -> None:
+def _check_case_d(cert: WitnessCertificate, entry, fail) -> None:
+    """entry is the R2TimesTwoPart target order, r * (q - eps)_2."""
     pr = cert.params
     eps, q = pr.epsilon, pr.q
     cd = cert.case_d
-    r = arith.primitive_prime_divisor(q, 2, eps)
-    if r is None or cd.r != r:
+    s2 = pr.two_part_qme
+    if not entry.applicable or cd.r != entry.order // s2:
         fail("V8", "case-D odd prime r does not match the parameters")
         return
-    s2 = pr.two_part_qme
-    if cd.t != r * s2 or cd.t != cert.theta_order:
+    r = cd.r
+    if cd.t != entry.order or cd.t != cert.theta_order:
         fail("V8", f"case-D modulus t = {cd.t} is inconsistent")
         return
     try:
@@ -192,7 +185,7 @@ def verify(cert: WitnessCertificate, *, strict_values: bool = True,
         fail("V8", f"profile classifies as {expected_case}, certificate "
                    f"says {cert.case}")
     entry = next(t for t in params_mod.target_orders(pr)
-                 if t.kind == _KIND_FOR_CASE[cert.case])
+                 if t.kind == witness.KIND_FOR_CASE[cert.case])
     if not entry.applicable:
         fail("V8", f"order kind {entry.kind} is not applicable for q = {q}")
     else:
@@ -205,7 +198,7 @@ def verify(cert: WitnessCertificate, *, strict_values: bool = True,
     if cert.target_order != p * cert.claimed_order:
         fail("V8", "target order is not p * claimed order")
     if cert.case_d is not None:
-        _check_case_d(cert, fail)
+        _check_case_d(cert, entry, fail)
     if psl_orders is not None:
         if not in_spectrum(psl_orders, cert.claimed_order):
             fail("V8", f"claimed order {cert.claimed_order} is not an order "

@@ -7,7 +7,9 @@ slot of the input profile (k_0, ..., k_{m-1}).  The constraints the
 certificate must satisfy are re-checked independently in the verifier
 module; this module only has to produce them.
 
-Which N is used depends on the profile shape:
+Which N is used depends on the profile shape.  Each N is read from
+params.target_orders, through KIND_FOR_CASE, so the case moduli are
+computed in that one place:
 
   A_R4            all k_i in {0, 2}.  N is the smallest prime dividing
                   q^4 - 1 but no smaller q^i - (eps)^i; the characteristic
@@ -44,6 +46,14 @@ CASE_C = "C_QcongMinusEps"
 CASE_D = "D_QcongEps"
 
 ALL_CASES = (CASE_A, CASE_B, CASE_C, CASE_D)
+
+# The order family of params.target_orders that each case's N comes from.
+KIND_FOR_CASE = {
+    CASE_A: params_mod.KIND_R4,
+    CASE_B: params_mod.KIND_R3,
+    CASE_C: params_mod.KIND_TWO_PART,
+    CASE_D: params_mod.KIND_R2_TWO_PART,
+}
 
 
 class ConstructionError(RuntimeError):
@@ -249,28 +259,24 @@ def construct(params: GroupParams, profile) -> WitnessCertificate:
     eps, p, q = params.epsilon, params.p, params.q
     case_d = None
 
+    n_ord = next(t.order for t in params_mod.target_orders(params)
+                 if t.kind == KIND_FOR_CASE[case])
+    if n_ord is None:
+        raise ConstructionError(f"no {KIND_FOR_CASE[case]} order at q = {q}")
+
     if case == CASE_A:
-        n_ord = arith.primitive_prime_divisor(q, 4, eps)
-        if n_ord is None:
-            raise ConstructionError("r4 must exist for odd q")
         exponents = tuple(v % n_ord for v in (1, eps * q, q * q, eps * q**3))
         selections = tuple(Selection(i, (1, 3))
                            for i, k in enumerate(profile) if k == 2)
-        claimed = n_ord
 
     elif case == CASE_B:
-        n_ord = arith.primitive_prime_divisor(q, 3, eps)
-        if n_ord is None:
-            raise ConstructionError("r3 must exist for odd q")
         exponents = (1 % n_ord, (eps * q) % n_ord, (q * q) % n_ord, 0)
         selections = tuple(
             Selection(i, (4,) if k == 1 else (1, 2, 3))
             for i, k in enumerate(profile) if k in (1, 3)
         )
-        claimed = n_ord
 
     elif case == CASE_C:
-        n_ord = params.two_part_q2m1
         exponents = (1, (eps * q) % n_ord, n_ord // 2, 0)
         base = {1: (4,), 2: (3, 4), 3: (1, 2, 4)}
         selections = tuple(Selection(i, base[k])
@@ -286,17 +292,13 @@ def construct(params: GroupParams, profile) -> WitnessCertificate:
                         if profile[s.factor] in (1, 3)), None)
             if idx is None:
                 raise ConstructionError("no k in {1,3} slot available in case C")
-            flipped = {(4,): (3,), (1, 2, 4): (1, 2, 3)}[sels[idx].positions]
-            sels[idx] = Selection(sels[idx].factor, flipped)
+            sels[idx] = Selection(sels[idx].factor, _FLIP[sels[idx].positions])
             selections = tuple(sels)
-        claimed = n_ord
 
     else:  # CASE_D
-        r = arith.primitive_prime_divisor(q, 2, eps)
-        if r is None:
-            raise ConstructionError("r2 must exist when 3 < q = eps (mod 4)")
         s2 = params.two_part_qme
-        t = r * s2
+        t = n_ord
+        r = t // s2
         base = {1: (3,), 2: (1, 2), 3: (1, 2, 4)}
         selections = tuple(Selection(i, base[k])
                            for i, k in enumerate(profile) if k > 0)
@@ -314,8 +316,6 @@ def construct(params: GroupParams, profile) -> WitnessCertificate:
             a += s2
         else:
             raise ConstructionError("could not avoid value collisions")
-        n_ord = t
-        claimed = t
         case_d = CaseDInternals(r=r, t=t, a=a, b=b, coeff_a=A, coeff_rb=B,
                                 adjustments=adjustments)
 
@@ -328,7 +328,7 @@ def construct(params: GroupParams, profile) -> WitnessCertificate:
         theta_order=n_ord,
         exponents=exponents,
         selections=selections,
-        claimed_order=claimed,
-        target_order=p * claimed,
+        claimed_order=n_ord,
+        target_order=p * n_ord,
         case_d=case_d,
     )

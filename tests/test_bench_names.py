@@ -1,10 +1,13 @@
-"""The benchmark's trace list must name attributes the library still has:
-tracing looks each one up by name, so a renamed or deleted function would
-only show up when a traced benchmark run fails."""
+"""Names looked up by string must exist.  The benchmark's trace list looks
+each library function up by name, so a renamed or deleted function would
+only show up when a traced benchmark run fails; the package's __all__ is
+what `from sl4witness import *` resolves."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import sl4witness
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -23,3 +26,8 @@ def test_traced_names_resolve():
             if not callable(obj):
                 missing.append(f"{mod_name}.{attr}")
     assert missing == []
+
+
+def test_package_exports_resolve():
+    assert [n for n in sl4witness.__all__ if not hasattr(sl4witness, n)] == []
+    assert len(set(sl4witness.__all__)) == len(sl4witness.__all__)

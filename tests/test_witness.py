@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from sl4witness import params, verifier, witness
+from sl4witness import arith, params, verifier, witness
 from sl4witness.witness import Selection
 
 
@@ -153,6 +153,28 @@ def test_solve_ab_invariants_random_inputs():
         assert (a * A + 5 * b * B) % s2 == 0
         assert (a + b) % 2 == 1
         assert math.gcd(a, 5) == 1
+
+
+def test_case_moduli_come_from_target_orders(monkeypatch):
+    # construct and verify read every case modulus from the cached
+    # target_orders, so each primitive-divisor search runs once per field
+    calls = []
+    real = arith.primitive_prime_divisor
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(arith, "primitive_prime_divisor", counting)
+    params.target_orders.cache_clear()
+    pr = params.derive(1, 5, 2)
+    cases = set()
+    for profile in product((0, 1, 2, 3), repeat=2):
+        cert = witness.construct(pr, profile)
+        cases.add(cert.case)
+        assert verifier.verify(cert).ok
+    assert cases == {witness.CASE_A, witness.CASE_B, witness.CASE_D}
+    assert sorted(calls) == [(25, 2, 1), (25, 3, 1), (25, 4, 1)]
 
 
 def test_construct_deterministic():
