@@ -55,6 +55,16 @@ def test_omega_frozen_q3():
     assert spectrum.omega(params.derive(-1, 3, 1), group="PSL") == OMEGA_PSU4_3
 
 
+def test_omega_matches_full_class_enumeration():
+    # omega() takes a shortcut on unipotent parts (order depends only on
+    # the largest block); the reference walks every partition choice
+    for eps in (1, -1):
+        pr = params.derive(eps, 3, 1)
+        full, proj = spectrum._enumerated_omega_sets(pr)
+        assert full == spectrum.omega(pr, "SL")
+        assert proj == spectrum.omega(pr, "PSL")
+
+
 def test_omega_divisor_closed():
     from sl4witness import arith
     for eps in (1, -1):
