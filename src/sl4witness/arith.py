@@ -1,31 +1,42 @@
 """Exact integer helpers shared by the whole package.
 
 Everything here is pure and deterministic: 2-adic parts, certified
-factorization (trial division, then Brent's rho on a fixed parameter
-schedule), primitive prime divisors of a^n - (eps*1)^n, and element orders
-in cyclic groups.  No randomness, so repeated runs factor the same input
-the same way.
+factorization (the primes below 2^10 found by one gcd, then Miller-Rabin
+with proven bases and Brent's rho on a fixed parameter schedule),
+primitive prime divisors of a^n - (eps*1)^n, and element orders in cyclic
+groups.  No randomness, so repeated runs factor the same input the same
+way.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 
 # Inputs above this size are refused rather than risking unbounded work.
 SIZE_LIMIT = 1 << 128
 
 _LOW_TRIAL_LIMIT = 1 << 10
-_TRIAL_LIMIT = 1 << 16
 
-# Miller-Rabin with the first 13 primes as bases is a proven-deterministic
-# primality test for n < 3_317_044_064_679_887_385_961_981 (about 2**81),
-# which covers every quantity the desk-scale pipeline actually factors.
-# Larger inputs (up to SIZE_LIMIT) additionally get the extended base list;
-# no counterexample is known for that range.
+# Miller-Rabin with the first k primes as bases is a proven-deterministic
+# primality test below the smallest strong pseudoprime to all of them, so
+# is_prime uses the shortest prefix of _MR_BASES proven for its input:
+#
+#   n < 3_215_031_751                      first 4 primes   Jaeschke 1993
+#   n < 3_825_123_056_546_413_051          first 9 primes   Sorenson and
+#   n < 3_317_044_064_679_887_385_961_981  all 13 primes    Webster 2017
+#
+# The primitive prime divisor targets and spectrum supports at
+# q <= params.Q_CAP are below 2^34, so they take the first two tiers.
+# Larger inputs (up to SIZE_LIMIT) add the extended base list; no
+# counterexample is known for that range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BOUND = 3317044064679887385961981
 _MR_EXTRA_BASES = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+_MR_TIERS = (
+    (3215031751, _MR_BASES[:4]),
+    (3825123056546413051, _MR_BASES[:9]),
+    (_MR_PROVEN_BOUND, _MR_BASES),
+)
 
 
 @dataclass(frozen=True)
@@ -53,25 +64,7 @@ def _primes_below(limit: int) -> tuple[int, ...]:
 
 
 _LOW_PRIMES = _primes_below(_LOW_TRIAL_LIMIT)
-
-
-@lru_cache(maxsize=1)
-def _high_primes() -> tuple[int, ...]:
-    """The primes from _LOW_TRIAL_LIMIT up to _TRIAL_LIMIT, built on the
-    first input that needs them."""
-    return _primes_below(_TRIAL_LIMIT)[len(_LOW_PRIMES):]
-
-
-def _trial_divide(n: int, primes, found: dict[int, int]) -> int:
-    """Divide out of n the given ascending primes, stopping once p^2 > n;
-    record each in found and return the cofactor."""
-    for p in primes:
-        if p * p > n:
-            break
-        while n % p == 0:
-            found[p] = found.get(p, 0) + 1
-            n //= p
-    return n
+_LOW_PRODUCT = math.prod(_LOW_PRIMES)
 
 
 def is_prime(n: int) -> bool:
@@ -80,7 +73,7 @@ def is_prime(n: int) -> bool:
         return False
     if n > SIZE_LIMIT:
         raise ValueError(f"{n} exceeds supported size {SIZE_LIMIT}")
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -88,7 +81,11 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    bases = _MR_BASES if n < _MR_PROVEN_BOUND else _MR_BASES + _MR_EXTRA_BASES
+    for bound, bases in _MR_TIERS:
+        if n < bound:
+            break
+    else:
+        bases = _MR_BASES + _MR_EXTRA_BASES
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -137,25 +134,41 @@ def _brent_rho(n: int) -> int:
 def factorize(n: int) -> list[PrimePower]:
     """Full prime factorization of n >= 2, ascending by prime.
 
-    Each factor is certified prime by is_prime, so the result can be trusted
-    by downstream order/divisor computations.
+    The primes below 2^10 are found by one gcd with their product and
+    divided out.  Brent's rho splits the cofactor until every part is
+    prime: below 2^20 because it has no prime factor below 2^10, above
+    by is_prime.  So each factor is certified prime and the result can be
+    trusted by downstream order/divisor computations.
     """
     if n < 2:
         raise ValueError("factorize needs n >= 2")
     if n > SIZE_LIMIT:
         raise ValueError(f"{n} exceeds supported size {SIZE_LIMIT}")
     found: dict[int, int] = {}
-    n = _trial_divide(n, _LOW_PRIMES, found)
-    # a cofactor below _LOW_TRIAL_LIMIT^2 with no prime factor below
-    # _LOW_TRIAL_LIMIT is 1 or prime, so only larger ones need the rest
-    if n >= _LOW_TRIAL_LIMIT * _LOW_TRIAL_LIMIT:
-        n = _trial_divide(n, _high_primes(), found)
+    # g is the product of the distinct primes below _LOW_TRIAL_LIMIT that
+    # divide n; once p^2 > g, what is left of g is 1 or one prime
+    g = math.gcd(n, _LOW_PRODUCT)
+    low = []
+    for p in _LOW_PRIMES:
+        if p * p > g:
+            if g > 1:
+                low.append(g)
+            break
+        if g % p == 0:
+            low.append(p)
+            g //= p
+    for p in low:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        found[p] = e
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
+        # m has no prime factor below _LOW_TRIAL_LIMIT, so below
+        # _LOW_TRIAL_LIMIT^2 it is prime
+        if m < _LOW_TRIAL_LIMIT * _LOW_TRIAL_LIMIT or is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue
         d = _brent_rho(m)

@@ -25,7 +25,7 @@ from .witness import (Adjustment, CaseDInternals, Selection,
 
 SCHEMA_VERSION = 1
 
-_INT_STRING = re.compile(r"^-?[0-9]+$")
+_INT_STRING = re.compile(r"-?[0-9]+")
 # No integer in a valid document comes near SIZE_LIMIT; longer strings are
 # refused before int() parses them (Python refuses past 4300 digits itself).
 _MAX_DIGITS = len(str(arith.SIZE_LIMIT))
@@ -92,7 +92,7 @@ def _expect_keys(obj, required, optional=(), where="document"):
 
 
 def _int_from_string(value, where):
-    if not isinstance(value, str) or not _INT_STRING.match(value):
+    if not isinstance(value, str) or not _INT_STRING.fullmatch(value):
         raise DocumentError(f"{where} must be a decimal string")
     if len(value.lstrip("-")) > _MAX_DIGITS:
         raise DocumentError(f"{where} has more than {_MAX_DIGITS} digits")

@@ -7,6 +7,7 @@ functional checks.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -266,3 +267,38 @@ def test_08_selection_brute_force(sweep, report):
     report(8, "selection-brute-force", ok,
             "%d certificates, %d missing, %.1fs, budget %.0fs"
             % (len(sweep[0]), missing, elapsed, budget))
+
+
+# sha256 of the target-order lines below, recorded before factorize lost
+# its trial division by the primes below 2^16
+TARGET_ORDERS_SHA256 = (
+    "90afae2dcc093e935600b4551523fca015db000ddcfd70a96089a2fd3dcd65cb")
+
+
+def test_09_full_range_target_orders(report):
+    """target_orders over every group with q <= Q_CAP, both signs, gives
+    the recorded witness orders."""
+    budget = 30.0
+    fields = sorted((p**m, p, m)
+                    for p in sympy.primerange(3, params.Q_CAP + 1)
+                    for m in range(1, params.Q_CAP.bit_length())
+                    if p**m <= params.Q_CAP)
+    params.target_orders.cache_clear()
+    start = time.perf_counter()
+    lines = []
+    for _, p, m in fields:
+        for eps in (1, -1):
+            pr = params.derive(eps, p, m)
+            for k in params.target_orders(pr):
+                lines.append("%d %d %d %s %s %d" % (
+                    eps, p, m, k.kind, k.order, k.applicable))
+    elapsed = time.perf_counter() - start
+    params.target_orders.cache_clear()
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    groups = 2 * len(fields)
+    ok = (groups == 13238 and digest == TARGET_ORDERS_SHA256
+          and elapsed < budget)
+    report(9, "full-range-target-orders", ok,
+            "%d groups, digest %s, %.1fs, budget %.0fs"
+            % (groups, "matches" if digest == TARGET_ORDERS_SHA256
+               else "differs", elapsed, budget))

@@ -6,9 +6,11 @@ division) rather than from the functions under test.
 
 import math
 import random
+import time
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from sl4witness import arith
 
@@ -98,6 +100,33 @@ def test_is_prime_known_values():
         arith.is_prime(arith.SIZE_LIMIT + 1)
 
 
+# the smallest strong pseudoprimes to the first k prime bases (OEIS
+# A014233): those for k = 4, 11, 12 and 13 are the bounds past which each
+# tier's bases stop being enough, and those for k = 3 and 8 lie inside the
+# 4- and 9-base tiers, so a tier one base short would call them prime
+STRONG_PSEUDOPRIMES = (25326001, 3215031751, 341550071728321,
+                       3825123056546413051, 318665857834031151167461,
+                       3317044064679887385961981)
+
+
+def test_is_prime_tier_edges():
+    for n in STRONG_PSEUDOPRIMES:
+        assert not arith.is_prime(n), n
+    bounds = [bound for bound, _ in arith._MR_TIERS]
+    assert bounds == [3215031751, 3825123056546413051,
+                      arith._MR_PROVEN_BOUND]
+    values = []
+    for bound in bounds:
+        values += range(bound - 300, bound + 300)
+    rnd = random.Random(4004)
+    for low, high in zip([2**20] + bounds, bounds + [arith.SIZE_LIMIT]):
+        for _ in range(100):
+            n = rnd.randrange(low, high)
+            values += [n, sympy.nextprime(n), sympy.prevprime(n)]
+    for n in values:
+        assert arith.is_prime(n) == sympy.isprime(n), n
+
+
 def test_factorize_known():
     assert [(f.prime, f.exponent) for f in arith.factorize(720)] == [
         (2, 4), (3, 2), (5, 1)]
@@ -133,8 +162,9 @@ def _sympy_factors(n):
 
 
 def test_factorize_around_trial_tiers():
-    # factorize trial-divides by the primes below 2^10, and by those below
-    # 2^16 only while the cofactor is at least 2^20
+    # factorize finds the primes below 2^10 by one gcd and treats a
+    # cofactor below 2^20 as prime; these values straddle both edges and
+    # the 2^16 bound up to which it used to trial-divide
     values = list(range(2**20 - 64, 2**20 + 64))
     edges = (1009, 1013, 1019, 1021, 1031, 1033, 1039,
              65497, 65519, 65521, 65537, 65539, 65543)
@@ -151,15 +181,48 @@ def test_factorize_around_trial_tiers():
         assert got == _sympy_factors(n), n
 
 
-def test_factorize_builds_large_table_only_when_needed():
-    arith._high_primes.cache_clear()
-    arith.factorize(2**20 - 3)
-    arith.factorize(1021 * 1031)  # cofactor 1031 after the small primes
-    assert arith._high_primes.cache_info().currsize == 0
-    arith.factorize(1031 * 1033)
-    assert arith._high_primes.cache_info().currsize == 1
-    assert arith._LOW_PRIMES + arith._high_primes() == tuple(
-        sympy.primerange(2, 2**16))
+def test_factorize_prime_powers_and_low_product():
+    values = [1031**3, 65521**3, 1031**12, 65537**7, 1031**2 * 65521**2,
+              2**127, 3**80]
+    # the product of all of _LOW_PRIMES is past SIZE_LIMIT, so it is
+    # refused; runs of consecutive low primes with products within the
+    # limit cover every one of them instead
+    with pytest.raises(ValueError):
+        arith.factorize(math.prod(arith._LOW_PRIMES))
+    run = 1
+    for p in arith._LOW_PRIMES:
+        if run * p > arith.SIZE_LIMIT:
+            values.append(run)
+            run = 1
+        run *= p
+    values.append(run)
+    for n in values:
+        got = [(f.prime, f.exponent) for f in arith.factorize(n)]
+        assert got == _sympy_factors(n), n
+
+
+def test_factorize_balanced_semiprimes_promptly():
+    # the hardest inputs for rho at a given size: two primes next to 2^k
+    for k in (31, 32):
+        p, q = sympy.prevprime(2**k), sympy.nextprime(2**k)
+        start = time.perf_counter()
+        got = [(f.prime, f.exponent) for f in arith.factorize(p * q)]
+        elapsed = time.perf_counter() - start
+        assert got == [(p, 1), (q, 1)]
+        assert elapsed < 2.0, (k, elapsed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 2**32 - 1), min_size=1, max_size=4))
+def test_factorize_matches_sympy_on_products_of_primes(seeds):
+    n = 1
+    for x in seeds:
+        prime = sympy.prevprime(x + 1)
+        if n * prime > 2**64:
+            break
+        n *= prime
+    got = [(f.prime, f.exponent) for f in arith.factorize(n)]
+    assert got == _sympy_factors(n), n
 
 
 def test_prime_divisors():

@@ -117,6 +117,23 @@ def test_parse_rejects_non_decimal_string(cert_a):
         cli.certificate_from_document(doc)
 
 
+def test_parse_rejects_trailing_newline(tmp_path, capsys, cert_a,
+                                        cert_d_adjusted):
+    # a regex "$" also matches before a final newline; the whole string
+    # must be digits
+    path = tmp_path / "cert.json"
+    docs = [doc_of(cert_a), doc_of(cert_a), doc_of(cert_d_adjusted)]
+    docs[0]["theta_order"] += "\n"
+    docs[1]["exponents"][0] += "\n"
+    docs[2]["case_d"]["a"] += "\n"
+    for doc in docs:
+        with pytest.raises(DocumentError, match="decimal string"):
+            cli.certificate_from_document(doc)
+        path.write_text(json.dumps(doc))
+        assert run_main("verify", str(path)) == 2
+        assert "decimal string" in capsys.readouterr().err
+
+
 def test_parse_bounds_decimal_strings(tmp_path, capsys, cert_a, cert_d_adjusted):
     # past 4300 digits int() itself raises a bare ValueError, and any string
     # longer than SIZE_LIMIT's 39 digits is refused before int() runs
