@@ -131,8 +131,8 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")
 
 
-def factorize(n: int) -> list[PrimePower]:
-    """Full prime factorization of n >= 2, ascending by prime.
+def _prime_exponents(n: int) -> dict[int, int]:
+    """The prime -> exponent map of n >= 2, in no particular order.
 
     The primes below 2^10 are found by one gcd with their product and
     divided out.  Brent's rho splits the cofactor until every part is
@@ -174,12 +174,17 @@ def factorize(n: int) -> list[PrimePower]:
         d = _brent_rho(m)
         stack.append(d)
         stack.append(m // d)
-    return [PrimePower(p, e) for p, e in sorted(found.items())]
+    return found
+
+
+def factorize(n: int) -> list[PrimePower]:
+    """Full prime factorization of n >= 2, ascending by prime."""
+    return [PrimePower(p, e) for p, e in sorted(_prime_exponents(n).items())]
 
 
 def prime_divisors(n: int) -> list[int]:
     """Distinct prime divisors of n, ascending."""
-    return [pp.prime for pp in factorize(n)]
+    return sorted(_prime_exponents(n))
 
 
 def primitive_prime_divisor(a: int, n: int, eps: int) -> int | None:

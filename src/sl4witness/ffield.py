@@ -7,13 +7,17 @@ tuple into one integer, one coefficient per 1-, 2-, 4- or 8-byte slot wide
 enough that no slot of the product carries (Kronecker substitution), so a
 product is one big-integer multiplication plus a fold of the degrees >= k
 by the few nonzero terms of the modulus.  The modulus is found by a counter
-scan, so repeated runs always pick the same field and the same element
-tables; nothing here is randomized except sample_orders, which takes an
-explicit seed.  Orders of realized elements are found by the prime-divisor
-test: start from a known multiple and divide out each prime while the
-power stays the identity.
+scan, which skips the binomials x^k + c when the binomial criterion (Lidl
+and Niederreiter, Thm 3.75) rules them all out, so repeated runs always
+pick the same field and the same element tables; nothing here is
+randomized except sample_orders, which takes an explicit seed.  Orders of
+realized elements are found by the prime-divisor test: start from a known
+multiple and divide out each prime while the power stays the identity.
+Orders of sampled matrices are found by baby steps and giant steps over
+exact matrix keys.
 """
 
+import math
 import sys
 from array import array
 from dataclasses import dataclass
@@ -179,12 +183,25 @@ class Field:
 
 @lru_cache(maxsize=None)
 def build_field(p: int, k: int) -> Field:
-    """F_{p^k} with the first monic irreducible modulus in counter order."""
+    """F_{p^k} with the first monic irreducible modulus in counter order.
+
+    The candidates below index p are the binomials x^k + c.  By Lidl and
+    Niederreiter, Finite Fields, Thm 3.75, x^k - a with k >= 2 is
+    irreducible iff each prime r | k divides ord(a) but not
+    (p - 1)/ord(a), and p = 1 (mod 4) when 4 | k.  Since ord(a) divides
+    p - 1, none qualifies when some prime r | k does not divide p - 1, or
+    when 4 | k and p != 1 (mod 4); then the scan starts past them, and the
+    first irreducible in counter order is the same.
+    """
     if not arith.is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be positive")
-    for idx in range(p**k):
+    start = 0
+    if k > 1 and (any((p - 1) % r for r in arith.prime_divisors(k))
+                  or (k % 4 == 0 and p % 4 != 1)):
+        start = p
+    for idx in range(start, p**k):
         field = Field(p, k, (*_digits(idx, p, k), 1))
         if _is_irreducible(field):
             return field
@@ -315,18 +332,37 @@ def _det4_mod(mats, q):
 
 def sample_orders(q: int, count: int, seed: int = 0, *,
                   step_cap: int = 100_000):
-    """Orders of `count` uniform random determinant-one 4x4 matrices mod q,
-    together with the orders of their images mod scalars.
+    """Orders of `count` uniform random determinant-one 4x4 matrices mod q
+    (drawn by _random_sl4), together with the orders of their images mod
+    scalars.
 
-    Rejection-sample invertible matrices, then scale the first row by
-    det^{-1}; every determinant-one matrix has the same number (q - 1) of
-    invertible preimages under that map, so the result is uniform.  Returns
-    (full_orders, projective_orders) as plain lists.
+    Each order comes from a baby-step/giant-step search (_search_orders),
+    run on slices of _SEARCH_ROWS matrices.  Returns (full_orders,
+    projective_orders) as plain lists; raises RealizationError when an
+    order exceeds step_cap.
     """
     if q not in (3, 5):
         raise ValueError("sampling cross-check supports q in {3, 5} only")
     if not 1 <= count <= 10**6:
         raise ValueError("count out of range")
+    mats = _random_sl4(q, count, seed)
+    full, proj = [], []
+    for start in range(0, count, _SEARCH_ROWS):
+        part_full, part_proj = _search_orders(
+            mats[start:start + _SEARCH_ROWS], q, step_cap)
+        full += part_full
+        proj += part_proj
+    return full, proj
+
+
+def _random_sl4(q: int, count: int, seed: int):
+    """A (count, 4, 4) batch of uniform random determinant-one matrices mod
+    q.
+
+    Rejection-sample invertible matrices, then scale the first row by
+    det^{-1}; every determinant-one matrix has the same number (q - 1) of
+    invertible preimages under that map, so the result is uniform.
+    """
     rng = np.random.default_rng(seed)
     mats = rng.integers(0, q, size=(count, 4, 4), dtype=np.int64)
     dets = _det4_mod(mats, q)
@@ -340,33 +376,102 @@ def sample_orders(q: int, count: int, seed: int = 0, *,
     inv_table = np.array([0] + [pow(v, q - 2, q) for v in range(1, q)],
                          dtype=np.int64)
     mats[:, 0, :] = (mats[:, 0, :] * inv_table[dets][:, None]) % q
+    return mats
 
+
+# Matrices per order search, which keeps its key tables to a few megabytes
+# whatever the sample count.
+_SEARCH_ROWS = 1 << 14
+
+
+def _search_orders(mats, q: int, step_cap: int):
+    """Orders of the invertible matrices mats mod q and of their images mod
+    scalars, by baby steps and giant steps.
+
+    The baby steps g^0 .. g^(B-1) are stored by key.  The giant steps walk
+    g^(Bt) = G^t with G = g^B.  For an order n >= B the baby keys are
+    distinct, since the powers of g below its order are, so g^(Bt) equals
+    a baby step first at t = ceil(n / B), and then equals exactly one,
+    g^j with j = Bt - n.  An order below B is the first baby step at the
+    identity.  The projective order is found the same way from the
+    projective keys.  B = ceil(sqrt(M)) with M = (q^4 - 1)/(q - 1), the
+    largest element order of SL4(q) at q = 3 and 5, so an order up to M
+    takes at most 2B - 2 matmuls.
+    """
+    count = len(mats)
+    baby = math.isqrt(q**3 + q**2 + q) + 1
+    keys = _matrix_keys(q)
+    ident = int(keys(np.eye(4, dtype=np.int64)[None])[0][0])
+    raw = np.empty((count, baby), dtype=np.int64)
+    norm = np.empty((count, baby), dtype=np.int64)
+    raw[:, 0] = norm[:, 0] = ident
+    powers = mats
+    for j in range(1, baby):
+        raw[:, j], norm[:, j] = keys(powers)
+        powers = np.matmul(powers, mats)
+        powers %= q
     full = np.zeros(count, dtype=np.int64)
     proj = np.zeros(count, dtype=np.int64)
-    # active, powers, bases and unseen (no projective order yet) stay
-    # compacted to the rows whose identity power is still to come
-    active = np.arange(count)
-    powers = bases = mats
-    unseen = np.ones(count, dtype=bool)
-    off_diagonal = ~np.eye(4, dtype=bool)
-    k = 1
-    while True:
-        diag = np.einsum("nii->ni", powers)
-        scalar = (~powers[:, off_diagonal].any(axis=1)
-                  & (diag == diag[:, :1]).all(axis=1))
-        newly_scalar = scalar & unseen
-        proj[active[newly_scalar]] = k
-        unseen &= ~newly_scalar
-        ident = scalar & (diag[:, 0] == 1)
-        if ident.any():
-            full[active[ident]] = k
-            keep = ~ident
-            if not keep.any():
+    for out, table in ((full, raw), (proj, norm)):
+        hit = table[:, 1:] == ident
+        small = hit.any(axis=1)
+        out[small] = hit[small].argmax(axis=1) + 1
+
+    # active, giant, step, raw, norm and unseen (projective order still to
+    # come) stay compacted to the rows whose order is still to come
+    keep = full == 0
+    active = np.flatnonzero(keep)
+    giant = step = powers[keep]
+    raw, norm, unseen = raw[keep], norm[keep], proj[keep] == 0
+    reach = baby
+    while active.size:
+        giant_raw, giant_norm = keys(giant)
+        match = (norm == giant_norm[:, None]) & unseen[:, None]
+        hit = match.any(axis=1)
+        proj[active[hit]] = reach - match[hit].argmax(axis=1)
+        unseen &= ~hit
+        match = raw == giant_raw[:, None]
+        hit = match.any(axis=1)
+        if hit.any():
+            full[active[hit]] = reach - match[hit].argmax(axis=1)
+            keep = ~hit
+            active, giant, step, raw, norm, unseen = (
+                active[keep], giant[keep], step[keep], raw[keep],
+                norm[keep], unseen[keep])
+            if not active.size:
                 break
-            active, powers, bases, unseen = (
-                active[keep], powers[keep], bases[keep], unseen[keep])
-        powers = np.matmul(powers, bases) % q
-        k += 1
-        if k > step_cap:
+        # every order still to come exceeds reach
+        if reach >= step_cap:
             raise RealizationError("order search exceeded the step cap")
+        giant = np.matmul(giant, step)
+        giant %= q
+        reach += baby
+    if full.max() > step_cap:
+        raise RealizationError("order search exceeded the step cap")
     return full.tolist(), proj.tolist()
+
+
+def _matrix_keys(q: int):
+    """The function giving the exact and the projective key of each
+    matrix in a (n, 4, 4) batch of invertible matrices mod q.
+
+    A row's key is the base-q number of its entries and a matrix's key the
+    base-q^4 number of its row keys.  The projective key is the key of the
+    matrix times the inverse of its first nonzero entry, which lies in row
+    0 (a nonzero row of an invertible matrix), so it is two table lookups
+    by row key.
+    """
+    digit = q ** np.arange(4, dtype=np.int64)
+    place = digit**4
+    rows = (np.arange(q**4)[:, None] // digit) % q
+    lead = rows[np.arange(q**4), (rows != 0).argmax(axis=1)]
+    lead_inv = lead ** (q - 2) % q
+    # scaled[c, r]: key of the row with key r times c
+    scaled = (np.arange(q)[:, None, None] * rows) % q @ digit
+
+    def keys(mats):
+        row_keys = mats @ digit
+        normed = scaled[lead_inv[row_keys[:, 0]][:, None], row_keys]
+        return row_keys @ place, normed @ place
+
+    return keys

@@ -179,6 +179,7 @@ def test_factorize_around_trial_tiers():
     for n in values:
         got = [(f.prime, f.exponent) for f in arith.factorize(n)]
         assert got == _sympy_factors(n), n
+        assert arith.prime_divisors(n) == sympy.primefactors(n), n
 
 
 def test_factorize_prime_powers_and_low_product():
@@ -223,11 +224,14 @@ def test_factorize_matches_sympy_on_products_of_primes(seeds):
         n *= prime
     got = [(f.prime, f.exponent) for f in arith.factorize(n)]
     assert got == _sympy_factors(n), n
+    assert arith.prime_divisors(n) == sympy.primefactors(n), n
 
 
 def test_prime_divisors():
     assert arith.prime_divisors(360) == [2, 3, 5]
     assert arith.prime_divisors(41) == [41]
+    with pytest.raises(ValueError):
+        arith.prime_divisors(1)
 
 
 def test_primitive_prime_divisor_known():

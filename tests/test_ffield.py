@@ -39,9 +39,86 @@ def full_scan_element_of_order(field, n):
     raise AssertionError("no element of that order")
 
 
+def stepwise_orders(mats, q, step_cap=100_000):
+    """Reference order search: walk g, g^2, ... one batched matmul per step,
+    taking each row's first scalar power (projective order) and first
+    identity power (order)."""
+    count = len(mats)
+    full = np.zeros(count, dtype=np.int64)
+    proj = np.zeros(count, dtype=np.int64)
+    # active, powers, bases and unseen (no projective order yet) stay
+    # compacted to the rows whose identity power is still to come
+    active = np.arange(count)
+    powers = bases = mats
+    unseen = np.ones(count, dtype=bool)
+    off_diagonal = ~np.eye(4, dtype=bool)
+    k = 1
+    while True:
+        diag = np.einsum("nii->ni", powers)
+        scalar = (~powers[:, off_diagonal].any(axis=1)
+                  & (diag == diag[:, :1]).all(axis=1))
+        newly_scalar = scalar & unseen
+        proj[active[newly_scalar]] = k
+        unseen &= ~newly_scalar
+        ident = scalar & (diag[:, 0] == 1)
+        if ident.any():
+            full[active[ident]] = k
+            keep = ~ident
+            if not keep.any():
+                break
+            active, powers, bases, unseen = (
+                active[keep], powers[keep], bases[keep], unseen[keep])
+        powers = np.matmul(powers, bases) % q
+        k += 1
+        if k > step_cap:
+            raise RealizationError("order search exceeded the step cap")
+    return full.tolist(), proj.tolist()
+
+
+def counter_scan_modulus(p, k):
+    """Reference modulus: the first monic irreducible of degree k over F_p
+    in counter order, binomials included."""
+    for idx in range(p**k):
+        field = ffield.Field(p, k, (*ffield._digits(idx, p, k), 1))
+        if ffield._is_irreducible(field):
+            return field.modulus
+    raise AssertionError("no irreducible polynomial")
+
+
 def test_build_field_frozen_moduli():
     assert ffield.build_field(3, 1).modulus == (0, 1)
     assert ffield.build_field(3, 2).modulus == (1, 0, 1)
+
+
+def test_build_field_matches_counter_scan():
+    # covers fields where Thm 3.75 rules the binomial block out (e.g.
+    # k = 3 at p = 5, k = 4 at p = 7) and where it does not (k = 12 at
+    # p = 13 and 37, where x^12 + c can be irreducible)
+    for p in range(3, 38, 2):
+        if not arith.is_prime(p):
+            continue
+        for k in (*range(1, 13), 24, 36):
+            if p**k <= arith.SIZE_LIMIT:
+                assert ffield.build_field(p, k).modulus == \
+                    counter_scan_modulus(p, k), (p, k)
+
+
+@pytest.mark.parametrize("p", [1607, 1613])
+def test_build_field_skips_ruled_out_binomials(p, monkeypatch):
+    # 3 | 12 but 3 does not divide p - 1, so no x^12 + c is irreducible;
+    # the full counter scan tests more than 1600 candidates here
+    tested = []
+    check = ffield._is_irreducible
+
+    def counting(ring):
+        tested.append(ring.modulus)
+        return check(ring)
+
+    monkeypatch.setattr(ffield, "_is_irreducible", counting)
+    field = ffield.build_field.__wrapped__(p, 12)
+    assert len(tested) <= 20
+    assert field.modulus == tested[-1]
+    assert all(any(m[1:12]) for m in tested)  # no binomial was tested
 
 
 def test_build_field_validation():
@@ -278,6 +355,37 @@ def test_sample_orders_contained_in_exact_tables():
             assert f % pj == 0
             quot = f // pj
             assert quot & (quot - 1) == 0
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("count", [1, 2, 17, 1000])
+def test_sample_orders_matches_stepwise_walk(q, count):
+    for seed in range(20):
+        mats = ffield._random_sl4(q, count, seed)
+        assert ffield.sample_orders(q, count, seed) == \
+            stepwise_orders(mats, q), seed
+
+
+def test_sample_orders_slices_match_stepwise_walk(monkeypatch):
+    # slices of 64 rows, the last one short
+    monkeypatch.setattr(ffield, "_SEARCH_ROWS", 64)
+    for q in (3, 5):
+        mats = ffield._random_sl4(q, 1000, 7)
+        assert ffield.sample_orders(q, 1000, 7) == stepwise_orders(mats, q)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_sample_orders_step_cap(q):
+    full, proj = ffield.sample_orders(q, 300, seed=2)
+    top = max(full)
+    assert ffield.sample_orders(q, 300, seed=2, step_cap=top) == (full, proj)
+    # caps inside the baby steps, near the first giant step and just below
+    # the largest order
+    for cap in (2, 13, top - 1):
+        with pytest.raises(RealizationError):
+            ffield.sample_orders(q, 300, seed=2, step_cap=cap)
+        with pytest.raises(RealizationError):
+            stepwise_orders(ffield._random_sl4(q, 300, 2), q, step_cap=cap)
 
 
 def test_sample_orders_validation():
