@@ -19,7 +19,7 @@ import sys
 from itertools import product
 
 from . import arith, spectrum as spectrum_mod, verifier, witness
-from .params import derive, derive_from_q, sign_from_str, sign_to_str
+from .params import Q_CAP, derive, derive_from_q, sign_from_str, sign_to_str
 from .witness import (Adjustment, CaseDInternals, Selection,
                       WitnessCertificate)
 
@@ -247,6 +247,8 @@ def cmd_verify(args) -> int:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("JSON nested too deeply") from exc
     cert = certificate_from_document(doc)
     psl_orders = None
     if args.spectrum is not None:
@@ -272,7 +274,13 @@ def cmd_sweep(args) -> int:
         raise ValueError("p-max must admit at least one odd prime")
     if args.m_max < 1:
         raise ValueError("m-max must be at least 1")
+    # refuse an oversized grid before scanning for primes, and its largest
+    # field (derive's own check) before the first certificate
+    if args.p_max > Q_CAP or args.m_max >= Q_CAP.bit_length():
+        raise ValueError(f"p-max {args.p_max} with m-max {args.m_max} "
+                         f"exceeds supported bound {Q_CAP}")
     primes = [n for n in range(3, args.p_max + 1) if arith.is_prime(n)]
+    derive(1, primes[-1], args.m_max)
     signs = {"both": (1, -1), "+": (1,), "-": (-1,)}[args.epsilon]
     total = 0
     failed = 0

@@ -14,7 +14,9 @@ randomized except sample_orders, which takes an explicit seed.  Orders of
 realized elements are found by the prime-divisor test: start from a known
 multiple and divide out each prime while the power stays the identity.
 Orders of sampled matrices are found by baby steps and giant steps over
-exact matrix keys.
+exact matrix keys.  numpy is loaded only when sampling runs: the three
+sampling helpers import it themselves, so importing the package, and every
+CLI command, leaves it unloaded.
 """
 
 import math
@@ -22,8 +24,6 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from . import arith
 
@@ -363,6 +363,8 @@ def _random_sl4(q: int, count: int, seed: int):
     det^{-1}; every determinant-one matrix has the same number (q - 1) of
     invertible preimages under that map, so the result is uniform.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     mats = rng.integers(0, q, size=(count, 4, 4), dtype=np.int64)
     dets = _det4_mod(mats, q)
@@ -398,6 +400,8 @@ def _search_orders(mats, q: int, step_cap: int):
     largest element order of SL4(q) at q = 3 and 5, so an order up to M
     takes at most 2B - 2 matmuls.
     """
+    import numpy as np
+
     count = len(mats)
     baby = math.isqrt(q**3 + q**2 + q) + 1
     keys = _matrix_keys(q)
@@ -461,6 +465,8 @@ def _matrix_keys(q: int):
     0 (a nonzero row of an invertible matrix), so it is two table lookups
     by row key.
     """
+    import numpy as np
+
     digit = q ** np.arange(4, dtype=np.int64)
     place = digit**4
     rows = (np.arange(q**4)[:, None] // digit) % q

@@ -87,6 +87,8 @@ def derive_from_q(epsilon: int, q: int) -> GroupParams:
     q is bounded before it is factorized, so an oversized q is refused at
     once rather than after a long factorization.
     """
+    if q < 3:
+        raise ValueError(f"q must be an odd prime power, got {q}")
     if q > Q_CAP:
         raise ValueError(f"q = {q} exceeds supported bound {Q_CAP}")
     powers = arith.factorize(q)

@@ -201,6 +201,12 @@ def test_verify_malformed_json_exits_2(tmp_path, capsys):
     assert run_main("verify", str(bad)) == 2
     assert run_main("verify", str(tmp_path / "missing.json")) == 2
     capsys.readouterr()
+    # json.load recurses once per level and raises RecursionError
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    start = time.perf_counter()
+    assert run_main("verify", str(bad)) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def test_construct_rejects_non_prime(capsys):
@@ -245,8 +251,13 @@ def test_spectrum_stdout_parses(capsys):
 
 def test_spectrum_rejects_non_prime_power(capsys):
     assert run_main("spectrum", "--epsilon", "+", "--q", "4") == 2
-    assert run_main("spectrum", "--epsilon", "+", "--q", "1") == 2
     capsys.readouterr()
+    # q below 3 is refused by name, before factorize sees it
+    for q in ("0", "1", "-9"):
+        assert run_main("spectrum", "--epsilon", "+", f"--q={q}") == 2
+        err = capsys.readouterr().err
+        assert f"got {q}" in err
+        assert "factorize" not in err
 
 
 # a 126-bit semiprime, far past Q_CAP and slow to factorize
@@ -268,6 +279,22 @@ def test_oversized_inputs_exit_2_promptly(tmp_path, capsys):
                     "--epsilon", "+") == 2
     assert time.perf_counter() - start < 2.0
     assert "exceeds supported bound" in capsys.readouterr().err
+
+
+def test_sweep_refuses_oversized_grid_promptly(capsys):
+    # past Q_CAP, past m's bit bound, and 41^3 past Q_CAP: each refused
+    # before the prime scan or the first certificate
+    for p_max, m_max in (("100000000000", "1"), ("3", "100"), ("41", "3")):
+        start = time.perf_counter()
+        assert run_main("sweep", "--p-max", p_max, "--m-max", m_max,
+                        "--quiet") == 2
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert "exceeds supported bound" in captured.err
+        assert captured.out == ""
+    # 7^5 fits the cap, so this grid still runs
+    assert run_main("sweep", "--p-max", "10", "--m-max", "5", "--quiet") == 0
+    assert "checked 8184 certificates" in capsys.readouterr().out
 
 
 def test_spectrum_at_largest_prime_field(capsys):

@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from array import array
 
 import numpy as np
 import pytest
 
-from sl4witness import arith, ffield, params, spectrum, witness
+from sl4witness import arith, cli, ffield, params, spectrum, witness
 from sl4witness.ffield import RealizationError
 
 
@@ -337,6 +341,42 @@ SAMPLE_DIGESTS = {
     3: "565dda139bab4080a0752ecbcfb4c20bbaa286f6d605540be224e20bbc9ec385",
     5: "2f36b44951aa981d9acefb3f328142707b7666052c1a14adc00831fbd6fb816a",
 }
+
+
+def _run_fresh(*args):
+    """Run a fresh interpreter that finds this sl4witness first."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ffield.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                           text=True, timeout=60,
+                           env={**os.environ, "PYTHONPATH": path})
+
+
+def test_numpy_loaded_only_by_sampling():
+    proc = _run_fresh("-c", textwrap.dedent("""
+        import json, sys
+        import sl4witness
+        assert "numpy" not in sys.modules
+        result = sl4witness.ffield.sample_orders(3, 10)
+        assert "numpy" in sys.modules
+        print(json.dumps(result))"""))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == list(ffield.sample_orders(3, 10))
+
+
+def test_verify_with_spectrum_does_not_load_numpy(tmp_path):
+    cert = tmp_path / "cert.json"
+    assert cli.main(["construct", "--epsilon", "+", "--p", "3", "--m", "2",
+                     "--profile", "2,2", "--out", str(cert)]) == 0
+    proc = _run_fresh("-X", "importtime", "-m", "sl4witness", "verify",
+                      "--spectrum", "compute", str(cert))
+    assert proc.returncode == 0, proc.stderr
+    assert "certificate OK" in proc.stdout
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "sl4witness.cli" in imported
+    assert "numpy" not in {name.split(".")[0] for name in imported}
 
 
 def test_sample_orders_contained_in_exact_tables():

@@ -45,9 +45,12 @@ def test_derive_bounds_m_before_power():
 
 def test_derive_from_q():
     assert params.derive_from_q(-1, 49) == params.derive(-1, 7, 2)
-    for bad in (1, 4, 6, 2**16 + 1):
+    for bad in (4, 6, 2**16 + 1):
         with pytest.raises(ValueError):
             params.derive_from_q(1, bad)
+    for small in (-9, 0, 1, 2):
+        with pytest.raises(ValueError, match=f"q must be .*, got {small}$"):
+            params.derive_from_q(1, small)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="exceeds supported bound"):
         params.derive_from_q(1, 42535295865117425710771050546041187593)
