@@ -6,17 +6,23 @@ monic irreducible.  Field.mul is the one polynomial multiply: it packs each
 tuple into one integer, one coefficient per 1-, 2-, 4- or 8-byte slot wide
 enough that no slot of the product carries (Kronecker substitution), so a
 product is one big-integer multiplication plus a fold of the degrees >= k
-by the few nonzero terms of the modulus.  The modulus is found by a counter
-scan, which skips the binomials x^k + c when the binomial criterion (Lidl
-and Niederreiter, Thm 3.75) rules them all out, so repeated runs always
-pick the same field and the same element tables; nothing here is
-randomized except sample_orders, which takes an explicit seed.  Orders of
-realized elements are found by the prime-divisor test: start from a known
-multiple and divide out each prime while the power stays the identity.
-Orders of sampled matrices are found by baby steps and giant steps over
-exact matrix keys.  numpy is loaded only when sampling runs: the three
-sampling helpers import it themselves, so importing the package, and every
-CLI command, leaves it unloaded.
+by the few nonzero terms of the modulus.  Field.pow raises a long exponent
+by Horner's rule over its base-p digits when that takes fewer products than
+square-and-multiply: the Frobenius map a -> a^p is F_p-linear, so it is one
+packed multiply-add over the cached powers x^(pj).  The modulus is found by
+a counter scan, which skips the binomials x^k + c when the binomial
+criterion (Lidl and Niederreiter, Thm 3.75) rules them all out and, for
+p <= _SIEVE_P_MAX, every candidate with a root in F_p (a sieve over each
+block of p candidates that differ only in the constant term); Ben-Or's test
+checks the rest, with one gcd for several of its later passes.  Repeated
+runs always pick the same field and the same element tables; nothing here
+is randomized except sample_orders, which takes an explicit seed.  Orders
+of realized elements are found by the prime-divisor test: start from a
+known multiple and divide out each prime while the power stays the
+identity.  Orders of sampled matrices are found by baby steps and giant
+steps over exact matrix keys.  numpy is loaded only when sampling runs: the
+three sampling helpers import it themselves, so importing the package, and
+every CLI command, leaves it unloaded.
 """
 
 import math
@@ -56,23 +62,40 @@ def _pgcd(a, b, p):
     return a
 
 
+# build_field's root sieve evaluates g at all p points of a block, while
+# the scan tests about k candidates of the last block it reaches; timed for
+# k = 2 .. 12, the sieve stops paying for itself between p = 521 and 1031.
+_SIEVE_P_MAX = 512
+
+
 def _is_irreducible(ring):
     """The monic modulus f of degree k has no factor of degree <= k // 2.
 
     ring is a Field built on the candidate f; its arithmetic reduces
-    correctly modulo any monic f, irreducible or not.  The i-th pass
-    computes gcd(x^(p^i) - x, f); any factor of degree dividing i shows up
-    there, and an irreducible f of degree k > k // 2 never does, so no final
-    confirmation step is needed.
+    correctly modulo any monic f, irreducible or not.  With u_i = x^(p^i),
+    a factor of degree dividing i divides u_i - x, and an irreducible f of
+    degree k > k // 2 divides none, so no final confirmation step is
+    needed.  Each irreducible factor of f is prime, so it divides a product
+    of some u_i - x iff it divides one of them, and one gcd can serve
+    several passes.  Passes 1 to 4 take one gcd each, since most reducible
+    candidates leave there, except that passes 1 and 2 share one when
+    p <= _SIEVE_P_MAX, as build_field then tests no candidate with a root;
+    the later passes share the last.
     """
     p, k = ring.p, ring.k
     if k == 1:
         return True
     x = u = ring.element(p)  # index p is the polynomial x
-    for _ in range(k // 2):
+    first = 2 if p <= _SIEVE_P_MAX else 1
+    batch = None
+    for i in range(1, k // 2 + 1):
         u = ring.pow(u, p)
-        if len(_pgcd(ring.sub(u, x), ring.modulus, p)) > 1:
-            return False
+        v = ring.sub(u, x)
+        batch = v if batch is None else ring.mul(batch, v)
+        if first <= i <= 4 or i == k // 2:
+            if len(_pgcd(batch, ring.modulus, p)) > 1:
+                return False
+            batch = None
     return True
 
 
@@ -133,7 +156,9 @@ class Field:
         # a product slot sums at most k terms below p^2, so it never
         # carries into the next slot
         self._code = _slot_code(k * (p - 1) ** 2)
+        self._elem_bytes = k * array(self._code).itemsize
         self._prod_bytes = (2 * k - 1) * array(self._code).itemsize
+        self._frob = None  # packed x^(pj) for j < k, see _frobenius_rows
 
     def __repr__(self):
         return f"Field(p={self.p}, k={self.k})"
@@ -162,17 +187,66 @@ class Field:
         return tuple(c % p for c in prod[:k])
 
     def pow(self, a, e: int):
+        """a^e.
+
+        Square-and-multiply takes bit_length(e) - 1 squarings and
+        popcount(e) - 1 products.  For e >= p^2, Horner's rule over the
+        base-p digits of e takes p - 2 products for the table a^0 .. a^(p-1)
+        and then, per lower digit, one Frobenius step plus one product if
+        the digit is nonzero; it runs when that count, with a Frobenius step
+        counted as a product, is the smaller.  Raising to p is F_p-linear,
+        a^p = sum a_j x^(pj), so a Frobenius step is one packed multiply-add
+        over the cached rows x^(pj) and no fold; each slot sums k terms
+        below p^2, as in mul.
+        """
         if e < 0:
             raise ValueError("negative exponents are not supported")
-        result = self.one
+        p = self.p
+        if e >= p * p:
+            digits = []
+            n = e
+            while n:
+                n, d = divmod(n, p)
+                digits.append(d)
+            lower = digits[:-1]
+            if (p - 2 + len(lower) + sum(map(bool, lower))
+                    < e.bit_length() - 1 + e.bit_count() - 1):
+                rows = self._frobenius_rows()
+                table = [self.one, a]
+                for _ in range(p - 2):
+                    table.append(self.mul(table[-1], a))
+                result = table[digits[-1]]
+                for d in reversed(lower):
+                    acc = 0
+                    for c, row in zip(result, rows):
+                        if c:
+                            acc += c * row
+                    result = tuple(c % p for c in _unpack(
+                        self._code, acc, self._elem_bytes))
+                    if d:
+                        result = self.mul(result, table[d])
+                return result
+        result = None
         base = a
         while e:
             if e & 1:
-                result = self.mul(result, base)
+                result = base if result is None else self.mul(result, base)
             e >>= 1
             if e:
                 base = self.mul(base, base)
-        return result
+        return self.one if result is None else result
+
+    def _frobenius_rows(self):
+        """The packed x^(pj) for j < k, computed on first use."""
+        if self._frob is None:
+            rows = [self.one]
+            if self.k > 1:
+                xp = self.pow(self.element(self.p), self.p)
+                rows.append(xp)
+                while len(rows) < self.k:
+                    rows.append(self.mul(rows[-1], xp))
+            self._frob = [_pack(self._code, r) for r in rows]
+        return self._frob
 
     def element(self, index: int):
         """The index-th element: base-p digits of index, least digit first."""
@@ -185,26 +259,48 @@ class Field:
 def build_field(p: int, k: int) -> Field:
     """F_{p^k} with the first monic irreducible modulus in counter order.
 
-    The candidates below index p are the binomials x^k + c.  By Lidl and
-    Niederreiter, Finite Fields, Thm 3.75, x^k - a with k >= 2 is
-    irreducible iff each prime r | k divides ord(a) but not
-    (p - 1)/ord(a), and p = 1 (mod 4) when 4 | k.  Since ord(a) divides
-    p - 1, none qualifies when some prime r | k does not divide p - 1, or
-    when 4 | k and p != 1 (mod 4); then the scan starts past them, and the
-    first irreducible in counter order is the same.
+    Candidate i is the monic f whose lower coefficients are the base-p
+    digits of i, so the candidates come in blocks of p, one per constant
+    coefficient c_0, that share g = f - c_0.  For k >= 2 a candidate with a
+    root a in F_p is reducible, so when p <= _SIEVE_P_MAX each block skips
+    every c_0 = -g(a) and Ben-Or tests only the rest; the first irreducible
+    in counter order is the same.
+
+    The first block holds the binomials x^k + c.  By Lidl and Niederreiter,
+    Finite Fields, Thm 3.75, x^k - a with k >= 2 is irreducible iff each
+    prime r | k divides ord(a) but not (p - 1)/ord(a), and p = 1 (mod 4)
+    when 4 | k.  Since ord(a) divides p - 1, none qualifies when some prime
+    r | k does not divide p - 1, or when 4 | k and p != 1 (mod 4); then the
+    scan starts at the second block.
     """
     if not arith.is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be positive")
+    # p^k has at least k * (p.bit_length() - 1) + 1 bits, so a huge field
+    # is refused before p^k is computed
+    if (k * (p.bit_length() - 1) >= arith.SIZE_LIMIT.bit_length()
+            or p**k > arith.SIZE_LIMIT):
+        raise ValueError(f"F_{p}^{k} exceeds the size limit")
+    if k == 1:
+        return Field(p, 1, (0, 1))  # x, the first candidate
     start = 0
-    if k > 1 and (any((p - 1) % r for r in arith.prime_divisors(k))
-                  or (k % 4 == 0 and p % 4 != 1)):
-        start = p
-    for idx in range(start, p**k):
-        field = Field(p, k, (*_digits(idx, p, k), 1))
-        if _is_irreducible(field):
-            return field
+    if (any((p - 1) % r for r in arith.prime_divisors(k))
+            or (k % 4 == 0 and p % 4 != 1)):
+        start = 1
+    for high in range(start, p ** (k - 1)):
+        upper = _digits(high, p, k - 1)  # c_1 .. c_(k-1)
+        rooted = set()
+        for a in range(p) if p <= _SIEVE_P_MAX else ():
+            v = 1
+            for c in reversed(upper):
+                v = (v * a + c) % p
+            rooted.add(-v * a % p)  # -g(a), with g(a) = a * v
+        for c0 in range(p):
+            if c0 not in rooted:
+                field = Field(p, k, (c0, *upper, 1))
+                if _is_irreducible(field):
+                    return field
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
@@ -287,11 +383,13 @@ def realize(cert, *, size_limit: int = arith.SIZE_LIMIT) -> Matrix4:
     That one field contains every characteristic value the four cases can
     ask for, since each case modulus divides q^12 - 1.  The element order
     is recomputed from the diagonal entries by the prime-divisor test,
-    starting from the theta order, and compared with the claim.
+    starting from the theta order, and compared with the claim.  Fields
+    past size_limit, or past SIZE_LIMIT, which build_field refuses, are not
+    realized.
     """
     pr = cert.params
     k = 12 * pr.m
-    if pr.p**k > size_limit:
+    if pr.p**k > min(size_limit, arith.SIZE_LIMIT):
         raise RealizationError(
             f"field F_{pr.p}^{k} exceeds the size limit")
     field = build_field(pr.p, k)

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from array import array
 
 import numpy as np
@@ -79,14 +80,78 @@ def stepwise_orders(mats, q, step_cap=100_000):
     return full.tolist(), proj.tolist()
 
 
-def counter_scan_modulus(p, k):
-    """Reference modulus: the first monic irreducible of degree k over F_p
-    in counter order, binomials included."""
+def square_and_multiply(field, a, e):
+    """Reference power: one squaring per bit of e, with field.mul."""
+    result = field.one
+    while e:
+        if e & 1:
+            result = field.mul(result, a)
+        a = field.mul(a, a)
+        e >>= 1
+    return result
+
+
+def poly_gcd(a, b, p):
+    """Reference gcd of little-endian coefficient lists over F_p."""
+    a, b = list(a), list(b)
+    while True:
+        while b and b[-1] == 0:
+            b.pop()
+        if not b:
+            return a
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for j, bj in enumerate(b):
+                a[shift + j] = (a[shift + j] - c * bj) % p
+            a.pop()  # the leading coefficient is now zero
+        a, b = b, a
+
+
+def benor_is_irreducible(p, modulus):
+    """Reference Ben-Or test of the monic modulus of degree k: a gcd of
+    f with x^(p^i) - x at every pass i <= k // 2."""
+    k = len(modulus) - 1
+    if k == 1:
+        return True
+    ring = ffield.Field(p, k, tuple(modulus))
+    x = u = (0, 1) + (0,) * (k - 2)
+    for _ in range(k // 2):
+        u = square_and_multiply(ring, u, p)
+        if len(poly_gcd(ring.sub(u, x), modulus, p)) > 1:
+            return False
+    return True
+
+
+def poly_mul(a, b, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    return tuple(prod)
+
+
+def monic_polys(p, k):
     for idx in range(p**k):
-        field = ffield.Field(p, k, (*ffield._digits(idx, p, k), 1))
-        if ffield._is_irreducible(field):
-            return field.modulus
-    raise AssertionError("no irreducible polynomial")
+        yield (*ffield._digits(idx, p, k), 1)
+
+
+def first_irreducibles(p, k, count):
+    """The first count monic irreducibles of degree k over F_p in counter
+    order, binomials and polynomials with roots included."""
+    found = []
+    for modulus in monic_polys(p, k):
+        if benor_is_irreducible(p, modulus):
+            found.append(modulus)
+            if len(found) == count:
+                return found
+    raise AssertionError("too few irreducibles")
+
+
+def counter_scan_modulus(p, k):
+    """Reference modulus: the first monic irreducible of degree k."""
+    return first_irreducibles(p, k, 1)[0]
 
 
 def test_build_field_frozen_moduli():
@@ -105,6 +170,12 @@ def test_build_field_matches_counter_scan():
             if p**k <= arith.SIZE_LIMIT:
                 assert ffield.build_field(p, k).modulus == \
                     counter_scan_modulus(p, k), (p, k)
+    # on both sides of the root sieve's bound on p, where Thm 3.75 leaves
+    # the binomials in (else the reference scans p of them one by one)
+    for p, k in ((433, 6), (509, 4), (521, 4), (1033, 12), (65521, 2),
+                 (65521, 3), (65521, 6)):
+        assert ffield.build_field(p, k).modulus == \
+            counter_scan_modulus(p, k), (p, k)
 
 
 @pytest.mark.parametrize("p", [1607, 1613])
@@ -123,6 +194,80 @@ def test_build_field_skips_ruled_out_binomials(p, monkeypatch):
     assert len(tested) <= 20
     assert field.modulus == tested[-1]
     assert all(any(m[1:12]) for m in tested)  # no binomial was tested
+
+
+def count_irreducible(p, k):
+    """Gauss's count of monic irreducibles of degree k over F_p."""
+    def mobius(n):
+        sign = 1
+        for r in arith.prime_divisors(n) if n > 1 else []:
+            if n % (r * r) == 0:
+                return 0
+            sign = -sign
+        return sign
+    return sum(mobius(d) * p ** (k // d)
+               for d in range(1, k + 1) if k % d == 0) // k
+
+
+@pytest.mark.parametrize("p,degrees", [(3, range(2, 7)), (5, range(2, 5)),
+                                       (7, range(2, 5))])
+def test_is_irreducible_matches_reference_on_every_monic(p, degrees):
+    for k in degrees:
+        found = 0
+        for modulus in monic_polys(p, k):
+            got = ffield._is_irreducible(ffield.Field(p, k, modulus))
+            assert got == benor_is_irreducible(p, modulus), modulus
+            found += got
+        assert found == count_irreducible(p, k), (p, k)
+
+
+@pytest.mark.parametrize("p,k", [(3, 12), (5, 10), (7, 8), (3, 24)])
+def test_is_irreducible_rejects_products_of_two_irreducibles(p, k):
+    # a factor of degree d is found at pass d; the products with d = k / 2,
+    # and its square, leave no factor to find at an earlier pass
+    for d in range(1, k // 2 + 1):
+        first, second = first_irreducibles(p, d, 2)
+        cofactor = counter_scan_modulus(p, k - d)
+        products = [poly_mul(first, cofactor, p)]
+        if 2 * d == k:
+            products += [poly_mul(first, second, p), poly_mul(first, first, p)]
+        for modulus in products:
+            assert len(modulus) == k + 1
+            assert not ffield._is_irreducible(ffield.Field(p, k, modulus))
+            assert not benor_is_irreducible(p, modulus)
+    assert ffield._is_irreducible(
+        ffield.Field(p, k, counter_scan_modulus(p, k)))
+
+
+@pytest.mark.parametrize("p,k,bound", [(23, 12, 34), (5, 24, 46), (5, 36, 44)])
+def test_build_field_sieves_out_roots(p, k, bound, monkeypatch):
+    # the counter scan without the sieve runs Ben-Or on 190, 142 and 138
+    # candidates here, most of them with a root in F_p
+    tested = []
+    check = ffield._is_irreducible
+
+    def counting(ring):
+        tested.append(ring.modulus)
+        return check(ring)
+
+    monkeypatch.setattr(ffield, "_is_irreducible", counting)
+    field = ffield.build_field.__wrapped__(p, k)
+    assert len(tested) <= bound
+    assert field.modulus == tested[-1] == counter_scan_modulus(p, k)
+    for modulus in tested:
+        for a in range(p):
+            assert sum(c * pow(a, j, p) for j, c in enumerate(modulus)) % p
+
+
+def test_build_field_refuses_oversized_fields_promptly():
+    start = time.perf_counter()
+    for p, k in ((3, 200000), (3, 81), (1627, 12), (2**61 - 1, 10**18)):
+        with pytest.raises(ValueError):
+            ffield.build_field(p, k)
+    assert time.perf_counter() - start < 2.0
+    # 3^80 and 1621^12 are the largest such fields within SIZE_LIMIT
+    assert 3**80 <= arith.SIZE_LIMIT < 3**81
+    assert 1621**12 <= arith.SIZE_LIMIT < 1627**12
 
 
 def test_build_field_validation():
@@ -181,6 +326,23 @@ def test_packed_slots_hold_every_realizable_field():
             assert 2 ** (8 * array(field._code).itemsize) > k * (p - 1) ** 2
     with pytest.raises(ValueError):
         ffield.Field(2**32 + 15, 1, (0, 1))
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (3, 2), (3, 36), (5, 36),
+                                 (23, 12), (1613, 12)])
+def test_pow_matches_square_and_multiply(p, k):
+    # e = p^(k+4) - 1 has only digits p - 1, so every field but the one
+    # at p = 1613 takes the Frobenius route there; p = 1613 never does
+    field = ffield.build_field(p, k)
+    rnd = random.Random(10 * p + k)
+    exponents = [0, 1, p - 1, p, p * p, p**k - 2, p ** (k + 4) - 1]
+    exponents += [rnd.randrange(3 * p**k) for _ in range(8)]
+    bases = [field.one, field.zero, field.element(p - 1)]
+    bases += [field.element(rnd.randrange(field.order)) for _ in range(4)]
+    for e in exponents:
+        for a in bases:
+            assert field.pow(a, e) == square_and_multiply(field, a, e), e
+    assert (field._frob is not None) == (p != 1613)
 
 
 def test_field_has_primitive_root():
@@ -287,6 +449,45 @@ def test_realize_worked_example():
     assert acc.is_identity()
 
 
+# sha256 of repr((p, k, modulus, rows)) of the realized matrix for one grid
+# certificate over each field the benchmark's crosscheck realizes, recorded
+# from the scan without a root sieve and from square-and-multiply powers
+REALIZED_DIGESTS = {
+    (-1, 3, 1, (0,)):
+        "dd56fc88a9606ee8f047450ba908b995dbc65387b297bcc35ea736cee6c33884",
+    (1, 3, 2, (3, 3)):
+        "f170de45c646325bb14908cf062104285a4065cc4981013c2bfcc67358d91e3f",
+    (1, 3, 3, (2, 0, 0)):
+        "cee49fbcd3de1233485554d7f46c1fccf02451e609f51aec6d93b74e08da63fe",
+    (1, 5, 2, (1, 2)):
+        "560bcdf148228f6a5b5037bd6abed9cbee5a021b13bb6db084e03c553b3eda2b",
+    (-1, 5, 3, (1, 2, 0)):
+        "c3a5873bcc88638fdc231dc4168acc6b58a71a304cd300d9a6b054551237db85",
+    (-1, 7, 2, (1, 0)):
+        "6ce4219028eeeddb36fcf8f16c5b6fe011a34975f7720ab74aba57ac5c08cf19",
+    (-1, 11, 1, (0,)):
+        "2514fef4e542f77276270cf5cbbe0b824494ff1bc71c6049a4d93a0715d3e194",
+    (1, 11, 2, (1, 1)):
+        "9a4b52b3d017bda2dd01f977bd2e4d11d3bab05cc6bd283bce4cc37e795f0e01",
+    (-1, 17, 1, (0,)):
+        "cff4096bdceac4423d9c67e8306e7e20eee928a9202ab269706c96ac1d9dbd2c",
+    (-1, 23, 1, (1,)):
+        "4c790711bb33ec6e030bdc276bc780f570c9cfa683f80c04db196756e3be59e3",
+    (1, 29, 1, (2,)):
+        "e3a62cf0e35bd0874642672742d42157a932f9673fcaa12931003ef0d7499992",
+    (1, 31, 1, (0,)):
+        "7d4af7868657d92801d675af980ce64bf91492bf2df0d8ad0830be9c6aafaf2b",
+}
+
+
+@pytest.mark.parametrize("key", sorted(REALIZED_DIGESTS))
+def test_realized_matrices_unchanged(key):
+    eps, p, m, profile = key
+    mat = ffield.realize(witness.construct(params.derive(eps, p, m), profile))
+    text = repr((mat.field.p, mat.field.k, mat.field.modulus, mat.rows))
+    assert hashlib.sha256(text.encode()).hexdigest() == REALIZED_DIGESTS[key]
+
+
 def test_realize_rejects_tampered_order():
     import dataclasses
     cert = witness.construct(params.derive(1, 3, 1), (2,))
@@ -301,6 +502,8 @@ def test_realize_size_limit():
     cert = witness.construct(params.derive(1, 13, 3), (1, 1, 1))
     with pytest.raises(RealizationError):
         ffield.realize(cert)  # 13^36 overruns the default ceiling
+    with pytest.raises(RealizationError):
+        ffield.realize(cert, size_limit=13**36)  # build_field refuses it
     cert = witness.construct(params.derive(1, 3, 1), (1,))
     with pytest.raises(RealizationError):
         ffield.realize(cert, size_limit=100)
