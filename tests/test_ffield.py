@@ -170,8 +170,9 @@ def test_build_field_matches_counter_scan():
             if p**k <= arith.SIZE_LIMIT:
                 assert ffield.build_field(p, k).modulus == \
                     counter_scan_modulus(p, k), (p, k)
-    # on both sides of the root sieve's bound on p, where Thm 3.75 leaves
-    # the binomials in (else the reference scans p of them one by one)
+    # larger p, where Thm 3.75 leaves the binomials in (else the reference
+    # scans p of them one by one) and the root sieve evaluates p points per
+    # block
     for p, k in ((433, 6), (509, 4), (521, 4), (1033, 12), (65521, 2),
                  (65521, 3), (65521, 6)):
         assert ffield.build_field(p, k).modulus == \
