@@ -1,11 +1,12 @@
 """Exact integer helpers shared by the whole package.
 
-Everything here is pure and deterministic: 2-adic parts, certified
-factorization (the primes below 2^10 found by one gcd, then Miller-Rabin
-with proven bases and Brent's rho on a fixed parameter schedule),
-primitive prime divisors of a^n - (eps*1)^n, and element orders in cyclic
-groups.  No randomness, so repeated runs factor the same input the same
-way.
+Everything here is pure and deterministic: 2-adic parts, primality (a
+lookup below 2^10, one gcd with the product of those primes below 2^20,
+Miller-Rabin with proven bases above), certified factorization (the
+primes below 2^10 found by one gcd, then Brent's rho on a fixed parameter
+schedule), primitive prime divisors of a^n - (eps*1)^n, and element
+orders in cyclic groups.  No randomness, so repeated runs factor the same
+input the same way.
 """
 
 import math
@@ -68,9 +69,17 @@ _LOW_PRODUCT = math.prod(_LOW_PRIMES)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (see _MR_BASES note)."""
-    if n < 2:
-        return False
+    """Deterministic primality test.
+
+    Below 2^10 n is looked up among the primes there; below 2^20 it is
+    prime exactly when one gcd with their product is 1, as a composite
+    has a prime factor below its square root; above, Miller-Rabin with the
+    proven bases for its size (see _MR_BASES note).
+    """
+    if n < _LOW_TRIAL_LIMIT:
+        return n in _LOW_PRIMES
+    if n < _LOW_TRIAL_LIMIT * _LOW_TRIAL_LIMIT:
+        return math.gcd(n, _LOW_PRODUCT) == 1
     if n > SIZE_LIMIT:
         raise ValueError(f"{n} exceeds supported size {SIZE_LIMIT}")
     for p in _MR_BASES:
@@ -135,10 +144,9 @@ def _prime_exponents(n: int) -> dict[int, int]:
     """The prime -> exponent map of n >= 2, in no particular order.
 
     The primes below 2^10 are found by one gcd with their product and
-    divided out.  Brent's rho splits the cofactor until every part is
-    prime: below 2^20 because it has no prime factor below 2^10, above
-    by is_prime.  So each factor is certified prime and the result can be
-    trusted by downstream order/divisor computations.
+    divided out.  Brent's rho splits the cofactor until is_prime holds
+    for every part.  So each factor is certified prime and the result can
+    be trusted by downstream order/divisor computations.
     """
     if n < 2:
         raise ValueError("factorize needs n >= 2")
@@ -166,9 +174,7 @@ def _prime_exponents(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        # m has no prime factor below _LOW_TRIAL_LIMIT, so below
-        # _LOW_TRIAL_LIMIT^2 it is prime
-        if m < _LOW_TRIAL_LIMIT * _LOW_TRIAL_LIMIT or is_prime(m):
+        if is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue
         d = _brent_rho(m)

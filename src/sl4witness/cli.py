@@ -76,11 +76,44 @@ def certificate_to_document(cert: WitnessCertificate) -> dict:
     return doc
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """json.dumps(doc, sort_keys=True, indent=2) + "\n", byte for byte.
+
+    Written directly: json.dumps takes its pure-Python encoder whenever
+    indent is set.  Strings and keys use the stdlib's C string encoder;
+    tuples are written as lists, and a non-str key raises TypeError.
+    """
+    return _dump(doc, "\n") + "\n"
+
+
+def _dump(value, newline: str) -> str:
+    # newline is "\n" followed by the indentation of value's own line
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_encode_str(key) + ": " + _dump(item, inner)
+                 for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_dump(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value)
 
 
 def _expect_keys(obj, required, optional=(), where="document"):
+    # the common case, a JSON object with exactly the required fields
+    if type(obj) is dict and not obj.keys() ^ required:
+        return
     if not isinstance(obj, dict):
         raise DocumentError(f"{where} must be a JSON object")
     unknown = sorted(set(obj) - set(required) - set(optional))
@@ -92,7 +125,10 @@ def _expect_keys(obj, required, optional=(), where="document"):
 
 
 def _int_from_string(value, where):
-    if not isinstance(value, str) or not _INT_STRING.fullmatch(value):
+    if (type(value) is str and len(value) <= _MAX_DIGITS
+            and _INT_STRING.fullmatch(value)):
+        return int(value)
+    if type(value) is not str or not _INT_STRING.fullmatch(value):
         raise DocumentError(f"{where} must be a decimal string")
     if len(value.lstrip("-")) > _MAX_DIGITS:
         raise DocumentError(f"{where} has more than {_MAX_DIGITS} digits")

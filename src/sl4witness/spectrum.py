@@ -355,7 +355,9 @@ def member(orders, x: int) -> bool:
     return any(o % x == 0 for o in orders)
 
 
-_DUMP_HEADER = re.compile(r"^# epsilon=([+-]) q=(\d+) group=(SL|PSL)$")
+_DUMP_HEADER = re.compile(r"^# epsilon=([+-]) q=([0-9]+) group=(SL|PSL)$")
+# an order past SIZE_LIMIT's digit count is refused before int() reads it
+_MAX_ORDER_DIGITS = len(str(arith.SIZE_LIMIT))
 
 
 def format_dump(params: GroupParams, group: str = GROUP_PROJECTIVE) -> str:
@@ -375,7 +377,12 @@ def parse_dump(text: str):
         raise ValueError(f"bad spectrum header: {lines[0]!r}")
     eps = sign_from_str(got.group(1))
     params = derive_from_q(eps, int(got.group(2)))
-    orders = tuple(int(ln) for ln in lines[1:])
+    body = lines[1:]
+    if not all(ln.isascii() and ln.isdigit() and ln[0] != "0"
+               and len(ln) <= _MAX_ORDER_DIGITS for ln in body):
+        raise ValueError("spectrum orders must be positive ASCII decimals "
+                         f"of at most {_MAX_ORDER_DIGITS} digits")
+    orders = tuple(map(int, body))
     if any(a >= b for a, b in zip(orders, orders[1:])) or not orders:
         raise ValueError("spectrum orders must be strictly ascending")
     return params, got.group(3), orders

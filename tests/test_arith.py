@@ -89,6 +89,20 @@ def test_is_prime_small_exhaustive():
         assert arith.is_prime(n) == naive_is_prime(n), n
 
 
+def test_is_prime_matches_sieve_past_one_gcd_range():
+    # every n up to 2^12 past 2^20, where Miller-Rabin takes over
+    limit = 2**20 + 2**12
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    got = bytearray(map(arith.is_prime, range(limit)))
+    if got != sieve:
+        n = next(n for n in range(limit) if got[n] != sieve[n])
+        pytest.fail(f"is_prime({n}) is {bool(got[n])}")
+
+
 def test_is_prime_known_values():
     assert arith.is_prime(2**31 - 1)
     assert arith.is_prime(2**61 - 1)

@@ -8,8 +8,10 @@ import json
 import subprocess
 import sys
 import time
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl4witness import arith, cli, params, spectrum, witness
 from sl4witness.cli import DocumentError
@@ -54,6 +56,52 @@ def test_canonical_json_shape(cert_a):
     assert list(doc) == sorted(doc)
 
 
+def reference_json(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+# strings with control characters, non-ASCII and lone surrogates
+json_strings = st.text(st.characters(blacklist_categories=()), max_size=8)
+json_values = st.recursive(
+    st.none() | st.booleans() | json_strings | st.integers()
+    | st.integers(2**128, 2**300) | st.integers(-(2**300), -(2**128))
+    | st.floats() | st.just(-0.0),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(json_strings, children, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values)
+def test_canonical_json_matches_json_dumps(value):
+    assert cli.canonical_json(value) == reference_json(value)
+
+
+def test_canonical_json_edges():
+    for value in ({}, [], (), {"a": {}, "b": [[], {}, ()]}, [[[]]],
+                  {"\x00\u00e9\ud800": "\n\u2028"}, -0.0, float("nan")):
+        assert cli.canonical_json(value) == reference_json(value)
+    for value in ({1: "a"}, {"a": 1, 2: 3}, [{"x": {None: 1}}]):
+        with pytest.raises(TypeError):
+            cli.canonical_json(value)
+
+
+def test_canonical_json_matches_json_dumps_on_grid():
+    primes = [p for p in range(3, 38) if arith.is_prime(p)]
+    count = 0
+    for eps in (1, -1):
+        for p in primes:
+            for m in (1, 2, 3):
+                pr = params.derive(eps, p, m)
+                for profile in product(range(4), repeat=m):
+                    doc = cli.certificate_to_document(
+                        witness.construct(pr, profile))
+                    assert cli.canonical_json(doc) == reference_json(doc)
+                    count += 1
+    assert count == 1848
+
+
 def doc_of(cert):
     return json.loads(cli.canonical_json(cli.certificate_to_document(cert)))
 
@@ -63,12 +111,27 @@ def test_parse_rejects_unknown_field(cert_a):
     doc["extra"] = 1
     with pytest.raises(DocumentError):
         cli.certificate_from_document(doc)
+    # the right number of fields with one renamed is still unknown
+    doc = doc_of(cert_a)
+    doc["params"]["qq"] = doc["params"].pop("q")
+    with pytest.raises(DocumentError,
+                       match=r"params has unknown fields: \['qq'\]"):
+        cli.certificate_from_document(doc)
+    doc = doc_of(cert_a)
+    doc["selection"] = doc.pop("selections")
+    with pytest.raises(DocumentError, match="unknown fields"):
+        cli.certificate_from_document(doc)
 
 
-def test_parse_rejects_missing_field(cert_a):
+def test_parse_rejects_missing_field(cert_a, cert_d_adjusted):
     doc = doc_of(cert_a)
     del doc["claimed_order"]
     with pytest.raises(DocumentError):
+        cli.certificate_from_document(doc)
+    doc = doc_of(cert_d_adjusted)
+    del doc["case_d"]["adjustments"][0]["factor"]
+    with pytest.raises(DocumentError,
+                       match=r"adjustment is missing fields: \['factor'\]"):
         cli.certificate_from_document(doc)
 
 
@@ -170,6 +233,43 @@ def test_parse_rejects_bad_adjustment_kind(cert_d_adjusted):
         cli.certificate_from_document(doc)
 
 
+def test_parse_decimal_string_edges(cert_a):
+    # a 39-digit string (the fast path's limit) and a signed one parse;
+    # 40 digits, an int, a bool and a str subclass are refused
+    class Text(str):
+        pass
+
+    for value, expected in (("9" * 39, 10**39 - 1),
+                            ("-" + "9" * 39, 1 - 10**39)):
+        doc = doc_of(cert_a)
+        doc["theta_order"] = value
+        assert cli.certificate_from_document(doc).theta_order == expected
+    for value, message in (("9" * 40, "more than 39 digits"),
+                           ("-" + "9" * 40, "more than 39 digits"),
+                           (41, "decimal string"), (True, "decimal string"),
+                           (Text("41"), "decimal string")):
+        doc = doc_of(cert_a)
+        doc["theta_order"] = value
+        with pytest.raises(DocumentError, match=message):
+            cli.certificate_from_document(doc)
+
+
+def test_parse_accepts_dict_subclass(cert_d_adjusted):
+    class Obj(dict):
+        pass
+
+    def wrap(value):
+        if isinstance(value, dict):
+            return Obj({k: wrap(v) for k, v in value.items()})
+        if isinstance(value, list):
+            return [wrap(v) for v in value]
+        return value
+
+    doc = wrap(doc_of(cert_d_adjusted))
+    assert type(doc) is Obj and type(doc["case_d"]) is Obj
+    assert cli.certificate_from_document(doc) == cert_d_adjusted
+
+
 def test_construct_then_verify_ok(tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert run_main("construct", "--epsilon", "+", "--p", "3", "--m", "2",
@@ -239,6 +339,21 @@ def test_verify_with_spectrum_dump(tmp_path, capsys):
                     "--group", "PSL", "--out", str(wrong)) == 0
     assert run_main("verify", "--spectrum", str(wrong), str(cert)) == 2
     capsys.readouterr()
+
+
+def test_verify_refuses_non_canonical_dump(tmp_path, capsys):
+    # a dump listing 0 would make every order a member
+    cert = tmp_path / "cert.json"
+    dump = tmp_path / "psl.txt"
+    run_main("construct", "--epsilon", "+", "--p", "3", "--m", "1",
+             "--profile", "2", "--out", str(cert))
+    head = "# epsilon=+ q=3 group=PSL\n"
+    for text in (head + "-4\n0\n1_0\n", head + "0\n1\n2\n",
+                 "# epsilon=+ q=\u0663 group=PSL\n1\n",
+                 head + "1\n" + "9" * 40 + "\n"):
+        dump.write_text(text, encoding="utf-8")
+        assert run_main("verify", "--spectrum", str(dump), str(cert)) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_spectrum_stdout_parses(capsys):

@@ -203,4 +203,18 @@ def test_parse_dump_rejects_garbage():
         spectrum.parse_dump("# epsilon=+ q=3 group=PSL\n2\n1\n")  # not ascending
     with pytest.raises(ValueError):
         spectrum.parse_dump("# epsilon=+ q=3 group=PSL\n1\nx\n")
+    # orders are ASCII decimals without sign, leading zero or underscore,
+    # and the header's q is ASCII too
+    head = "# epsilon=+ q=3 group=PSL\n"
+    for text in (head + "-4\n0\n1_0\n",          # was read as (-4, 0, 10)
+                 head + "0\n1\n", head + "1\n+2\n", head + "1\n02\n",
+                 head + "1\n1_0\n", head + "1\n\u0663\n", head + "1\n\u00b3\n",
+                 "# epsilon=+ q=\u0663 group=PSL\n1\n",  # Arabic-Indic 3
+                 head + "1\n" + "9" * 40 + "\n",
+                 head + "1\n" + "9" * 4000 + "\n"):
+        with pytest.raises(ValueError):
+            spectrum.parse_dump(text)
+    # 39 digits are the most an order line may have
+    _, _, orders = spectrum.parse_dump(head + "1\n" + "9" * 39 + "\n")
+    assert orders == (1, 10**39 - 1)
 
