@@ -15,6 +15,9 @@ from itertools import compress
 
 # Inputs above this size are refused rather than risking unbounded work.
 SIZE_LIMIT = 1 << 128
+# SIZE_LIMIT's decimal length; longer decimal strings are refused before
+# int() parses them (Python itself refuses past 4300 digits).
+MAX_DIGITS = len(str(SIZE_LIMIT))
 
 _LOW_TRIAL_LIMIT = 1 << 10
 

@@ -26,9 +26,6 @@ from .witness import (Adjustment, CaseDInternals, Selection,
 SCHEMA_VERSION = 1
 
 _INT_STRING = re.compile(r"-?[0-9]+")
-# No integer in a valid document comes near SIZE_LIMIT; longer strings are
-# refused before int() parses them (Python refuses past 4300 digits itself).
-_MAX_DIGITS = len(str(arith.SIZE_LIMIT))
 
 
 class DocumentError(ValueError):
@@ -111,27 +108,26 @@ def _dump(value, newline: str) -> str:
 
 
 def _expect_keys(obj, required, optional=(), where="document"):
-    # the common case, a JSON object with exactly the required fields
-    if type(obj) is dict and not obj.keys() ^ required:
-        return
     if not isinstance(obj, dict):
         raise DocumentError(f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - set(required) - set(optional))
+    diff = obj.keys() ^ required
+    if not diff:
+        return
+    unknown = sorted(k for k in diff if k in obj and k not in optional)
     if unknown:
         raise DocumentError(f"{where} has unknown fields: {unknown}")
-    missing = sorted(set(required) - set(obj))
+    missing = sorted(k for k in diff if k not in obj)
     if missing:
         raise DocumentError(f"{where} is missing fields: {missing}")
 
 
 def _int_from_string(value, where):
-    if (type(value) is str and len(value) <= _MAX_DIGITS
-            and _INT_STRING.fullmatch(value)):
-        return int(value)
-    if type(value) is not str or not _INT_STRING.fullmatch(value):
+    # no integer in a valid document comes near SIZE_LIMIT
+    if not isinstance(value, str) or not _INT_STRING.fullmatch(value):
         raise DocumentError(f"{where} must be a decimal string")
-    if len(value.lstrip("-")) > _MAX_DIGITS:
-        raise DocumentError(f"{where} has more than {_MAX_DIGITS} digits")
+    digits = arith.MAX_DIGITS
+    if len(value) > digits and len(value.lstrip("-")) > digits:
+        raise DocumentError(f"{where} has more than {digits} digits")
     return int(value)
 
 

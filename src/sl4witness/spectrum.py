@@ -356,8 +356,6 @@ def member(orders, x: int) -> bool:
 
 
 _DUMP_HEADER = re.compile(r"^# epsilon=([+-]) q=([0-9]+) group=(SL|PSL)$")
-# an order past SIZE_LIMIT's digit count is refused before int() reads it
-_MAX_ORDER_DIGITS = len(str(arith.SIZE_LIMIT))
 
 
 def format_dump(params: GroupParams, group: str = GROUP_PROJECTIVE) -> str:
@@ -379,9 +377,9 @@ def parse_dump(text: str):
     params = derive_from_q(eps, int(got.group(2)))
     body = lines[1:]
     if not all(ln.isascii() and ln.isdigit() and ln[0] != "0"
-               and len(ln) <= _MAX_ORDER_DIGITS for ln in body):
+               and len(ln) <= arith.MAX_DIGITS for ln in body):
         raise ValueError("spectrum orders must be positive ASCII decimals "
-                         f"of at most {_MAX_ORDER_DIGITS} digits")
+                         f"of at most {arith.MAX_DIGITS} digits")
     orders = tuple(map(int, body))
     if any(a >= b for a, b in zip(orders, orders[1:])) or not orders:
         raise ValueError("spectrum orders must be strictly ascending")

@@ -24,17 +24,6 @@ def naive_two_part(n):
     return v
 
 
-def naive_is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def gcd_strip_ppd(a, n, eps):
     """Oracle: remove every prime shared with an earlier term of the
     sequence a^i - eps^i, then report the smallest prime left over."""
@@ -85,11 +74,6 @@ def test_two_part_sum_behavior():
 
 
 def test_is_prime_small_exhaustive():
-    for n in range(0, 3000):
-        assert arith.is_prime(n) == naive_is_prime(n), n
-
-
-def test_is_prime_matches_sieve_past_one_gcd_range():
     # every n up to 2^12 past 2^20, where Miller-Rabin takes over
     limit = 2**20 + 2**12
     sieve = bytearray([1]) * limit
