@@ -19,10 +19,11 @@ runs always pick the same field and the same element tables; nothing here
 is randomized except sample_orders, which takes an explicit seed.  Orders
 of realized elements are found by the prime-divisor test: start from a
 known multiple and divide out each prime while the power stays the
-identity.  Orders of sampled matrices are found by baby steps and giant
-steps over exact matrix keys.  numpy is loaded only when sampling runs: the
-three sampling helpers import it themselves, so importing the package, and
-every CLI command, leaves it unloaded.
+identity.  Orders of sampled matrices come from the Jordan decomposition:
+the semisimple part's by characteristic polynomial, the unipotent part's
+from the nilpotency index of g^L - I.  numpy is loaded only when sampling
+runs: the sampling helpers import it themselves, so importing the package,
+and every CLI command, leaves it unloaded.
 """
 
 import math
@@ -407,9 +408,9 @@ def realize(cert, *, size_limit: int = arith.SIZE_LIMIT) -> Matrix4:
 # ---------------------------------------------------------------------------
 # randomized cross-check over the prime field
 
-def _det4_mod(mats, q):
-    """Determinants mod q of a (n, 4, 4) batch, via complementary 2x2 minors."""
-    m = mats % q
+def _det4_mod(m, q):
+    """Determinants mod q of a (n, 4, 4) batch of small integers, via
+    complementary 2x2 minors."""
 
     def minor(r0, r1, c0, c1):
         return (m[:, r0, c0] * m[:, r1, c1] - m[:, r0, c1] * m[:, r1, c0])
@@ -429,9 +430,10 @@ def sample_orders(q: int, count: int, seed: int = 0, *,
     (drawn by _random_sl4), together with the orders of their images mod
     scalars.
 
-    Each order comes from a baby-step/giant-step search (_search_orders),
-    run on slices of _SEARCH_ROWS matrices.  Returns (full_orders,
-    projective_orders) as plain lists; raises RealizationError when an
+    Each order comes from the matrix's characteristic polynomial and the
+    largest Jordan block of its unipotent part (_jordan_orders), computed
+    on slices of _SLICE_ROWS matrices.  Returns (full_orders,
+    projective_orders) as plain lists; raises RealizationError iff some
     order exceeds step_cap.
     """
     if q not in (3, 5):
@@ -440,11 +442,13 @@ def sample_orders(q: int, count: int, seed: int = 0, *,
         raise ValueError("count out of range")
     mats = _random_sl4(q, count, seed)
     full, proj = [], []
-    for start in range(0, count, _SEARCH_ROWS):
-        part_full, part_proj = _search_orders(
-            mats[start:start + _SEARCH_ROWS], q, step_cap)
+    for start in range(0, count, _SLICE_ROWS):
+        part_full, part_proj = _jordan_orders(
+            mats[start:start + _SLICE_ROWS], q)
         full += part_full
         proj += part_proj
+    if max(full) > step_cap:
+        raise RealizationError("a sampled order exceeds the step cap")
     return full, proj
 
 
@@ -474,103 +478,99 @@ def _random_sl4(q: int, count: int, seed: int):
     return mats
 
 
-# Matrices per order search, which keeps its key tables to a few megabytes
+# Matrices per slice, which keeps the slice's powers to a few megabytes
 # whatever the sample count.
-_SEARCH_ROWS = 1 << 14
+_SLICE_ROWS = 1 << 14
 
 
-def _search_orders(mats, q: int, step_cap: int):
-    """Orders of the invertible matrices mats mod q and of their images mod
-    scalars, by baby steps and giant steps.
+def _jordan_orders(mats, q: int):
+    """Orders of the determinant-one matrices mats mod q and of their images
+    mod scalars, from the Jordan decomposition g = g_s g_u.
 
-    The baby steps g^0 .. g^(B-1) are stored by key.  The giant steps walk
-    g^(Bt) = G^t with G = g^B.  For an order n >= B the baby keys are
-    distinct, since the powers of g below its order are, so g^(Bt) equals
-    a baby step first at t = ceil(n / B), and then equals exactly one,
-    g^j with j = Bt - n.  An order below B is the first baby step at the
-    identity.  The projective order is found the same way from the
-    projective keys.  B = ceil(sqrt(M)) with M = (q^4 - 1)/(q - 1), the
-    largest element order of SL4(q) at q = 3 and 5, so an order up to M
-    takes at most 2B - 2 matmuls.
+    ord(g_s) is prime to q and a scalar power of g has g_u-part I, so the
+    order is ord(g_s) ord(g_u) and the projective order is that of g_s
+    times ord(g_u) (Carter, Finite Groups of Lie Type, 1985).  g_s enters
+    only through the characteristic polynomial
+    chi = x^4 - c1 x^3 + c2 x^2 - c3 x + 1, looked up in _charpoly_table:
+    c1 = tr g, c2 = (c1^2 - tr g^2) / 2, and c3, the sum of the principal
+    3x3 minors, follows from chi(1) = det(I - g).  By Cayley-Hamilton the
+    table's x^L mod chi gives N = g^L - I = g_u^L - I, nilpotent of the
+    index b of g_u - I, the largest Jordan block; ord(g_u) is the least
+    power of q at least b: 1 if N = 0, q if N^q = 0, else q^2.
     """
     import numpy as np
 
-    count = len(mats)
-    baby = math.isqrt(q**3 + q**2 + q) + 1
-    keys = _matrix_keys(q)
-    ident = int(keys(np.eye(4, dtype=np.int64)[None])[0][0])
-    raw = np.empty((count, baby), dtype=np.int64)
-    norm = np.empty((count, baby), dtype=np.int64)
-    raw[:, 0] = norm[:, 0] = ident
-    powers = mats
-    for j in range(1, baby):
-        raw[:, j], norm[:, j] = keys(powers)
-        powers = np.matmul(powers, mats)
-        powers %= q
-    full = np.zeros(count, dtype=np.int64)
-    proj = np.zeros(count, dtype=np.int64)
-    for out, table in ((full, raw), (proj, norm)):
-        hit = table[:, 1:] == ident
-        small = hit.any(axis=1)
-        out[small] = hit[small].argmax(axis=1) + 1
-
-    # active, giant, step, raw, norm and unseen (projective order still to
-    # come) stay compacted to the rows whose order is still to come
-    keep = full == 0
-    active = np.flatnonzero(keep)
-    giant = step = powers[keep]
-    raw, norm, unseen = raw[keep], norm[keep], proj[keep] == 0
-    reach = baby
-    while active.size:
-        giant_raw, giant_norm = keys(giant)
-        match = (norm == giant_norm[:, None]) & unseen[:, None]
-        hit = match.any(axis=1)
-        proj[active[hit]] = reach - match[hit].argmax(axis=1)
-        unseen &= ~hit
-        match = raw == giant_raw[:, None]
-        hit = match.any(axis=1)
-        if hit.any():
-            full[active[hit]] = reach - match[hit].argmax(axis=1)
-            keep = ~hit
-            active, giant, step, raw, norm, unseen = (
-                active[keep], giant[keep], step[keep], raw[keep],
-                norm[keep], unseen[keep])
-            if not active.size:
-                break
-        # every order still to come exceeds reach
-        if reach >= step_cap:
-            raise RealizationError("order search exceeded the step cap")
-        giant = np.matmul(giant, step)
-        giant %= q
-        reach += baby
-    if full.max() > step_cap:
-        raise RealizationError("order search exceeded the step cap")
-    return full.tolist(), proj.tolist()
+    semis, proj_semis, residues = _charpoly_table(q)
+    diag = np.arange(4)
+    # entries stay below 2^13, so only values read mod q are reduced
+    mats2 = mats @ mats
+    mats3 = mats2 @ mats
+    c1 = mats[:, diag, diag].sum(axis=1)
+    c2 = (c1 * c1 - mats2[:, diag, diag].sum(axis=1)) * ((q + 1) // 2)
+    c3 = 2 - c1 + c2 - _det4_mod(np.eye(4, dtype=np.int64) - mats, q)
+    index = c1 % q + q * (c2 % q) + q * q * (c3 % q)
+    t = residues[index]
+    nil = (t[:, 1, None, None] * mats + t[:, 2, None, None] * mats2
+           + t[:, 3, None, None] * mats3)
+    nil[:, diag, diag] += t[:, :1] - 1
+    nil %= q
+    moved = np.flatnonzero(nil.any(axis=(1, 2)))
+    unipotent = np.ones(len(mats), dtype=np.int64)
+    unipotent[moved] = q
+    if q == 3:  # a block of size 4 > q needs q^2
+        nil = nil[moved]
+        cube = nil @ nil @ nil % q
+        unipotent[moved[cube.any(axis=(1, 2))]] = q * q
+    return ((semis[index] * unipotent).tolist(),
+            (proj_semis[index] * unipotent).tolist())
 
 
-def _matrix_keys(q: int):
-    """The function giving the exact and the projective key of each
-    matrix in a (n, 4, 4) batch of invertible matrices mod q.
+@lru_cache(maxsize=None)
+def _charpoly_table(q: int):
+    """Per characteristic polynomial chi = x^4 - c1 x^3 + c2 x^2 - c3 x + 1
+    over F_q, at index c1 + q c2 + q^2 c3: the order and projective order
+    of the semisimple part of any matrix with that chi, and the
+    coefficients of x^L mod chi, constant first, where
+    L = lcm(q^d - 1 : d <= 4) is a multiple of every semisimple order.
 
-    A row's key is the base-q number of its entries and a matrix's key the
-    base-q^4 number of its row keys.  The projective key is the key of the
-    matrix times the inverse of its first nonzero entry, which lies in row
-    0 (a nonzero row of an invertible matrix), so it is two table lookups
-    by row key.
+    C, the companion matrix of chi, is multiplication by x on the basis
+    1, x, x^2, x^3, so x^L mod chi is the first column of C^L.  The
+    semisimple part of C has the order and projective order of H = C^(q^e),
+    which kills C's unipotent part (q^e >= 4, the largest block size) and
+    keeps both orders, as they are prime to q; a stepwise walk over the
+    powers of H finds them.
     """
     import numpy as np
 
-    digit = q ** np.arange(4, dtype=np.int64)
-    place = digit**4
-    rows = (np.arange(q**4)[:, None] // digit) % q
-    lead = rows[np.arange(q**4), (rows != 0).argmax(axis=1)]
-    lead_inv = lead ** (q - 2) % q
-    # scaled[c, r]: key of the row with key r times c
-    scaled = (np.arange(q)[:, None, None] * rows) % q @ digit
+    size = q**3
+    c = np.arange(size)
+    comp = np.zeros((size, 4, 4), dtype=np.int64)
+    comp[:, [1, 2, 3], [0, 1, 2]] = 1
+    # x * x^3 = x^4 = c1 x^3 - c2 x^2 + c3 x - 1 mod chi
+    comp[:, :, 3] = np.stack([np.full(size, q - 1), c // q**2,
+                              -(c // q) % q, c % q], axis=1)
+    big = math.lcm(*(q**d - 1 for d in range(1, 5)))
+    residues = _matrix_pow(comp, big, q)[:, :, 0]
+    step = _matrix_pow(comp, q ** (2 if q == 3 else 1), q)
+    semis, proj_semis = np.zeros((2, size), dtype=np.int64)
+    off_diagonal = ~np.eye(4, dtype=bool)
+    power, k = step, 1
+    while not semis.all():
+        diag = np.einsum("nii->ni", power)
+        scalar = (~power[:, off_diagonal].any(axis=1)
+                  & (diag == diag[:, :1]).all(axis=1))
+        proj_semis[scalar & (proj_semis == 0)] = k
+        semis[scalar & (diag[:, 0] == 1) & (semis == 0)] = k
+        power = power @ step % q
+        k += 1
+    return semis, proj_semis, residues
 
-    def keys(mats):
-        row_keys = mats @ digit
-        normed = scaled[lead_inv[row_keys[:, 0]][:, None], row_keys]
-        return row_keys @ place, normed @ place
 
-    return keys
+def _matrix_pow(mats, e: int, q: int):
+    """mats^e mod q for a (n, 4, 4) batch, by square-and-multiply; e >= 1."""
+    result = mats
+    for bit in bin(e)[3:]:
+        result = result @ result % q
+        if bit == "1":
+            result = result @ mats % q
+    return result

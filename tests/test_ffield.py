@@ -1,6 +1,7 @@
 """Field arithmetic and realization tests."""
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -612,10 +613,62 @@ def test_sample_orders_matches_stepwise_walk(q, count):
 
 def test_sample_orders_slices_match_stepwise_walk(monkeypatch):
     # slices of 64 rows, the last one short
-    monkeypatch.setattr(ffield, "_SEARCH_ROWS", 64)
+    monkeypatch.setattr(ffield, "_SLICE_ROWS", 64)
     for q in (3, 5):
         mats = ffield._random_sl4(q, 1000, 7)
         assert ffield.sample_orders(q, 1000, 7) == stepwise_orders(mats, q)
+
+
+def jordan_types(q):
+    """lambda J_pi for every partition pi of 4 and every lambda in F_q^*
+    (all of which have lambda^4 = 1 at q = 3 and 5): blocks with lambda on
+    the diagonal and the superdiagonal."""
+    mats = []
+    for lam in range(1, q):
+        for parts in ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)):
+            mat = np.zeros((4, 4), dtype=np.int64)
+            start = 0
+            for size in parts:
+                for i in range(start, start + size):
+                    mat[i, i] = lam
+                    if i + 1 < start + size:
+                        mat[i, i + 1] = lam
+                start += size
+            mats.append(mat)
+    return np.array(mats)
+
+
+def companion_matrices(q):
+    """The q^3 companion matrices, in row form, of the polynomials
+    x^4 + a3 x^3 + a2 x^2 + a1 x + 1 over F_q: every determinant-one
+    characteristic polynomial once."""
+    mats = []
+    for a1, a2, a3 in itertools.product(range(q), repeat=3):
+        mat = np.zeros((4, 4), dtype=np.int64)
+        mat[[0, 1, 2], [1, 2, 3]] = 1
+        mat[3] = [(-c) % q for c in (1, a1, a2, a3)]
+        mats.append(mat)
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_jordan_orders_match_stepwise_walk_on_every_type(q):
+    # a seeded batch need not hit every Jordan type (orders 9 and 18 come
+    # only from a block of size 4 at q = 3); the companion matrices reach
+    # every characteristic polynomial, and their q-th and q^2-th powers
+    # include the semisimple parts
+    types = jordan_types(q)
+    powers = [companion_matrices(q)]
+    for _ in range(2):
+        power = powers[-1]
+        for _ in range(q - 1):
+            power = np.matmul(power, powers[-1]) % q
+        powers.append(power)
+    for mats in (types, *powers):
+        assert ffield._jordan_orders(mats, q) == stepwise_orders(mats, q)
+    full, _ = ffield._jordan_orders(types, q)
+    assert set(full) == ({1, 2, 3, 6, 9, 18} if q == 3
+                         else {1, 2, 4, 5, 10, 20})
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -623,8 +676,8 @@ def test_sample_orders_step_cap(q):
     full, proj = ffield.sample_orders(q, 300, seed=2)
     top = max(full)
     assert ffield.sample_orders(q, 300, seed=2, step_cap=top) == (full, proj)
-    # caps inside the baby steps, near the first giant step and just below
-    # the largest order
+    # caps below most orders, inside the range of orders and just below the
+    # largest order
     for cap in (2, 13, top - 1):
         with pytest.raises(RealizationError):
             ffield.sample_orders(q, 300, seed=2, step_cap=cap)
