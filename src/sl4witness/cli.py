@@ -290,6 +290,7 @@ def cmd_verify(args) -> int:
     failed = {label for label, _ in report.failures}
     for label in verifier.CHECK_LABELS:
         print(f"{label} {'FAIL' if label in failed else 'ok'}")
+    print(f"V8 spectrum: {args.spectrum or 'skipped'}")
     for label, msg in report.warnings:
         print(f"{label} warning: {msg}")
     if report.ok:

@@ -17,29 +17,35 @@ eleven types correspond to the maximal tori of the group (Carter, Finite
 Groups of Lie Type, 1985).  The semisimple elements of one type, degenerate
 ones included, form the abelian group
 
-    K = {x in prod C_{q^d_i - eps^d_i} : prod N_{d_i}(x_i)^mu_i = 1}
+    K = {x in prod_j C_{n_j} : prod_j N_{d_j}(x_j)^mu_j = 1}
 
-where N_d is the norm down to the base field.  K is cut out by one relation
-row, so an extended-Euclid column reduction gives its generators, and the
-orders K attains are exactly the divisors of exp K; in the projective group
-the same holds for the image of K modulo scalars.  Hence
+where n_j = q^d_j - eps^d_j and N_d is the norm down to the base field.
+The orders K attains are exactly the divisors of exp K, and those of
+K S / S (S the scalars) the divisors of exp(K S / S).  Hence
 
     omega(SL)  = union over types, b <= max mu, of p_part(b) * Div(exp K)
-    omega(PSL) = the same with exp(K S / S), S the scalar matrices
+    omega(PSL) = the same with exp(K S / S)
 
 which is how Buturlakis, "Spectra of finite linear and unitary groups",
 Algebra and Logic 47 (2008), describes these spectra.  A degenerate element
 of K (orbits that collide or shrink) is a regular element of a coarser type
 whose multiplicities are at least as large, so nothing outside the spectrum
-is added.  The cost is independent of q apart from factoring the cyclotomic
-values q - eps, q + eps, q^2 + eps*q + 1 and q^2 + 1.
+is added.  In exponents det = sum +-mu_j x_j mod c, c = q - eps, so
+
+    exp K        = lcm_j n_j * gcd(g_j, mu_j) / g_j
+    exp(K S / S) = exp K / 2^delta
+
+with g_j = gcd(c, mu_l : l != j), which is c for one block.  K n S is the
+center, of order gcd(4, c); the comment at _TWO_DROPS argues delta per type.  test_10 checks that table for
+every q <= Q_CAP, and must run again if Q_CAP is raised.  The cost does not
+depend on q apart from factoring q - eps, q + eps, q^2 + eps*q + 1 and
+q^2 + 1: both tables at q = 65521 take ~1.8 ms in a fresh process (2 vCPUs).
 
 The brute-force enumeration is kept as the reference the closed form is
 tested against: _enumerated_omega_sets() walks every determinant-one orbit
 assignment and every Jordan partition of its multiplicities, so it checks
 the largest-block shortcut too.  It is O(q^4) and capped at SPECTRUM_Q_CAP.
-
-All exponent arithmetic happens inside one cyclic group of order q^12 - 1,
+Its exponent arithmetic happens inside one cyclic group of order q^12 - 1,
 which contains every q^d - (eps)^d for d <= 4 as a divisor; degree-d
 exponents are embedded by the cofactor q^12 - 1 over their own modulus.
 """
@@ -238,56 +244,46 @@ _TYPES = tuple(
 )
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a, b >= 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        quo, rem = divmod(a, b)
-        a, b = b, rem
-        s0, s1 = s1, s0 - quo * s1
-        t0, t1 = t1, t0 - quo * t1
-    return a, s0, t0
+# Per type, each block's (d, mu, gcd of the other blocks' mu), 0 if none.
+_TYPE_BLOCKS = tuple(
+    tuple((d, mu, math.gcd(*(m for _, m in blocks[:j] + blocks[j + 1:])))
+          for j, (d, mu) in enumerate(blocks))
+    for blocks in _TYPES
+)
+
+# delta per type in exp(K S/S) = exp K / 2^delta, keyed by |Z| = gcd(4, c),
+# c = q - eps, c2 its 2-part.  Z = K n S is a 2-group: odd parts stay.
+# - Cyclic K (types 0, 1, 7, 9, 10): K/Z is cyclic, so delta = log2 |Z|.
+# - Two mu = 1 rational blocks (3, 4, 6): each coordinate takes its full
+#   order on an element with an eigenvalue 1 ((x, -x) on those two blocks),
+#   whose scalar powers are 1: delta = 0.
+# - Type 2, det 2x + 2y: y = t*c/2 - x, and the eigenvalue ratio
+#   2x - t*c/2 is a unit mod c for some x, t iff c/2 is odd.
+# - Type 5, det a^2 y^(1 + eps*q): if c = 2 mod 4, a = 1 and y in the norm
+#   kernel keep the 2-part; if 4 | c, 1 + eps*q = 2 mod 4 ties the 2-power
+#   orders of a and y, whose c2/2-th powers then agree: delta = 1.
+# - Type 8, det N(y) N(z): y, z reach the 2-part of M = q^2 - 1 together,
+#   with y^(M/2) = z^(M/2) = -1, and (y, 1/y) keeps M/2: delta = 1.
+# The tests check every entry against a kernel reduction for q <= Q_CAP.
+_TWO_DROPS = {
+    2: (1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1),
+    4: (2, 2, 1, 0, 0, 1, 0, 2, 1, 2, 2),
+}
 
 
-def _relation_kernel(weights, modulus: int) -> list[list[int]]:
-    """Generators of {x in Z^k : sum w_i x_i = 0 mod modulus}.
-
-    Unimodular column operations (extended Euclid, one column at a time)
-    turn the row [w_1 .. w_k, modulus] into [g, 0, .., 0]; the columns of
-    the transform that end at 0 are a basis of the row's kernel in
-    Z^(k+1), and dropping their last coordinate gives the solutions.
-    """
-    k = len(weights)
-    row = [*weights, modulus]
-    cols = [[int(i == j) for i in range(k + 1)] for j in range(k + 1)]
-    for j in range(1, k + 1):
-        a, b = row[0], row[j]
-        if b == 0:
-            continue
-        g, s, t = _xgcd(a, b)
-        c0, cj = cols[0], cols[j]
-        cols[0] = [s * u + t * v for u, v in zip(c0, cj)]
-        cols[j] = [(b // g) * u - (a // g) * v for u, v in zip(c0, cj)]
-        row[0], row[j] = g, 0
-    return [col[:k] for col in cols[1:]]
-
-
-def _type_exponents(params: GroupParams, blocks) -> tuple[int, int]:
-    """(exp K, exp K S/S) for the torus-type group K of these blocks."""
-    big = _big_order(params)
+def _torus_exponents(params: GroupParams) -> list[tuple[int, int]]:
+    """(exp K, exp K S/S) for each type of _TYPES, in closed form."""
     eps, q = params.epsilon, params.q
-    moduli = [q**d - eps**d for d, _ in blocks]
-    weights = [mu * (big // n) * _geom_sum(params, d) % big
-               for (d, mu), n in zip(blocks, moduli)]
-    exp_full = exp_proj = 1
-    for gen in _relation_kernel(weights, big):
-        embedded = [(d, x % n * (big // n))
-                    for (d, _), x, n in zip(blocks, gen, moduli)]
-        for _, x in embedded:
-            exp_full = math.lcm(exp_full, big // math.gcd(big, x))
-        xs = _eigen_exponents(params, embedded)
-        exp_proj = math.lcm(exp_proj, _scalar_order(params, xs))
-    return exp_full, exp_proj
+    c = q - eps
+    moduli = {d: q**d - eps**d for d in (1, 2, 3, 4)}
+    out = []
+    for blocks, drop in zip(_TYPE_BLOCKS, _TWO_DROPS[math.gcd(4, c)]):
+        exp_full = 1
+        for d, mu, others in blocks:
+            g = math.gcd(c, others)
+            exp_full = math.lcm(exp_full, moduli[d] * math.gcd(g, mu) // g)
+        out.append((exp_full, exp_full >> drop))
+    return out
 
 
 def _prime_support(params: GroupParams) -> set[int]:
@@ -304,12 +300,11 @@ def _divisors(n: int, primes) -> list[int]:
     """All divisors of n, whose prime factors all lie in primes."""
     divs = [1]
     for r in primes:
-        power, rest = 1, []
+        new = divs
         while n % r == 0:
             n //= r
-            power *= r
-            rest.extend(v * power for v in divs)
-        divs.extend(rest)
+            new = [v * r for v in new]
+            divs = divs + new
     if n != 1:
         raise ArithmeticError(f"{n} is not covered by the given primes")
     return divs
@@ -320,8 +315,7 @@ def _omega_sets(params: GroupParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Closed form: p_part(b) * Div(exponent) over the torus types."""
     full_gens: set[tuple[int, int]] = set()
     proj_gens: set[tuple[int, int]] = set()
-    for blocks in _TYPES:
-        exp_full, exp_proj = _type_exponents(params, blocks)
+    for blocks, (exp_full, exp_proj) in zip(_TYPES, _torus_exponents(params)):
         max_mu = max(mu for _, mu in blocks)
         for b in range(1, max_mu + 1):
             up = _p_part(params.p, b)

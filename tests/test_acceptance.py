@@ -17,6 +17,7 @@ import pytest
 import sympy
 
 from sl4witness import arith, ffield, params, spectrum, verifier, witness
+from spectrum_reference import torus_exponents
 
 GRID_PRIMES = (3, 5, 7, 11, 13)
 GRID_DEGREES = (1, 2, 3)
@@ -269,6 +270,14 @@ def test_08_selection_brute_force(sweep, report):
             % (len(sweep[0]), missing, elapsed, budget))
 
 
+def _full_range_fields():
+    """(p, m) for every odd prime power q = p^m <= Q_CAP, q ascending."""
+    return [(p, m) for _, p, m in sorted(
+        (p**m, p, m) for p in sympy.primerange(3, params.Q_CAP + 1)
+        for m in range(1, params.Q_CAP.bit_length())
+        if p**m <= params.Q_CAP)]
+
+
 # sha256 of the target-order lines below, recorded before factorize lost
 # its trial division by the primes below 2^16
 TARGET_ORDERS_SHA256 = (
@@ -279,14 +288,11 @@ def test_09_full_range_target_orders(report):
     """target_orders over every group with q <= Q_CAP, both signs, gives
     the recorded witness orders."""
     budget = 30.0
-    fields = sorted((p**m, p, m)
-                    for p in sympy.primerange(3, params.Q_CAP + 1)
-                    for m in range(1, params.Q_CAP.bit_length())
-                    if p**m <= params.Q_CAP)
+    fields = _full_range_fields()
     params.target_orders.cache_clear()
     start = time.perf_counter()
     lines = []
-    for _, p, m in fields:
+    for p, m in fields:
         for eps in (1, -1):
             pr = params.derive(eps, p, m)
             for k in params.target_orders(pr):
@@ -302,3 +308,26 @@ def test_09_full_range_target_orders(report):
             "%d groups, digest %s, %.1fs, budget %.0fs"
             % (groups, "matches" if digest == TARGET_ORDERS_SHA256
                else "differs", elapsed, budget))
+
+
+def test_10_full_range_torus_exponents(report):
+    """The spectrum oracle's closed-form exponents, exp K and exp(K S/S)
+    for each of the eleven torus types, agree with the kernel reduction of
+    spectrum_reference on every group with q <= Q_CAP, both signs."""
+    budget = 30.0
+    fields = _full_range_fields()
+    start = time.perf_counter()
+    groups = 0
+    mismatches = []
+    for p, m in fields:
+        for eps in (1, -1):
+            groups += 1
+            pr = params.derive(eps, p, m)
+            if spectrum._torus_exponents(pr) != torus_exponents(pr):
+                mismatches.append((eps, p, m))
+    elapsed = time.perf_counter() - start
+    ok = groups == 13238 and not mismatches and elapsed < budget
+    report(10, "full-range-torus-exponents", ok,
+            "%d groups x %d types, %d mismatches, %.1fs, budget %.0fs"
+            % (groups, len(spectrum._TYPES), len(mismatches), elapsed,
+               budget))

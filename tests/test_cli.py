@@ -278,6 +278,7 @@ def test_construct_then_verify_ok(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "certificate OK" in printed
     assert "V7 ok" in printed
+    assert "V8 spectrum: skipped\n" in printed
 
 
 def test_verify_tampered_exits_1(tmp_path, capsys):
@@ -290,6 +291,7 @@ def test_verify_tampered_exits_1(tmp_path, capsys):
     assert run_main("verify", str(out)) == 1
     printed = capsys.readouterr().out
     assert "V4 FAIL" in printed
+    assert "V8 spectrum: skipped\n" in printed
     assert "certificate REJECTED" in printed
 
 
@@ -322,7 +324,10 @@ def test_verify_with_computed_spectrum(tmp_path, capsys):
     run_main("construct", "--epsilon", "+", "--p", "3", "--m", "1",
              "--profile", "2", "--out", str(out))
     assert run_main("verify", "--spectrum", "compute", str(out)) == 0
-    capsys.readouterr()
+    lines = capsys.readouterr().out.splitlines()
+    # the source line follows the check lines, before the verdict
+    assert lines[lines.index("V8 ok") + 1] == "V8 spectrum: compute"
+    assert lines[-1] == "certificate OK"
 
 
 def test_verify_with_spectrum_dump(tmp_path, capsys):
@@ -333,6 +338,7 @@ def test_verify_with_spectrum_dump(tmp_path, capsys):
     assert run_main("spectrum", "--epsilon", "+", "--q", "3",
                     "--group", "PSL", "--out", str(dump)) == 0
     assert run_main("verify", "--spectrum", str(dump), str(cert)) == 0
+    assert f"V8 spectrum: {dump}\n" in capsys.readouterr().out
     # a dump for the wrong group or field must be refused outright
     wrong = tmp_path / "wrong.txt"
     assert run_main("spectrum", "--epsilon", "-", "--q", "3",

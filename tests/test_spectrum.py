@@ -5,7 +5,8 @@ e -> eps*q*e partition Z/(q^d - eps^d), so sizes must add up exactly, and
 every order in the table must carry all of its divisors (an element power
 realizes each one).  The closed-form omega() is compared live against the
 orbit enumeration for q <= 17, and pinned by digest for 19 <= q <= 27,
-where the enumeration takes seconds per group.
+where the enumeration takes seconds per group, and for every q < 1000 by
+one digest over all dumps.
 """
 
 import hashlib
@@ -153,6 +154,26 @@ def test_closed_form_matches_pinned_enumeration():
         text = spectrum.format_dump(pr, group)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, \
             (sign, q, group)
+
+
+# sha256 over format_dump(SL) then format_dump(PSL) for every odd prime
+# power q < 1000, q ascending and + before -, as the kernel reduction
+# wrote them before the torus exponents took their closed form
+DUMPS_BELOW_1000_SHA256 = (
+    "c2af56582a6b8019dcc7f170d77bf2c50466202a0b21665a830891f5e6ab4c6f")
+
+
+def test_dumps_below_1000_pinned():
+    digest = hashlib.sha256()
+    groups = 0
+    for p, m in _small_fields(999):
+        for eps in (1, -1):
+            groups += 1
+            pr = params.derive(eps, p, m)
+            for group in ("SL", "PSL"):
+                digest.update(spectrum.format_dump(pr, group).encode())
+    assert groups == 368
+    assert digest.hexdigest() == DUMPS_BELOW_1000_SHA256
 
 
 def test_omega_at_q_cap_scale():
