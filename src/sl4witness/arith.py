@@ -4,14 +4,14 @@ Everything here is pure and deterministic: 2-adic parts, primality (a
 lookup below 2^10, one gcd with the product of those primes below 2^20,
 Miller-Rabin with proven bases above), certified factorization (the
 primes below 2^10 found by one gcd, then Brent's rho on a fixed parameter
-schedule), primitive prime divisors of a^n - (eps*1)^n, and element
-orders in cyclic groups.  No randomness, so repeated runs factor the same
-input the same way.
+schedule and work budget), primitive prime divisors of a^n - (eps*1)^n,
+and element orders in cyclic groups.  No randomness, so repeated runs
+factor the same input the same way.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 
 # Inputs above this size are refused rather than risking unbounded work.
 SIZE_LIMIT = 1 << 128
@@ -20,6 +20,11 @@ SIZE_LIMIT = 1 << 128
 MAX_DIGITS = len(str(SIZE_LIMIT))
 
 _LOW_TRIAL_LIMIT = 1 << 10
+
+# Rho squarings per split, ~1 s: splitting off p takes about sqrt(p), so a
+# balanced 2^64 semiprime needs ~2^17, and a composite with no prime below
+# about 2^38 is refused.
+_RHO_BUDGET = 1 << 21
 
 # Miller-Rabin with the first k primes as bases is a proven-deterministic
 # primality test below the smallest strong pseudoprime to all of them, so
@@ -115,12 +120,16 @@ def _brent_rho(n: int) -> int:
     """Nontrivial factor of an odd composite n, deterministic schedule.
 
     Brent's variant of Pollard rho; the polynomial constant walks 1, 2, 3,
-    ... so a given n always splits the same way.
+    ... so a given n always splits the same way, or raises ValueError.
     """
-    for c in range(1, 1000):
+    budget = _RHO_BUDGET
+    for c in count(1):
         y, r, q_acc, g = 2, 1, 1, 1
         x = ys = y
         while g == 1:
+            budget -= 2 * r  # r squarings move x, at most r more search
+            if budget < 0:
+                raise ValueError(f"rho did not split {n} within budget")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -140,7 +149,6 @@ def _brent_rho(n: int) -> int:
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise ArithmeticError(f"rho failed to split {n}")
 
 
 def _prime_exponents(n: int) -> dict[int, int]:
@@ -187,7 +195,8 @@ def _prime_exponents(n: int) -> dict[int, int]:
 
 
 def factorize(n: int) -> list[PrimePower]:
-    """Full prime factorization of n >= 2, ascending by prime."""
+    """Full prime factorization of n >= 2, ascending by prime; ValueError
+    when a rho split needs over _RHO_BUDGET = 2^21 squarings (~1 s)."""
     return [PrimePower(p, e) for p, e in sorted(_prime_exponents(n).items())]
 
 
@@ -199,8 +208,11 @@ def prime_divisors(n: int) -> list[int]:
 def primitive_prime_divisor(a: int, n: int, eps: int) -> int | None:
     """Smallest prime dividing a^n - (eps*1)^n but no a^i - (eps*1)^i, i < n.
 
-    Returns None when no such prime exists (the classical Bang/Zsigmondy
-    exception patterns).  eps is +1 or -1.
+    None when there is none (the Bang/Zsigmondy exceptions); eps is +1/-1.
+    Dividing out every prime shared with an earlier term leaves exactly the
+    primitive primes, as a primitive prime divides no earlier term, so the
+    answer is the least prime factor of what is left: one gcd finds it
+    below 2^10, factorize above (ValueError past its rho budget).
     """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
@@ -212,9 +224,6 @@ def primitive_prime_divisor(a: int, n: int, eps: int) -> int | None:
             or a**n > SIZE_LIMIT):
         raise ValueError("a**n exceeds supported size")
     target = a**n - eps**n
-    # cheap pre-filter: a prime shared with an earlier term is never
-    # primitive, and gcd-stripping them all leaves a value small enough
-    # (it divides a cyclotomic evaluation) to factor instantly
     for i in range(1, n):
         earlier = a**i - eps**i
         g = math.gcd(target, earlier)
@@ -223,14 +232,10 @@ def primitive_prime_divisor(a: int, n: int, eps: int) -> int | None:
             g = math.gcd(target, earlier)
     if target == 1:
         return None
-    for r in prime_divisors(target):
-        for i in range(1, n):
-            low = 1 if (eps == 1 or i % 2 == 0) else r - 1
-            if pow(a, i, r) == low % r:
-                break
-        else:
-            return r
-    return None
+    g = math.gcd(target, _LOW_PRODUCT)
+    if g > 1:
+        return next(p for p in _LOW_PRIMES if g % p == 0)
+    return min(_prime_exponents(target))
 
 
 def order_in_cyclic(modulus: int, e: int) -> int:

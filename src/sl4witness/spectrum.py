@@ -310,7 +310,7 @@ def _divisors(n: int, primes) -> list[int]:
     return divs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # one request needs one group's tables
 def _omega_sets(params: GroupParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Closed form: p_part(b) * Div(exponent) over the torus types."""
     full_gens: set[tuple[int, int]] = set()

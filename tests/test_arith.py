@@ -24,9 +24,9 @@ def naive_two_part(n):
     return v
 
 
-def gcd_strip_ppd(a, n, eps):
-    """Oracle: remove every prime shared with an earlier term of the
-    sequence a^i - eps^i, then report the smallest prime left over."""
+def stripped_value(a, n, eps):
+    """a^n - eps^n with every prime shared with an earlier term of the
+    sequence a^i - eps^i removed."""
     value = a**n - eps**n
     for i in range(1, n):
         earlier = a**i - eps**i
@@ -34,9 +34,24 @@ def gcd_strip_ppd(a, n, eps):
         while g > 1:
             value //= g
             g = math.gcd(value, earlier)
+    return value
+
+
+def gcd_strip_ppd(a, n, eps):
+    """Oracle: the smallest prime of stripped_value, by sympy."""
+    value = stripped_value(a, n, eps)
     if value == 1:
         return None
     return min(sympy.primefactors(value))
+
+
+def assert_primitive(a, n, eps, r):
+    """r is the least prime of the stripped value, and by the definition
+    it divides a^n - eps^n but no earlier term of the sequence."""
+    assert r == gcd_strip_ppd(a, n, eps), (a, n, eps, r)
+    assert (a**n - eps**n) % r == 0, (a, n, eps, r)
+    for i in range(1, n):
+        assert (a**i - eps**i) % r != 0, (a, n, eps, r, i)
 
 
 def test_two_part_known():
@@ -264,6 +279,53 @@ def test_primitive_prime_divisor_matches_oracle_small():
             for n in range(2, 9):
                 assert arith.primitive_prime_divisor(a, n, eps) == \
                     gcd_strip_ppd(a, n, eps), (a, n, eps)
+
+
+def test_primitive_prime_divisor_at_low_prime_edge():
+    # 1021 is the last prime the gcd with _LOW_PRODUCT finds and 1031 the
+    # first one factorize must find; each is the least of two primes here
+    cases = {(3715, 3, 1): 1021, (3716, 3, -1): 1021, (2416, 4, 1): 1021,
+             (1031 * 1033 - 1, 2, 1): 1031}
+    for (a, n, eps), r in cases.items():
+        value = stripped_value(a, n, eps)
+        assert value > r and value % r == 0, (a, n, eps)
+        assert arith.primitive_prime_divisor(a, n, eps) == r
+        assert_primitive(a, n, eps, r)
+
+
+def test_primitive_prime_divisor_rho_path():
+    # stripped values with no prime below 2^10 that are not prime: the
+    # least prime factor comes from a rho split
+    cases = {(60899, 4, -1): 22469, (52501, 4, 1): 10253,
+             (52501, 4, -1): 10253, (34649, 4, 1): 8089}
+    for (a, n, eps), r in cases.items():
+        value = stripped_value(a, n, eps)
+        assert math.gcd(value, arith._LOW_PRODUCT) == 1
+        assert not sympy.isprime(value)
+        assert arith.primitive_prime_divisor(a, n, eps) == r
+        assert_primitive(a, n, eps, r)
+
+
+def test_primitive_prime_divisor_large_random_q():
+    rnd = random.Random(6006)
+    qs = [sympy.nextprime(rnd.randrange(2**16, 2**32 - 2**10))
+          for _ in range(50)]
+    for q in qs:
+        for n in (2, 3, 4):
+            for eps in (1, -1):
+                r = arith.primitive_prime_divisor(q, n, eps)
+                assert_primitive(q, n, eps, r)
+
+
+def test_factorize_work_is_bounded(monkeypatch):
+    # a split that needs more rho squarings than the budget is refused;
+    # this balanced semiprime needs about 2^17 squarings
+    n = sympy.prevprime(2**32) * sympy.nextprime(2**32)
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 14)
+    with pytest.raises(ValueError, match="rho"):
+        arith.factorize(n)
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 18)
+    assert len(arith.factorize(n)) == 2
 
 
 def test_order_in_cyclic():

@@ -5,6 +5,7 @@ construction, 2 malformed input or usage error.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -445,9 +446,13 @@ def test_ppd_output(capsys):
 
 
 def test_module_entry_point_subprocess():
+    # the child finds this sl4witness first, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sl4witness", "ppd", "--a", "3", "--n", "4",
          "--epsilon", "+"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5"

@@ -40,6 +40,12 @@ COMMANDS = [
 ]
 
 
+# ppd inputs with a^5 within SIZE_LIMIT whose stripped parts are products
+# of two primes of 50 and 54 bits, and of 48 and 55 bits: past the
+# factorizer's rho budget, so they must be refused rather than split
+HARD_PPD_BASES = ("50331773", "50331705")
+
+
 def _document(eps, p, m, profile):
     cert = witness.construct(params.derive(eps, p, m), profile)
     return json.loads(cli.canonical_json(cli.certificate_to_document(cert)))
@@ -138,3 +144,12 @@ def test_hostile_cli_argument(good_cert_file, data):
     start = time.perf_counter()
     assert _main_exit_code(argv) in (0, 1, 2)
     assert time.perf_counter() - start < TIME_BOUND_S
+
+
+def test_hard_ppd_exits_2_promptly(capsys):
+    for a in HARD_PPD_BASES:
+        start = time.perf_counter()
+        assert _main_exit_code(["ppd", "--a", a, "--n", "5",
+                                "--epsilon", "+"]) == 2
+        assert time.perf_counter() - start < TIME_BOUND_S
+        assert "rho" in capsys.readouterr().err

@@ -176,6 +176,22 @@ def test_dumps_below_1000_pinned():
     assert digest.hexdigest() == DUMPS_BELOW_1000_SHA256
 
 
+def test_omega_cache_stays_bounded():
+    # more groups than the cache holds: the oldest tables are dropped and
+    # a dropped group's tables come back the same when asked again
+    maxsize = spectrum._omega_sets.cache_info().maxsize
+    assert maxsize is not None
+    fields = list(_small_fields(999))[:maxsize + 4]
+    first = spectrum.omega(params.derive(1, *fields[0]), "PSL")
+    for p, m in fields:
+        for eps in (1, -1):
+            spectrum.omega(params.derive(eps, p, m), "SL")
+            assert spectrum._omega_sets.cache_info().currsize <= maxsize
+    misses = spectrum._omega_sets.cache_info().misses
+    assert spectrum.omega(params.derive(1, *fields[0]), "PSL") == first
+    assert spectrum._omega_sets.cache_info().misses == misses + 1
+
+
 def test_omega_at_q_cap_scale():
     # the largest prime field derive() accepts, both signs, well within
     # a second; every order divides |SL4^eps(q)| and is divisor-closed
