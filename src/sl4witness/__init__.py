@@ -12,12 +12,11 @@ pipeline.
 from .arith import (PrimePower, SIZE_LIMIT, factorize, is_prime,
                     order_in_cyclic, prime_divisors,
                     primitive_prime_divisor, two_part)
-from .params import (GroupParams, KIND_R2_TWO_PART, KIND_R3, KIND_R4,
-                     KIND_TWO_PART, Q_CAP, TargetOrderKind, derive,
-                     derive_from_q, sign_from_str, sign_to_str, target_orders)
-from .witness import (Adjustment, CASE_A, CASE_B, CASE_C, CASE_D,
-                      CaseDInternals, ConstructionError, Selection,
-                      WitnessCertificate, classify_profile, construct)
+from .params import (CASE_A, CASE_B, CASE_C, CASE_D, GroupParams, Q_CAP,
+                     classify_profile, derive, derive_from_q, sign_from_str,
+                     sign_to_str, target_orders)
+from .witness import (Adjustment, CaseDInternals, ConstructionError,
+                      Selection, WitnessCertificate, construct)
 from .verifier import (MalformedCertificate, VerificationReport,
                        brute_force_selections, verify)
 from .spectrum import (SPECTRUM_Q_CAP, OrbitRep, enumerate_orbits,
@@ -32,10 +31,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Adjustment", "CASE_A", "CASE_B", "CASE_C", "CASE_D", "CaseDInternals",
     "ConstructionError", "Field", "GroupParams",
-    "KIND_R2_TWO_PART", "KIND_R3", "KIND_R4", "KIND_TWO_PART",
     "MalformedCertificate", "Matrix4", "OrbitRep", "PrimePower", "Q_CAP",
     "RealizationError", "SIZE_LIMIT", "SPECTRUM_Q_CAP", "Selection",
-    "TargetOrderKind", "VerificationReport", "WitnessCertificate",
+    "VerificationReport", "WitnessCertificate",
     "brute_force_selections", "canonical_json", "certificate_from_document",
     "certificate_to_document", "classify_profile",
     "construct", "derive", "derive_from_q", "element_of_order",

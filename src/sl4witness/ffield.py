@@ -373,19 +373,18 @@ def diagonal(field: Field, entries) -> Matrix4:
         for i in range(4)))
 
 
-def realize(cert, *, size_limit: int = arith.SIZE_LIMIT) -> Matrix4:
+def realize(cert) -> Matrix4:
     """Materialize the certificate's diagonal element over F_{p^(12m)}.
 
     That one field contains every characteristic value the four cases can
     ask for, since each case modulus divides q^12 - 1.  The element order
     is recomputed from the diagonal entries by the prime-divisor test,
     starting from the theta order, and compared with the claim.  Fields
-    past size_limit, or past SIZE_LIMIT, which build_field refuses, are not
-    realized.
+    past SIZE_LIMIT, which build_field refuses, are not realized.
     """
     pr = cert.params
     k = 12 * pr.m
-    if pr.p**k > min(size_limit, arith.SIZE_LIMIT):
+    if pr.p**k > arith.SIZE_LIMIT:
         raise RealizationError(
             f"field F_{pr.p}^{k} exceeds the size limit")
     field = build_field(pr.p, k)
@@ -424,8 +423,7 @@ def _det4_mod(m, q):
     return det % q
 
 
-def sample_orders(q: int, count: int, seed: int = 0, *,
-                  step_cap: int = 100_000):
+def sample_orders(q: int, count: int, seed: int = 0):
     """Orders of `count` uniform random determinant-one 4x4 matrices mod q
     (drawn by _random_sl4), together with the orders of their images mod
     scalars.
@@ -433,8 +431,7 @@ def sample_orders(q: int, count: int, seed: int = 0, *,
     Each order comes from the matrix's characteristic polynomial and the
     largest Jordan block of its unipotent part (_jordan_orders), computed
     on slices of _SLICE_ROWS matrices.  Returns (full_orders,
-    projective_orders) as plain lists; raises RealizationError iff some
-    order exceeds step_cap.
+    projective_orders) as plain lists.
     """
     if q not in (3, 5):
         raise ValueError("sampling cross-check supports q in {3, 5} only")
@@ -447,8 +444,6 @@ def sample_orders(q: int, count: int, seed: int = 0, *,
             mats[start:start + _SLICE_ROWS], q)
         full += part_full
         proj += part_proj
-    if max(full) > step_cap:
-        raise RealizationError("a sampled order exceeds the step cap")
     return full, proj
 
 

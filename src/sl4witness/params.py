@@ -1,8 +1,12 @@
-"""Derived constants for the groups SL4^eps(q) and their central quotients.
+"""Derived constants for the groups SL4^eps(q) and the case table.
 
 eps = +1 selects the linear family, eps = -1 the unitary one; q = p^m is an
 odd prime power.  All downstream modules consume a GroupParams value rather
 than recomputing these quantities.
+
+The case table is the one specification that the constructor and the
+verifier share: the four case tags, which case a profile falls in, and each
+case's witness order N (target_orders).
 """
 
 from dataclasses import dataclass
@@ -20,10 +24,16 @@ Q_CAP = 1 << 16
 PLUS = 1
 MINUS = -1
 
-KIND_R4 = "R4"
-KIND_R3 = "R3"
-KIND_TWO_PART = "TwoPartQ2M1"
-KIND_R2_TWO_PART = "R2TimesTwoPart"
+CASE_A = "A_R4"
+CASE_B = "B_R3"
+CASE_C = "C_QcongMinusEps"
+CASE_D = "D_QcongEps"
+
+ALL_CASES = (CASE_A, CASE_B, CASE_C, CASE_D)
+
+# The degree n of the primitive prime divisor that each case's N is built
+# from; case C's N has none.
+_PPD_DEGREE = {CASE_A: 4, CASE_B: 3, CASE_D: 2}
 
 
 def sign_from_str(s: str) -> int:
@@ -97,40 +107,43 @@ def derive_from_q(epsilon: int, q: int) -> GroupParams:
     return derive(epsilon, powers[0].prime, powers[0].exponent)
 
 
-@dataclass(frozen=True)
-class TargetOrderKind:
-    """One admissible witness order family; order is None when the family
-    does not apply at these parameters."""
+def check_profile(profile: tuple[int, ...], m: int) -> None:
+    if len(profile) != m:
+        raise ValueError(f"profile length {len(profile)} != m = {m}")
+    if any(k not in (0, 1, 2, 3) for k in profile):
+        raise ValueError("profile entries must lie in {0, 1, 2, 3}")
 
-    kind: str
-    order: int | None
-    applicable: bool
+
+def classify_profile(profile: tuple[int, ...], params: GroupParams) -> str:
+    """Case tag for this profile; the all-zero profile counts as A_R4."""
+    check_profile(profile, params.m)
+    if all(k in (0, 2) for k in profile):
+        return CASE_A
+    if all(k != 2 for k in profile):
+        return CASE_B
+    if params.q % 4 == (-params.epsilon) % 4:
+        return CASE_C
+    return CASE_D
 
 
 @lru_cache(maxsize=None)
-def target_orders(params: GroupParams) -> tuple[TargetOrderKind, ...]:
-    """The witness-order families for these parameters.
+def target_orders(params: GroupParams, case: str) -> int | None:
+    """The witness order N of this case at these parameters.
 
-    R4, R3 and TwoPartQ2M1 always apply; R2TimesTwoPart applies exactly when
-    3 < q and q = eps (mod 4).  For applicable families the primitive prime
-    divisors involved are guaranteed to exist, so a None from
-    primitive_prime_divisor means an internal defect.
+    A: the least primitive prime divisor r4 of q^4 - 1; B: r3, primitive
+    for q^3 - eps; C: (q^2 - 1)_2; D: r2 * (q - eps)_2 with r2 primitive
+    for q^2 - 1, or None unless 3 < q and q = eps (mod 4), where case D
+    does not apply.  Only the one primitive prime search the case needs
+    runs.  Where the case applies the primitive prime divisor is
+    guaranteed to exist, so a None from primitive_prime_divisor means an
+    internal defect.
     """
     eps, q = params.epsilon, params.q
-    r4 = arith.primitive_prime_divisor(q, 4, eps)
-    r3 = arith.primitive_prime_divisor(q, 3, eps)
-    if r4 is None or r3 is None:
+    if case == CASE_C:
+        return params.two_part_q2m1
+    if case == CASE_D and not (q > 3 and q % 4 == eps % 4):
+        return None
+    r = arith.primitive_prime_divisor(q, _PPD_DEGREE[case], eps)
+    if r is None:
         raise ArithmeticError("primitive divisor existence guarantee violated")
-    r2_applies = q > 3 and q % 4 == eps % 4
-    r2_order = None
-    if r2_applies:
-        r2 = arith.primitive_prime_divisor(q, 2, eps)
-        if r2 is None:
-            raise ArithmeticError("primitive divisor existence guarantee violated")
-        r2_order = r2 * params.two_part_qme
-    return (
-        TargetOrderKind(KIND_R4, r4, True),
-        TargetOrderKind(KIND_R3, r3, True),
-        TargetOrderKind(KIND_TWO_PART, params.two_part_q2m1, True),
-        TargetOrderKind(KIND_R2_TWO_PART, r2_order, r2_applies),
-    )
+    return r * params.two_part_qme if case == CASE_D else r

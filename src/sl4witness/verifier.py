@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import arith, params as params_mod, witness
-from .params import GroupParams
+from .params import (ALL_CASES, CASE_D, GroupParams, check_profile,
+                     classify_profile)
 from .spectrum import member as in_spectrum
 from .witness import Selection, WitnessCertificate
 
@@ -59,12 +60,11 @@ def _structural_check(cert: WitnessCertificate) -> None:
     pr = cert.params
     if pr.q != pr.p**pr.m:
         raise MalformedCertificate("params: q != p^m")
-    if len(cert.profile) != pr.m:
-        raise MalformedCertificate(
-            f"profile has length {len(cert.profile)}, expected m = {pr.m}")
-    if any(k not in (0, 1, 2, 3) for k in cert.profile):
-        raise MalformedCertificate("profile entries must lie in {0,1,2,3}")
-    if cert.case not in witness.ALL_CASES:
+    try:
+        check_profile(cert.profile, pr.m)
+    except ValueError as exc:
+        raise MalformedCertificate(str(exc)) from None
+    if cert.case not in ALL_CASES:
         raise MalformedCertificate(f"unknown case tag {cert.case!r}")
     N = cert.theta_order
     if not isinstance(N, int) or N < 2:
@@ -86,22 +86,22 @@ def _structural_check(cert: WitnessCertificate) -> None:
         if tuple(sorted(set(sel.positions))) != sel.positions:
             raise MalformedCertificate(
                 "selection positions must be strictly increasing")
-    if (cert.case == witness.CASE_D) != (cert.case_d is not None):
+    if (cert.case == CASE_D) != (cert.case_d is not None):
         raise MalformedCertificate(
             "case_d data must be present exactly for case D_QcongEps")
 
 
-def _check_case_d(cert: WitnessCertificate, entry, fail) -> None:
-    """entry is the R2TimesTwoPart target order, r * (q - eps)_2."""
+def _check_case_d(cert: WitnessCertificate, fail) -> None:
     pr = cert.params
     eps, q = pr.epsilon, pr.q
     cd = cert.case_d
     s2 = pr.two_part_qme
-    if not entry.applicable or cd.r != entry.order // s2:
+    n_ord = params_mod.target_orders(pr, CASE_D)  # r * (q - eps)_2
+    if n_ord is None or cd.r != n_ord // s2:
         fail("V8", "case-D odd prime r does not match the parameters")
         return
     r = cd.r
-    if cd.t != entry.order or cd.t != cert.theta_order:
+    if cd.t != n_ord or cd.t != cert.theta_order:
         fail("V8", f"case-D modulus t = {cd.t} is inconsistent")
         return
     try:
@@ -180,25 +180,24 @@ def verify(cert: WitnessCertificate, *, strict_values: bool = True,
     if witness.fixed_point_exponent(p, cert.exponents, cert.selections) % N != 0:
         fail("V7", "weighted fixed-point exponent does not vanish mod N")
 
-    expected_case = witness.classify_profile(cert.profile, pr)
+    expected_case = classify_profile(cert.profile, pr)
     if expected_case != cert.case:
         fail("V8", f"profile classifies as {expected_case}, certificate "
                    f"says {cert.case}")
-    entry = next(t for t in params_mod.target_orders(pr)
-                 if t.kind == witness.KIND_FOR_CASE[cert.case])
-    if not entry.applicable:
-        fail("V8", f"order kind {entry.kind} is not applicable for q = {q}")
+    n_ord = params_mod.target_orders(pr, cert.case)
+    if n_ord is None:
+        fail("V8", f"case {cert.case} does not apply at q = {q}")
     else:
-        if cert.theta_order != entry.order:
+        if cert.theta_order != n_ord:
             fail("V8", f"theta order {cert.theta_order} != case modulus "
-                       f"{entry.order}")
-        if cert.claimed_order != entry.order:
+                       f"{n_ord}")
+        if cert.claimed_order != n_ord:
             fail("V8", f"claimed order {cert.claimed_order} != case order "
-                       f"{entry.order}")
+                       f"{n_ord}")
     if cert.target_order != p * cert.claimed_order:
         fail("V8", "target order is not p * claimed order")
     if cert.case_d is not None:
-        _check_case_d(cert, entry, fail)
+        _check_case_d(cert, fail)
     if psl_orders is not None:
         if not in_spectrum(psl_orders, cert.claimed_order):
             fail("V8", f"claimed order {cert.claimed_order} is not an order "

@@ -7,9 +7,9 @@ slot of the input profile (k_0, ..., k_{m-1}).  The constraints the
 certificate must satisfy are re-checked independently in the verifier
 module; this module only has to produce them.
 
-Which N is used depends on the profile shape.  Each N is read from
-params.target_orders, through KIND_FOR_CASE, so the case moduli are
-computed in that one place:
+Which N is used depends on the profile shape.  The case tags, the
+classification and each case's N come from the case table in params
+(classify_profile, target_orders), which the verifier reads too:
 
   A_R4            all k_i in {0, 2}.  N is the smallest prime dividing
                   q^4 - 1 but no smaller q^i - (eps)^i; the characteristic
@@ -38,22 +38,8 @@ import math
 from dataclasses import dataclass
 
 from . import arith, params as params_mod
-from .params import GroupParams
-
-CASE_A = "A_R4"
-CASE_B = "B_R3"
-CASE_C = "C_QcongMinusEps"
-CASE_D = "D_QcongEps"
-
-ALL_CASES = (CASE_A, CASE_B, CASE_C, CASE_D)
-
-# The order family of params.target_orders that each case's N comes from.
-KIND_FOR_CASE = {
-    CASE_A: params_mod.KIND_R4,
-    CASE_B: params_mod.KIND_R3,
-    CASE_C: params_mod.KIND_TWO_PART,
-    CASE_D: params_mod.KIND_R2_TWO_PART,
-}
+from .params import (ALL_CASES, CASE_A, CASE_B, CASE_C, CASE_D, GroupParams,
+                     classify_profile)
 
 
 class ConstructionError(RuntimeError):
@@ -96,25 +82,6 @@ class WitnessCertificate:
     claimed_order: int
     target_order: int
     case_d: CaseDInternals | None = None
-
-
-def check_profile(profile: tuple[int, ...], m: int) -> None:
-    if len(profile) != m:
-        raise ValueError(f"profile length {len(profile)} != m = {m}")
-    if any(k not in (0, 1, 2, 3) for k in profile):
-        raise ValueError("profile entries must lie in {0, 1, 2, 3}")
-
-
-def classify_profile(profile: tuple[int, ...], params: GroupParams) -> str:
-    """Case tag for this profile; the all-zero profile counts as A_R4."""
-    check_profile(profile, params.m)
-    if all(k in (0, 2) for k in profile):
-        return CASE_A
-    if all(k != 2 for k in profile):
-        return CASE_B
-    if params.q % 4 == (-params.epsilon) % 4:
-        return CASE_C
-    return CASE_D
 
 
 def fixed_point_exponent(p: int, exponents: tuple[int, ...],
@@ -243,15 +210,6 @@ def case_d_exponents(a: int, b: int, r: int, t: int, eps: int,
     )
 
 
-def _values_distinct(exponents: tuple[int, ...],
-                     selections: tuple[Selection, ...]) -> bool:
-    for sel in selections:
-        vals = [exponents[j - 1] for j in sel.positions]
-        if len(set(vals)) != len(vals):
-            return False
-    return True
-
-
 def construct(params: GroupParams, profile) -> WitnessCertificate:
     """Build a certificate for this profile; deterministic for fixed input."""
     profile = tuple(profile)
@@ -259,10 +217,8 @@ def construct(params: GroupParams, profile) -> WitnessCertificate:
     eps, p, q = params.epsilon, params.p, params.q
     case_d = None
 
-    n_ord = next(t.order for t in params_mod.target_orders(params)
-                 if t.kind == KIND_FOR_CASE[case])
-    if n_ord is None:
-        raise ConstructionError(f"no {KIND_FOR_CASE[case]} order at q = {q}")
+    # never None: case D needs a mixed profile, so m >= 2 and q > 3
+    n_ord = params_mod.target_orders(params, case)
 
     if case == CASE_A:
         exponents = tuple(v % n_ord for v in (1, eps * q, q * q, eps * q**3))
@@ -306,16 +262,14 @@ def construct(params: GroupParams, profile) -> WitnessCertificate:
         selections, A, B, adjustments = balance_two_parts(
             A, B, profile, params, selections)
         a, b = solve_ab(A, B, params, r)
-        # Safety net: if a selected position set ever carried coinciding
-        # characteristic values, shifting a by (q - eps)_2 preserves the
-        # congruence and parity while moving the values.
-        for _ in range(r + 2):
-            exponents = case_d_exponents(a, b, r, t, eps, q)
-            if math.gcd(a, r) == 1 and _values_distinct(exponents, selections):
-                break
-            a += s2
-        else:
-            raise ConstructionError("could not avoid value collisions")
+        # The selected values are pairwise distinct mod t = r * s2.  r
+        # divides q + eps, so mod r the exponents are (a, -a, 0, 0), and
+        # every pair a case-D shape selects, except positions 3 and 4,
+        # differs by a, -a or 2a, a unit since gcd(a, r) = 1 and r is odd.
+        # Exponents 3 and 4 differ by 2*r*b + a*(1 + eps*q); (1 + eps*q)_2
+        # is 2 as q = eps (mod 4), and a + b is odd, so the difference has
+        # 2-part exactly 2 and is nonzero mod s2 >= 4.
+        exponents = case_d_exponents(a, b, r, t, eps, q)
         case_d = CaseDInternals(r=r, t=t, a=a, b=b, coeff_a=A, coeff_rb=B,
                                 adjustments=adjustments)
 

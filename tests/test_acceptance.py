@@ -82,18 +82,19 @@ def test_02_spectrum_desk_check(report):
             groups += 1
             pr = params.derive(eps, p, m)
             psl = spectrum.omega(pr, group="PSL")
-            for kind in params.target_orders(pr):
-                if not kind.applicable:
+            for case in params.ALL_CASES:
+                order = params.target_orders(pr, case)
+                if order is None:
                     continue
                 checked += 1
-                if not spectrum.member(psl, kind.order):
-                    bad.append((eps, q, kind.kind, "order missing"))
-                if spectrum.member(psl, p * kind.order):
-                    bad.append((eps, q, kind.kind, "target present"))
+                if not spectrum.member(psl, order):
+                    bad.append((eps, q, case, "order missing"))
+                if spectrum.member(psl, p * order):
+                    bad.append((eps, q, case, "target present"))
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < budget
     report(2, "spectrum-desk-check", ok,
-            "%d order kinds over %d groups, %d anomalies, %.1fs, budget %.0fs"
+            "%d case orders over %d groups, %d anomalies, %.1fs, budget %.0fs"
             % (checked, groups, len(bad), elapsed, budget))
     assert not bad, bad
 
@@ -282,6 +283,8 @@ def _full_range_fields():
 # its trial division by the primes below 2^16
 TARGET_ORDERS_SHA256 = (
     "90afae2dcc093e935600b4551523fca015db000ddcfd70a96089a2fd3dcd65cb")
+# the name each case's order had in the recorded lines
+ORDER_KINDS = ("R4", "R3", "TwoPartQ2M1", "R2TimesTwoPart")
 
 
 def test_09_full_range_target_orders(report):
@@ -295,9 +298,10 @@ def test_09_full_range_target_orders(report):
     for p, m in fields:
         for eps in (1, -1):
             pr = params.derive(eps, p, m)
-            for k in params.target_orders(pr):
+            for case, kind in zip(params.ALL_CASES, ORDER_KINDS):
+                order = params.target_orders(pr, case)
                 lines.append("%d %d %d %s %s %d" % (
-                    eps, p, m, k.kind, k.order, k.applicable))
+                    eps, p, m, kind, order, order is not None))
     elapsed = time.perf_counter() - start
     params.target_orders.cache_clear()
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()

@@ -58,47 +58,31 @@ def test_derive_from_q():
 
 
 def _orders(pr):
-    return {t.kind: (t.order, t.applicable) for t in params.target_orders(pr)}
+    return tuple(params.target_orders(pr, case) for case in params.ALL_CASES)
 
 
 def test_target_orders_linear_three():
-    got = _orders(params.derive(1, 3, 1))
-    assert got[params.KIND_R4] == (5, True)
-    assert got[params.KIND_R3] == (13, True)
-    assert got[params.KIND_TWO_PART] == (8, True)
-    # 3 != 1 mod 4, so the fourth family is off
-    assert got[params.KIND_R2_TWO_PART] == (None, False)
+    # N for cases A, B, C, D; 3 != 1 mod 4, so case D does not apply
+    assert _orders(params.derive(1, 3, 1)) == (5, 13, 8, None)
 
 
 def test_target_orders_linear_nine():
-    got = _orders(params.derive(1, 3, 2))
-    assert got[params.KIND_R4] == (41, True)
-    assert got[params.KIND_R3] == (7, True)
-    assert got[params.KIND_TWO_PART] == (16, True)
-    assert got[params.KIND_R2_TWO_PART] == (40, True)  # 5 * 8
+    assert _orders(params.derive(1, 3, 2)) == (41, 7, 16, 40)  # 40 = 5 * 8
 
 
 def test_target_orders_unitary_three():
-    got = _orders(params.derive(-1, 3, 1))
-    assert got[params.KIND_R4] == (5, True)
-    assert got[params.KIND_R3] == (7, True)
-    assert got[params.KIND_TWO_PART] == (8, True)
-    # q = 3 = eps mod 4, but the fourth family needs q > 3 (and indeed no
-    # odd prime divides q^2 - 1 without dividing q - eps here)
-    assert got[params.KIND_R2_TWO_PART] == (None, False)
+    # q = 3 = eps mod 4, but case D needs q > 3 (and indeed no odd prime
+    # divides q^2 - 1 without dividing q - eps here)
+    assert _orders(params.derive(-1, 3, 1)) == (5, 7, 8, None)
 
 
 def test_target_orders_unitary_seven():
-    got = _orders(params.derive(-1, 7, 1))
-    assert got[params.KIND_R2_TWO_PART] == (24, True)  # 3 * 8
+    pr = params.derive(-1, 7, 1)
+    assert params.target_orders(pr, params.CASE_D) == 24  # 3 * 8
 
 
 def test_target_orders_linear_five():
-    got = _orders(params.derive(1, 5, 1))
-    assert got[params.KIND_R4] == (13, True)
-    assert got[params.KIND_R3] == (31, True)
-    assert got[params.KIND_TWO_PART] == (8, True)
-    assert got[params.KIND_R2_TWO_PART] == (12, True)  # 3 * 4
+    assert _orders(params.derive(1, 5, 1)) == (13, 31, 8, 12)  # 12 = 3 * 4
 
 
 def test_sign_helpers():

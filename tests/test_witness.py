@@ -177,6 +177,31 @@ def test_case_moduli_come_from_target_orders(monkeypatch):
     assert sorted(calls) == [(25, 2, 1), (25, 3, 1), (25, 4, 1)]
 
 
+@pytest.mark.parametrize("case, eps, profile, searched", [
+    (witness.CASE_A, 1, (2, 0), [(25, 4, 1)]),
+    (witness.CASE_B, 1, (1, 0), [(25, 3, 1)]),
+    (witness.CASE_C, -1, (2, 1), []),
+    (witness.CASE_D, 1, (2, 1), [(25, 2, 1)]),
+])
+def test_each_case_runs_only_its_own_search(monkeypatch, case, eps, profile,
+                                            searched):
+    # a lone certificate pays for the primitive-divisor search of its own
+    # case's N and no other; case C's N = (q^2 - 1)_2 needs none
+    calls = []
+    real = arith.primitive_prime_divisor
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(arith, "primitive_prime_divisor", counting)
+    params.target_orders.cache_clear()
+    cert = witness.construct(params.derive(eps, 5, 2), profile)
+    assert cert.case == case
+    assert verifier.verify(cert).ok
+    assert calls == searched
+
+
 def test_construct_deterministic():
     pr = params.derive(-1, 5, 2)
     one = witness.construct(pr, (2, 3))
