@@ -10,8 +10,8 @@ factor the same input the same way.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import compress, count
+from typing import NamedTuple
 
 # Inputs above this size are refused rather than risking unbounded work.
 SIZE_LIMIT = 1 << 128
@@ -48,8 +48,7 @@ _MR_TIERS = (
 )
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(NamedTuple):
     prime: int
     exponent: int
 

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 a certificate failed to construct or verify,
 2 usage errors and malformed inputs.
 """
 
-import argparse
 import json
 import re
 import sys
@@ -355,7 +354,10 @@ def cmd_ppd(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> "argparse.ArgumentParser":
+    # Imported here so that importing the library leaves argparse unloaded.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="sl4witness",
         description="Witness-order certificates and exact element-order "

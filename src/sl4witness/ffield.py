@@ -29,8 +29,8 @@ and every CLI command, leaves it unloaded.
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import arith
 
@@ -335,8 +335,7 @@ def element_of_order(field: Field, n: int):
     raise RealizationError(f"no element of order {n} found")  # unreachable
 
 
-@dataclass(frozen=True)
-class Matrix4:
+class Matrix4(NamedTuple):
     field: Field
     rows: tuple
 

@@ -9,8 +9,8 @@ verifier share: the four case tags, which case a profile falls in, and each
 case's witness order N (target_orders).
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import arith
 
@@ -52,8 +52,7 @@ def sign_to_str(eps: int) -> str:
     raise ValueError(f"epsilon must be +1 or -1, got {eps!r}")
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class GroupParams(NamedTuple):
     epsilon: int
     p: int
     m: int

@@ -52,9 +52,9 @@ exponents are embedded by the cofactor q^12 - 1 over their own modulus.
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from . import arith
 from .params import GroupParams, derive_from_q, sign_from_str, sign_to_str
@@ -85,8 +85,7 @@ _PARTITIONS = {
 }
 
 
-@dataclass(frozen=True)
-class OrbitRep:
+class OrbitRep(NamedTuple):
     """Canonical representative of a twist orbit of exact size d."""
 
     d: int

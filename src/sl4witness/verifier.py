@@ -29,8 +29,8 @@ Check labels:
 """
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 from . import arith, params as params_mod, witness
 from .params import (ALL_CASES, CASE_D, GroupParams, check_profile,
@@ -45,8 +45,7 @@ class MalformedCertificate(ValueError):
     """The certificate is structurally unusable; no checks were run."""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     ok: bool
     failures: tuple[tuple[str, str], ...]
     warnings: tuple[tuple[str, str], ...]

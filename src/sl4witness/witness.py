@@ -35,7 +35,7 @@ classification and each case's N come from the case table in params
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import arith, params as params_mod
 from .params import (ALL_CASES, CASE_A, CASE_B, CASE_C, CASE_D, GroupParams,
@@ -46,22 +46,19 @@ class ConstructionError(RuntimeError):
     """A construction path that should be unreachable was hit."""
 
 
-@dataclass(frozen=True)
-class Selection:
+class Selection(NamedTuple):
     """Positions (1-based, ascending) selected for one profile slot."""
 
     factor: int
     positions: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Adjustment:
+class Adjustment(NamedTuple):
     kind: str  # "flip" (k in {1,3} slot) or "swap" (k = 2 slot)
     factor: int
 
 
-@dataclass(frozen=True)
-class CaseDInternals:
+class CaseDInternals(NamedTuple):
     r: int
     t: int
     a: int
@@ -71,8 +68,7 @@ class CaseDInternals:
     adjustments: tuple[Adjustment, ...]
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(NamedTuple):
     params: GroupParams
     profile: tuple[int, ...]
     case: str

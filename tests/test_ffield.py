@@ -491,10 +491,9 @@ def test_realized_matrices_unchanged(key):
 
 
 def test_realize_rejects_tampered_order():
-    import dataclasses
     cert = witness.construct(params.derive(1, 3, 1), (2,))
-    bad = dataclasses.replace(
-        cert, claimed_order=cert.claimed_order * 2,
+    bad = cert._replace(
+        claimed_order=cert.claimed_order * 2,
         target_order=cert.target_order * 2)
     with pytest.raises(RealizationError):
         ffield.realize(bad)
@@ -566,6 +565,22 @@ def test_numpy_loaded_only_by_sampling():
     assert json.loads(proc.stdout) == list(ffield.sample_orders(3, 10))
 
 
+def test_library_import_skips_dataclasses_and_argparse():
+    # the records are NamedTuples and cli imports argparse only to parse a
+    # command line, so the eager package import loads neither
+    proc = _run_fresh("-c", textwrap.dedent("""
+        import sys
+        import sl4witness
+        print(" ".join(sorted(sys.modules)))"""))
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert not {"dataclasses", "inspect", "argparse"} & loaded
+    assert {"json", "sl4witness.arith", "sl4witness.params",
+            "sl4witness.witness", "sl4witness.spectrum",
+            "sl4witness.verifier", "sl4witness.ffield",
+            "sl4witness.cli"} <= loaded
+
+
 def test_verify_with_spectrum_does_not_load_numpy(tmp_path):
     cert = tmp_path / "cert.json"
     assert cli.main(["construct", "--epsilon", "+", "--p", "3", "--m", "2",
@@ -579,6 +594,7 @@ def test_verify_with_spectrum_does_not_load_numpy(tmp_path):
                 if line.startswith("import time:")]
     assert "sl4witness.cli" in imported
     assert "numpy" not in {name.split(".")[0] for name in imported}
+    assert not {"dataclasses", "inspect"} & set(imported)
 
 
 def test_sample_orders_contained_in_exact_tables():

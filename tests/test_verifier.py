@@ -1,6 +1,5 @@
 """Verifier tests: each check must catch the tampering aimed at it."""
 
-import dataclasses
 import itertools
 import random
 import time
@@ -36,7 +35,7 @@ def test_clean_certificates_pass(cert_a, cert_d):
 
 def test_sum_check_catches_shifted_exponent(cert_a):
     exps = (cert_a.exponents[0] + 1,) + cert_a.exponents[1:]
-    bad = dataclasses.replace(cert_a, exponents=exps)
+    bad = cert_a._replace(exponents=exps)
     assert "V1" in failed(bad)
 
 
@@ -45,7 +44,7 @@ def test_orbit_check_catches_non_closed_multiset(cert_a):
     exps = list(cert_a.exponents)
     exps[1] += 1
     exps[2] -= 1
-    bad = dataclasses.replace(cert_a, exponents=tuple(exps))
+    bad = cert_a._replace(exponents=tuple(exps))
     report = verifier.verify(bad)
     assert "V2" in report.failed_checks()
 
@@ -54,15 +53,15 @@ def test_coprimality_check():
     # hand-made certificate whose modulus shares a factor with p
     pr = params.derive(1, 5, 1)
     cert = witness.construct(pr, (0,))
-    bad = dataclasses.replace(
-        cert, theta_order=10, exponents=(1, 5, 4, 0), claimed_order=10,
+    bad = cert._replace(
+        theta_order=10, exponents=(1, 5, 4, 0), claimed_order=10,
         target_order=50, selections=())
     assert "V3" in failed(bad)
 
 
 def test_order_check_catches_wrong_claim(cert_a):
-    bad = dataclasses.replace(
-        cert_a, claimed_order=cert_a.claimed_order + 1,
+    bad = cert_a._replace(
+        claimed_order=cert_a.claimed_order + 1,
         target_order=3 * (cert_a.claimed_order + 1))
     assert "V4" in failed(bad)
 
@@ -72,8 +71,8 @@ def test_primitivity_check():
     # twice an orbit of step 3 mod 6, claimed order 2 only
     pr = params.derive(1, 3, 1)  # unused arithmetic, structural carrier
     base = witness.construct(pr, (0,))
-    bad = dataclasses.replace(
-        base, theta_order=6, exponents=(3, 3, 3, 3), claimed_order=2,
+    bad = base._replace(
+        theta_order=6, exponents=(3, 3, 3, 3), claimed_order=2,
         target_order=6, selections=())
     report = verifier.verify(bad)
     assert "V5" in report.failed_checks()
@@ -101,8 +100,8 @@ def test_primitivity_check_matches_factorization_reference(cert_a):
         cases.append((n, exps, claimed))
     mismatches = fails = 0
     for n, exps, claimed in cases:
-        bad = dataclasses.replace(cert_a, theta_order=n, exponents=exps,
-                                  claimed_order=claimed)
+        bad = cert_a._replace(theta_order=n, exponents=exps,
+                              claimed_order=claimed)
         want = _v5_fails_by_factorization(n, exps, claimed)
         fails += want
         mismatches += ("V5" in failed(bad)) != want
@@ -115,8 +114,8 @@ def test_primitivity_check_on_huge_claimed_order(cert_a):
     # is past SIZE_LIMIT; neither may hang or raise
     semiprime = (2**64 - 59) * (2**64 - 83)
     for claimed in (semiprime, 2**130 + 1):
-        bad = dataclasses.replace(cert_a, claimed_order=claimed,
-                                  target_order=3 * claimed)
+        bad = cert_a._replace(claimed_order=claimed,
+                              target_order=3 * claimed)
         start = time.perf_counter()
         report = verifier.verify(bad)
         assert time.perf_counter() - start < 2.0
@@ -126,7 +125,7 @@ def test_primitivity_check_on_huge_claimed_order(cert_a):
 def test_selection_value_collision_strict_vs_lenient(cert_a):
     # doctor one exponent so the factor-0 selection picks equal values;
     # sums and orbits no longer matter here, only the V6 outcome
-    bad = dataclasses.replace(cert_a, exponents=(1, 9, 1, 32))
+    bad = cert_a._replace(exponents=(1, 9, 1, 32))
     strict = verifier.verify(bad)
     assert "V6" in strict.failed_checks()
     lenient = verifier.verify(bad, strict_values=False)
@@ -135,28 +134,28 @@ def test_selection_value_collision_strict_vs_lenient(cert_a):
 
 
 def test_selection_coverage_mismatch(cert_a):
-    bad = dataclasses.replace(cert_a, selections=(cert_a.selections[0],))
+    bad = cert_a._replace(selections=(cert_a.selections[0],))
     assert "V6" in failed(bad)
 
 
 def test_fixed_point_check_catches_swapped_selection(cert_a):
     # replace the factor-0 pair (1, 3) by (1, 2): values 1 + 9 != 0 mod 41
     sels = (Selection(0, (1, 2)),) + cert_a.selections[1:]
-    bad = dataclasses.replace(cert_a, selections=sels)
+    bad = cert_a._replace(selections=sels)
     assert "V7" in failed(bad)
 
 
 def test_case_tag_mismatch(cert_a):
-    bad = dataclasses.replace(cert_a, case=witness.CASE_B)
+    bad = cert_a._replace(case=witness.CASE_B)
     assert "V8" in failed(bad)
 
 
 def test_case_d_tamper(cert_d):
-    cd = dataclasses.replace(cert_d.case_d, a=cert_d.case_d.a + 2)
-    bad = dataclasses.replace(cert_d, case_d=cd)
+    cd = cert_d.case_d._replace(a=cert_d.case_d.a + 2)
+    bad = cert_d._replace(case_d=cd)
     assert "V8" in failed(bad)
-    cd = dataclasses.replace(cert_d.case_d, r=7)
-    bad = dataclasses.replace(cert_d, case_d=cd)
+    cd = cert_d.case_d._replace(r=7)
+    bad = cert_d._replace(case_d=cd)
     assert ("V8", "case-D odd prime r does not match the parameters") in \
         verifier.verify(bad).failures
 
@@ -169,62 +168,62 @@ def test_spectrum_cross_check(cert_a):
 
 
 def test_malformed_profile_length(cert_a):
-    bad = dataclasses.replace(cert_a, profile=(2,))
+    bad = cert_a._replace(profile=(2,))
     with pytest.raises(MalformedCertificate):
         verifier.verify(bad)
 
 
 def test_malformed_unreduced_exponent(cert_a):
     exps = (cert_a.exponents[0] + cert_a.theta_order,) + cert_a.exponents[1:]
-    bad = dataclasses.replace(cert_a, exponents=exps)
+    bad = cert_a._replace(exponents=exps)
     with pytest.raises(MalformedCertificate):
         verifier.verify(bad)
 
 
 def test_malformed_exponent_count(cert_a):
-    bad = dataclasses.replace(cert_a, exponents=cert_a.exponents[:3])
+    bad = cert_a._replace(exponents=cert_a.exponents[:3])
     with pytest.raises(MalformedCertificate):
         verifier.verify(bad)
 
 
 def test_malformed_positions(cert_a):
     sels = (Selection(0, (3, 1)),) + cert_a.selections[1:]
-    bad = dataclasses.replace(cert_a, selections=sels)
+    bad = cert_a._replace(selections=sels)
     with pytest.raises(MalformedCertificate):
         verifier.verify(bad)
     sels = (Selection(0, (1, 5)),) + cert_a.selections[1:]
-    bad = dataclasses.replace(cert_a, selections=sels)
+    bad = cert_a._replace(selections=sels)
     with pytest.raises(MalformedCertificate):
         verifier.verify(bad)
     sels = (Selection(7, (1, 3)),) + cert_a.selections[1:]
-    bad = dataclasses.replace(cert_a, selections=sels)
+    bad = cert_a._replace(selections=sels)
     with pytest.raises(MalformedCertificate):
         verifier.verify(bad)
 
 
 def test_malformed_case_tag(cert_a):
-    bad = dataclasses.replace(cert_a, case="E_Unknown")
+    bad = cert_a._replace(case="E_Unknown")
     with pytest.raises(MalformedCertificate):
         verifier.verify(bad)
 
 
 def test_malformed_case_d_presence(cert_a, cert_d):
     with pytest.raises(MalformedCertificate):
-        verifier.verify(dataclasses.replace(cert_a, case_d=cert_d.case_d))
+        verifier.verify(cert_a._replace(case_d=cert_d.case_d))
     with pytest.raises(MalformedCertificate):
-        verifier.verify(dataclasses.replace(cert_d, case_d=None))
+        verifier.verify(cert_d._replace(case_d=None))
 
 
 def test_malformed_tiny_orders(cert_a):
     with pytest.raises(MalformedCertificate):
-        verifier.verify(dataclasses.replace(cert_a, theta_order=1))
+        verifier.verify(cert_a._replace(theta_order=1))
     with pytest.raises(MalformedCertificate):
-        verifier.verify(dataclasses.replace(cert_a, claimed_order=0))
+        verifier.verify(cert_a._replace(claimed_order=0))
 
 
 def test_verify_handles_claimed_one_without_crashing(cert_a):
     # degenerate claim must fail checks, not blow up inside factoring
-    bad = dataclasses.replace(cert_a, claimed_order=1, target_order=3)
+    bad = cert_a._replace(claimed_order=1, target_order=3)
     report = verifier.verify(bad)
     assert not report.ok
 
