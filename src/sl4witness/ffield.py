@@ -2,31 +2,39 @@
 cross-checks.
 
 Field elements are little-endian coefficient tuples of polynomials modulo a
-monic irreducible.  Field.mul is the one polynomial multiply: it packs each
-tuple into one integer, one coefficient per 1-, 2-, 4- or 8-byte slot wide
-enough that no slot of the product carries (Kronecker substitution), so a
-product is one big-integer multiplication plus a fold of the degrees >= k
-by the few nonzero terms of the modulus.  Field.pow raises a long exponent
-by Horner's rule over its base-p digits when that takes fewer products than
-square-and-multiply: the Frobenius map a -> a^p is F_p-linear, so it is one
-packed multiply-add over the cached powers x^(pj).  The modulus is found by
-a counter scan, which skips the binomials x^k + c when the binomial
-criterion (Lidl and Niederreiter, Thm 3.75) rules them all out and every
-candidate with a root in F_p (a sieve over each block of p candidates that
-differ only in the constant term); Ben-Or's test checks the rest, with one
-gcd for several of its passes.  Repeated
-runs always pick the same field and the same element tables; nothing here
-is randomized except sample_orders, which takes an explicit seed.  Orders
-of realized elements are found by the prime-divisor test: start from a
-known multiple and divide out each prime while the power stays the
-identity.  Orders of sampled matrices come from the Jordan decomposition:
-the semisimple part's by characteristic polynomial, the unipotent part's
-from the nilpotency index of g^L - I.  numpy is loaded only when sampling
-runs: the sampling helpers import it themselves, so importing the package,
-and every CLI command, leaves it unloaded.
+monic irreducible.  Inside Field they are packed into one integer, one
+coefficient per slot of 8, 16, 32, 64 or 128 bits (Kronecker substitution),
+so a product of polynomials is one big-integer multiplication.  Every slot
+is reduced mod p at once by one multiply, shift, mask and subtract
+(Granlund and Montgomery's division by an invariant integer, done
+slot-wise); the slot is the narrowest in which that multiply cannot carry,
+see Field.  Field._mul is the one polynomial multiply: it folds the degrees
+>= k by polynomial Barrett reduction, whose quotient is the product's high
+half times the precomputed mu = x^(2k-2) div f, so a product takes three
+big-integer products and three slot reductions whatever k is.  Field.pow
+raises a long exponent by Horner's rule over its base-p digits when that
+takes fewer products than square-and-multiply: the Frobenius map a -> a^p
+is F_p-linear, so it is one packed multiply-add over the cached powers
+x^(pj) and one slot reduction.  Values stay packed inside pow and inside
+the modulus search, whose Euclidean gcds cancel a leading term per step
+with one packed multiply-add.  The modulus is found by a counter scan,
+which skips the binomials x^k + c when the binomial criterion (Lidl and
+Niederreiter, Thm 3.75) rules them all out and every candidate with a root
+in F_p (a sieve over each block of p candidates that differ only in the
+constant term); Ben-Or's test checks the rest, with one gcd for several of
+its passes.  Repeated runs always pick the same field and the same element
+tables; nothing here is randomized except sample_orders, which takes an
+explicit seed.  Orders of realized elements are found by the prime-divisor
+test: start from a known multiple and divide out each prime while the power
+stays the identity.  Orders of sampled matrices come from the Jordan
+decomposition: the semisimple part's by characteristic polynomial, the
+unipotent part's from the nilpotency index of g^L - I.  numpy is loaded
+only when sampling runs: the sampling helpers import it themselves, so
+importing the package, and every CLI command, leaves it unloaded.
 """
 
 import math
+import operator
 import sys
 from array import array
 from functools import lru_cache
@@ -37,30 +45,6 @@ from . import arith
 
 class RealizationError(RuntimeError):
     """A certificate could not be realized as an explicit matrix."""
-
-
-# ---------------------------------------------------------------------------
-# polynomial gcd over F_p (little-endian coefficient lists), used only while
-# hunting for an irreducible modulus
-
-def _ptrim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        inv = pow(b[-1], -1, p)
-        r = list(a)
-        for shift in range(len(r) - len(b), -1, -1):
-            c = (r[shift + len(b) - 1] * inv) % p
-            if c:
-                for j, bj in enumerate(b):
-                    r[shift + j] = (r[shift + j] - c * bj) % p
-        a, b = b, _ptrim(r)
-    return a
 
 
 def _is_irreducible(ring):
@@ -77,19 +61,22 @@ def _is_irreducible(ring):
     each, and the later passes share the last: over the 12 fields that the
     crosscheck benchmark realizes in, 148 of the 183 reducible candidates
     tested leave by pass 4 and at most 5 at any later pass, and a last
-    early gcd at pass 3 or 2 instead of 4 made building them slower.
+    early gcd at pass 3 or 2 instead of 4 made building them slower.  It
+    works on packed values throughout (see Field).
     """
-    p, k = ring.p, ring.k
+    p, k, width = ring.p, ring.k, ring._width
     if k == 1:
         return True
-    x = u = ring.element(p)  # index p is the polynomial x
+    u = 1 << width  # the polynomial x
+    minus_x = (p - 1) << width
+    f = ring._pack(ring.modulus)
     batch = None
     for i in range(1, k // 2 + 1):
-        u = ring.pow(u, p)
-        v = ring.sub(u, x)
-        batch = v if batch is None else ring.mul(batch, v)
+        u = ring._pow(u, p)
+        v = ring._red(u + minus_x)
+        batch = v if batch is None else ring._mul(batch, v)
         if 2 <= i <= 4 or i == k // 2:
-            if len(_pgcd(batch, ring.modulus, p)) > 1:
+            if ring._gcd(f, batch) >> width:  # degree >= 1
                 return False
             batch = None
     return True
@@ -112,32 +99,20 @@ _CODES = {array(code).itemsize: code for code in "BHILQ"}
 _SWAP = sys.byteorder != "little"
 
 
-def _slot_code(bound: int) -> str:
-    """Typecode of the narrowest slot of 1, 2, 4 or 8 bytes above bound."""
-    for size in (1, 2, 4, 8):
-        if bound < 1 << (8 * size):
-            return _CODES[size]
-    raise ValueError("field too wide for packed multiplication")
-
-
-def _pack(code: str, coeffs) -> int:
-    """The integer whose little-endian slots hold coeffs."""
-    words = array(code, coeffs)
-    if _SWAP:
-        words.byteswap()
-    return int.from_bytes(words, "little")
-
-
-def _unpack(code: str, value: int, nbytes: int) -> list:
-    """The slots of value, least first; inverse of _pack."""
-    words = array(code, value.to_bytes(nbytes, "little"))
-    if _SWAP:
-        words.byteswap()
-    return words.tolist()
-
-
 class Field:
-    """F_{p^k}; elements are length-k tuples, constant coefficient first."""
+    """F_{p^k}; elements are length-k tuples, constant coefficient first.
+
+    Inside, an element is packed: the integer sum c_i 2^(w i), one
+    coefficient per w-bit slot, and every packed value passed between the
+    methods has each slot below p.  _red reduces every slot mod p at once
+    when each is at most V = k (p - 1)^2 + p, which bounds a product of two
+    reduced values plus one more reduced value, so no slot carries.  The
+    width w is the least of 8, 16, 32, 64 and 128 with V M < 2^w, where s
+    is the bit length of V (p - 1) and M = ceil(2^s / p): then
+    floor(v M / 2^s) = floor(v / p) for every v <= V (Granlund and
+    Montgomery, PLDI 1994) and v M fits its slot, so one multiply, shift
+    and mask give every slot's quotient.
+    """
 
     def __init__(self, p: int, k: int, modulus: tuple):
         self.p = p
@@ -146,14 +121,40 @@ class Field:
         self.order = p**k
         self.zero = (0,) * k
         self.one = tuple(1 if i == 0 else 0 for i in range(k))
-        # modulus is monic, so x^k folds down to minus its lower part
-        self._fold = tuple((j, (-c) % p) for j, c in enumerate(modulus[:k])
-                           if c)
-        # a product slot sums at most k terms below p^2, so it never
-        # carries into the next slot
-        self._code = _slot_code(k * (p - 1) ** 2)
-        self._elem_bytes = k * array(self._code).itemsize
-        self._prod_bytes = (2 * k - 1) * array(self._code).itemsize
+        bound = k * (p - 1) ** 2 + p
+        shift = (bound * (p - 1)).bit_length()
+        magic = -(-(1 << shift) // p)
+        for width in (8, 16, 32, 64, 128):
+            if bound * magic < 1 << width:
+                break
+        else:
+            raise ValueError("field too wide for packed arithmetic")
+        self._width = width
+        self._shift = shift
+        self._magic = magic
+        # the low width - shift bits of each of 2k slots, which hold any
+        # product's quotients
+        self._qmask = ((1 << (width - shift)) - 1) * (
+            ((1 << (2 * k * width)) - 1) // ((1 << width) - 1))
+        # a 16-byte slot is read as two 'Q' words, the high one zero
+        self._code = _CODES[min(width, 64) // 8]
+        self._stride = max(width // 64, 1)
+        self._nbytes = k * width // 8
+        self._low = (1 << (k * width)) - 1
+        self._high = k * width  # shifts a product down to its degrees >= k
+        self._qshift = max(k - 2, 0) * width  # the quotient's slots
+        # x^k = -(f's lower part) mod f
+        self._neg_low = self._pack([(-c) % p for c in modulus[:k]])
+        # mu = x^(2k - 2) div f, for the Barrett quotient: its reversal is
+        # the power series 1 / rev(f) mod x^(k - 1), each of whose terms
+        # takes only f's nonzero coefficients, a few for a counter-scan
+        # modulus
+        terms = [(j, (-c) % p)
+                 for j, c in enumerate(reversed(modulus[1:k]), 1) if c]
+        rev = [1] if k > 1 else []
+        for n in range(1, k - 1):
+            rev.append(sum(c * rev[n - j] for j, c in terms if j <= n) % p)
+        self._mu = self._pack(rev[::-1])
         self._frob = None  # packed x^(pj) for j < k, see _frobenius_rows
 
     def __repr__(self):
@@ -168,22 +169,59 @@ class Field:
         return tuple((x - y) % p for x, y in zip(a, b))
 
     def mul(self, a, b):
-        """Product modulo the modulus: the 2k - 1 slots of the packed
-        operands' integer product, folded below degree k and reduced."""
-        k, p = self.k, self.p
-        prod = _unpack(self._code, _pack(self._code, a) * _pack(self._code, b),
-                       self._prod_bytes)
-        fold = self._fold
-        for deg in range(2 * k - 2, k - 1, -1):
-            c = prod[deg] % p
-            if c:
-                base = deg - k
-                for j, rj in fold:
-                    prod[base + j] += c * rj
-        return tuple(c % p for c in prod[:k])
+        """Product modulo the modulus."""
+        return self._unpack(self._mul(self._pack(a), self._pack(b)))
 
     def pow(self, a, e: int):
-        """a^e.
+        """a^e."""
+        if e < 0:
+            raise ValueError("negative exponents are not supported")
+        return self._unpack(self._pow(self._pack(a), e))
+
+    def element(self, index: int):
+        """The index-th element: base-p digits of index, least digit first."""
+        if not 0 <= index < self.order:
+            raise ValueError("element index out of range")
+        return _digits(index, self.p, self.k)
+
+    def _pack(self, coeffs) -> int:
+        """The integer whose slots hold coeffs, each below 2^64."""
+        if self._stride == 2:
+            coeffs = [word for c in coeffs for word in (c, 0)]
+        words = array(self._code, coeffs)
+        if _SWAP:
+            words.byteswap()
+        return int.from_bytes(words, "little")
+
+    def _unpack(self, value: int) -> tuple:
+        """The k slots of a reduced packed value; inverse of _pack."""
+        words = array(self._code, value.to_bytes(self._nbytes, "little"))
+        if _SWAP:
+            words.byteswap()
+        return tuple(words[::self._stride])
+
+    def _red(self, v: int) -> int:
+        """v with every slot reduced mod p; each slot at most V."""
+        return v - (((v * self._magic) >> self._shift) & self._qmask) * self.p
+
+    def _mul(self, a: int, b: int) -> int:
+        """Packed product modulo the modulus f.
+
+        P = a b, reduced, has 2k - 1 slots.  Its quotient by f is
+        floor(floor(P / x^k) mu / x^(k - 2)) exactly (Barrett, CRYPTO 1986,
+        for polynomials, where no correction step is needed), and its
+        remainder is P - quotient * f, whose degrees >= k cancel: the low k
+        slots of P plus those of quotient * (-f's lower part).  Each of the
+        three products sums at most k slot products below p^2, and the last
+        adds one reduced slot, so every slot stays at most V.
+        """
+        red, low = self._red, self._low
+        prod = red(a * b)
+        quot = red((prod >> self._high) * self._mu) >> self._qshift
+        return red((prod & low) + ((quot * self._neg_low) & low))
+
+    def _pow(self, a: int, e: int) -> int:
+        """Packed a^e.
 
         Square-and-multiply takes bit_length(e) - 1 squarings and
         popcount(e) - 1 products.  For e >= p^2, Horner's rule over the
@@ -191,12 +229,10 @@ class Field:
         and then, per lower digit, one Frobenius step plus one product if
         the digit is nonzero; it runs when that count, with a Frobenius step
         counted as a product, is the smaller.  Raising to p is F_p-linear,
-        a^p = sum a_j x^(pj), so a Frobenius step is one packed multiply-add
-        over the cached rows x^(pj) and no fold; each slot sums k terms
-        below p^2, as in mul.
+        a^p = sum a_j x^(pj), so a Frobenius step is one multiply-add over
+        the cached rows x^(pj) and one _red; each slot sums k terms below
+        p^2, as in a product.
         """
-        if e < 0:
-            raise ValueError("negative exponents are not supported")
         p = self.p
         if e >= p * p:
             digits = []
@@ -208,47 +244,53 @@ class Field:
             if (p - 2 + len(lower) + sum(map(bool, lower))
                     < e.bit_length() - 1 + e.bit_count() - 1):
                 rows = self._frobenius_rows()
-                table = [self.one, a]
+                table = [1, a]
                 for _ in range(p - 2):
-                    table.append(self.mul(table[-1], a))
+                    table.append(self._mul(table[-1], a))
                 result = table[digits[-1]]
                 for d in reversed(lower):
-                    acc = 0
-                    for c, row in zip(result, rows):
-                        if c:
-                            acc += c * row
-                    result = tuple(c % p for c in _unpack(
-                        self._code, acc, self._elem_bytes))
+                    result = self._red(sum(map(
+                        operator.mul, self._unpack(result), rows)))
                     if d:
-                        result = self.mul(result, table[d])
+                        result = self._mul(result, table[d])
                 return result
         result = None
-        base = a
         while e:
             if e & 1:
-                result = base if result is None else self.mul(result, base)
+                result = a if result is None else self._mul(result, a)
             e >>= 1
             if e:
-                base = self.mul(base, base)
-        return self.one if result is None else result
+                a = self._mul(a, a)
+        return 1 if result is None else result
 
     def _frobenius_rows(self):
         """The packed x^(pj) for j < k, computed on first use."""
         if self._frob is None:
-            rows = [self.one]
+            rows = [1]
             if self.k > 1:
-                xp = self.pow(self.element(self.p), self.p)
+                xp = self._pow(1 << self._width, self.p)
                 rows.append(xp)
                 while len(rows) < self.k:
-                    rows.append(self.mul(rows[-1], xp))
-            self._frob = [_pack(self._code, r) for r in rows]
+                    rows.append(self._mul(rows[-1], xp))
+            self._frob = rows
         return self._frob
 
-    def element(self, index: int):
-        """The index-th element: base-p digits of index, least digit first."""
-        if not 0 <= index < self.order:
-            raise ValueError("element index out of range")
-        return _digits(index, self.p, self.k)
+    def _gcd(self, a: int, b: int) -> int:
+        """A gcd, not made monic, of the packed polynomials a and b.
+
+        Each step of Euclid's algorithm cancels the leading term of a by a
+        shifted scalar multiple of b: one multiply-add, whose slots stay
+        below p + (p - 1)^2 <= V, and one _red.
+        """
+        width, p = self._width, self.p
+        while b:
+            top = (b.bit_length() - 1) // width
+            scale = p - pow(b >> (top * width), -1, p)  # -1 / lead(b)
+            while (deg := (a.bit_length() - 1) // width) >= top:
+                c = (a >> (deg * width)) * scale % p
+                a = self._red(a + (c * b << ((deg - top) * width)))
+            a, b = b, a
+        return a
 
 
 @lru_cache(maxsize=None)
@@ -406,20 +448,42 @@ def realize(cert) -> Matrix4:
 # ---------------------------------------------------------------------------
 # randomized cross-check over the prime field
 
+# Laplace expansion along rows 0 and 1: the determinant is the signed sum,
+# over the 6 column pairs, of the 2x2 minor on rows 0, 1 times the
+# complementary minor on rows 2, 3.  _MINOR_ENTRIES holds the entries a, b,
+# c, d of the 12 minors ad - bc, as flat indices 4 * row + column: for each
+# of a, b, c, d, the 6 top minors, then their complements in the same order.
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_MINOR_ENTRIES = [4 * (top + dr) + cols[i]
+                  for dr, i in ((0, 0), (1, 1), (0, 1), (1, 0))
+                  for top, pairs in ((0, _PAIRS), (2, _PAIRS[::-1]))
+                  for cols in pairs]
+_SIGNS = [1, -1, 1, 1, -1, 1]
+
+
+_DET_ROWS = 256
+
+
 def _det4_mod(m, q):
-    """Determinants mod q of a (n, 4, 4) batch of small integers, via
-    complementary 2x2 minors."""
+    """Determinants mod q of a (n, 4, 4) batch of small integers, n >= 1,
+    via complementary 2x2 minors.
 
-    def minor(r0, r1, c0, c1):
-        return (m[:, r0, c0] * m[:, r1, c1] - m[:, r0, c1] * m[:, r1, c0])
+    Each block of _DET_ROWS matrices is copied transposed, so the entries
+    of the minors are gathered as contiguous rows.  The blocks keep the
+    largest copy (48 x 256 entries, 96 KiB) below glibc's 128 KiB mmap
+    threshold; larger copies are mapped fresh on every call, which made
+    1000-matrix sample batches slower.
+    """
+    import numpy as np
 
-    det = (minor(0, 1, 0, 1) * minor(2, 3, 2, 3)
-           - minor(0, 1, 0, 2) * minor(2, 3, 1, 3)
-           + minor(0, 1, 0, 3) * minor(2, 3, 1, 2)
-           + minor(0, 1, 1, 2) * minor(2, 3, 0, 3)
-           - minor(0, 1, 1, 3) * minor(2, 3, 0, 2)
-           + minor(0, 1, 2, 3) * minor(2, 3, 0, 1))
-    return det % q
+    dets = []
+    for start in range(0, len(m), _DET_ROWS):
+        block = m[start:start + _DET_ROWS]
+        entries = block.reshape(len(block), 16).T.copy()[_MINOR_ENTRIES]
+        a, b, c, d = entries.reshape(4, 12, len(block))
+        minors = a * b - c * d
+        dets.append(_SIGNS @ (minors[:6] * minors[6:]) % q)
+    return np.concatenate(dets)
 
 
 def sample_orders(q: int, count: int, seed: int = 0):

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import textwrap
 import time
-from array import array
 
 import numpy as np
 import pytest
@@ -298,36 +297,139 @@ def test_field_axioms_seeded(p, k):
             assert field.pow(x, field.order - 1) == field.one
 
 
+def random_monic(rnd, p, k):
+    """A random monic polynomial of degree k with no zero coefficient."""
+    return (*(rnd.randrange(1, p) for _ in range(k)), 1)
+
+
+def dense_moduli(p, k, rnd):
+    """Dense monic moduli of degree k: two random ones, and the product of
+    two random dense factors, which is reducible."""
+    split = max(k // 3, 1)
+    product = poly_mul(random_monic(rnd, p, split),
+                       random_monic(rnd, p, k - split), p)
+    return [random_monic(rnd, p, k), random_monic(rnd, p, k), product]
+
+
 @pytest.mark.parametrize("p,k", [(3, 12), (3, 36), (5, 36), (7, 24),
-                                 (31, 12), (1621, 12)])
+                                 (31, 12), (1621, 12), (2, 5), (3, 2)])
 def test_packed_mul_matches_schoolbook(p, k):
     # (1621, 12) has the widest slots realize can reach: 1621^12 is the
-    # largest p^12 within SIZE_LIMIT
-    field = ffield.build_field(p, k)
+    # largest p^12 within SIZE_LIMIT.  The counter-scan modulus has at most
+    # 4 nonzero lower terms, so the Barrett quotient mu = x^(2k-2) div f is
+    # sparse too; the dense moduli, reducible ones included, give a dense mu
     rnd = random.Random(100 * p + k)
-    top = (p - 1,) * k  # every slot of top * top sums k terms (p - 1)^2
-    pairs = [(top, top), (top, field.one), (field.zero, top)]
-    pairs += [(field.element(rnd.randrange(field.order)),
-               field.element(rnd.randrange(field.order)))
-              for _ in range(200)]
-    for a, b in pairs:
-        assert field.mul(a, b) == schoolbook_mul(field, a, b)
+    fields = [ffield.build_field(p, k)]
+    fields += [ffield.Field(p, k, f) for f in dense_moduli(p, k, rnd)]
+    for field in fields:
+        top = (p - 1,) * k  # every slot of top * top sums k terms (p - 1)^2
+        pairs = [(top, top), (top, field.one), (field.zero, top)]
+        pairs += [(field.element(rnd.randrange(field.order)),
+                   field.element(rnd.randrange(field.order)))
+                  for _ in range(200)]
+        for a, b in pairs:
+            assert field.mul(a, b) == schoolbook_mul(field, a, b), \
+                field.modulus
 
 
-def test_packed_slots_hold_every_realizable_field():
-    # every field realize can build is F_{p^(12m)} with p^(12m) <= SIZE_LIMIT;
-    # the modulus does not affect the slot width
+@pytest.mark.parametrize("p,k", [(3, 36), (5, 12), (1621, 12)])
+def test_pow_matches_square_and_multiply_on_dense_moduli(p, k):
+    # the Frobenius rows x^(pj) are reduced modulo a dense, possibly
+    # reducible modulus here; p^(k+4) - 1 takes the Frobenius route
+    # except at p = 1621
+    rnd = random.Random(7 * p + k)
+    for modulus in dense_moduli(p, k, rnd):
+        field = ffield.Field(p, k, modulus)
+        for e in (p ** (k + 4) - 1, rnd.randrange(p**k, 3 * p**k)):
+            a = field.element(rnd.randrange(field.order))
+            assert field.pow(a, e) == square_and_multiply(field, a, e)
+
+
+def slot_bound(p, k):
+    """V = k (p - 1)^2 + p, the largest slot value _red must reduce."""
+    return k * (p - 1) ** 2 + p
+
+
+def realizable_fields():
+    """(p, k) of every field realize can build: F_{p^(12m)} within
+    SIZE_LIMIT."""
     primes = [p for p in range(2, 1700)
               if arith.is_prime(p) and p**12 <= arith.SIZE_LIMIT]
     assert primes[-1] == 1621
-    for p in primes:
-        for k in range(12, 12 * 11, 12):
-            if p**k > arith.SIZE_LIMIT:
-                break
-            field = ffield.Field(p, k, (0,) * k + (1,))
-            assert 2 ** (8 * array(field._code).itemsize) > k * (p - 1) ** 2
+    return [(p, k) for p in primes for k in range(12, 12 * 11, 12)
+            if p**k <= arith.SIZE_LIMIT]
+
+
+def test_packed_slots_hold_every_realizable_field():
+    # the slot width is the least w in 8, 16, 32, 64, 128 with V M < 2^w,
+    # where s = bit_length(V (p - 1)) and M = ceil(2^s / p): then every
+    # slot's v M fits its slot and floor(v M / 2^s) = floor(v / p) for
+    # v <= V.  The modulus does not affect the width.
+    cases = realizable_fields() + [(63689, 6), (4294967291, 1)]
+    for p, k in cases:
+        field = ffield.Field(p, k, (0,) * k + (1,))
+        bound = slot_bound(p, k)
+        shift = (bound * (p - 1)).bit_length()
+        magic = -(-(1 << shift) // p)
+        assert (field._shift, field._magic) == (shift, magic), (p, k)
+        width = field._width
+        assert bound * magic < 2**width, (p, k)
+        assert width == 8 or bound * magic >= 2 ** (width // 2), (p, k)
+    assert ffield.Field(4294967291, 1, (0, 1))._width == 128
+    # past 2^32, V M no longer fits 128 bits
     with pytest.raises(ValueError):
         ffield.Field(2**32 + 15, 1, (0, 1))
+
+
+def edge_values(p, bound):
+    """0, p - 1, p, the multiples of p near bound and their neighbours, and
+    bound itself: the slot values where a quotient could first go wrong."""
+    top = bound // p
+    near = {j * p + d for j in range(max(top - 3, 1), top + 1)
+            for d in (-1, 0, 1)}
+    return sorted({0, p - 1, p, bound} | {v for v in near if v <= bound})
+
+
+def test_red_matches_mod_at_slot_edges():
+    # _red sees up to 2k - 1 slots (a product); fill 2k of them with the
+    # edge values in turn, so that each value sits in the lowest and the
+    # highest slot in some round
+    for p, k in realizable_fields() + [(63689, 6), (4294967291, 1)]:
+        field = ffield.Field(p, k, (0,) * k + (1,))
+        width = field._width
+        values = edge_values(p, slot_bound(p, k))
+        for rot in range(len(values)):
+            slots = [values[(rot + i) % len(values)] for i in range(2 * k)]
+            packed = sum(v << (width * i) for i, v in enumerate(slots))
+            got = field._red(packed)
+            assert [(got >> (width * i)) & ((1 << width) - 1)
+                    for i in range(2 * k)] == [v % p for v in slots], (p, k)
+            assert got >> (2 * k * width) == 0
+
+
+@pytest.mark.parametrize("p,k", [(3, 12), (5, 36), (31, 12), (1621, 12)])
+def test_packed_gcd_matches_reference(p, k):
+    # pairs with a planted common factor of each degree, and coprime ones;
+    # _gcd does not make its result monic, so compare up to a scalar
+    rnd = random.Random(11 * p + k)
+    field = ffield.build_field(p, k)
+
+    def monic(c):
+        c = list(c)
+        while c and c[-1] == 0:
+            c.pop()
+        inv = pow(c[-1], -1, p)
+        return [x * inv % p for x in c]
+
+    for d in range(0, k // 2 + 1):
+        common = random_monic(rnd, p, d)
+        a = poly_mul(common, random_monic(rnd, p, k - d), p)
+        b = poly_mul(common, random_monic(rnd, p, k - d - 1), p)
+        got = field._gcd(field._pack(a), field._pack(b))
+        width = field._width
+        slots = [(got >> (width * i)) & ((1 << width) - 1)
+                 for i in range(k + 1)]
+        assert monic(slots) == monic(poly_gcd(a, b, p)), d
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (3, 2), (3, 36), (5, 36),
@@ -526,6 +628,16 @@ def test_det4_matches_laplace():
         got = ffield._det4_mod(mats, q)
         for i in range(50):
             assert got[i] == laplace(mats[i].tolist(), q)
+    # more rows than one block of _DET_ROWS, the last block short, with
+    # entries in (-q, q) as for I - g
+    rows = 2 * ffield._DET_ROWS + 37
+    for q in (3, 5):
+        mats = np.array(
+            [[[rnd.randrange(1 - q, q) for _ in range(4)] for _ in range(4)]
+             for _ in range(rows)], dtype=np.int64)
+        got = ffield._det4_mod(mats, q)
+        assert got.shape == (rows,)
+        assert got.tolist() == [laplace(mat, q) for mat in mats.tolist()]
 
 
 def test_sample_orders_deterministic():
