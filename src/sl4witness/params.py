@@ -106,9 +106,18 @@ def derive_from_q(epsilon: int, q: int) -> GroupParams:
     return derive(epsilon, powers[0].prime, powers[0].exponent)
 
 
+_PROFILE_ENTRIES = frozenset((0, 1, 2, 3))
+
+
 def check_profile(profile: tuple[int, ...], m: int) -> None:
     if len(profile) != m:
         raise ValueError(f"profile length {len(profile)} != m = {m}")
+    try:
+        if _PROFILE_ENTRIES.issuperset(profile):
+            return
+    except TypeError:  # an unhashable entry
+        pass
+    # an entry that equals one of 0..3 but hashes otherwise still passes
     if any(k not in (0, 1, 2, 3) for k in profile):
         raise ValueError("profile entries must lie in {0, 1, 2, 3}")
 
@@ -116,9 +125,10 @@ def check_profile(profile: tuple[int, ...], m: int) -> None:
 def classify_profile(profile: tuple[int, ...], params: GroupParams) -> str:
     """Case tag for this profile; the all-zero profile counts as A_R4."""
     check_profile(profile, params.m)
-    if all(k in (0, 2) for k in profile):
+    # every entry is one of 0..3 now
+    if 1 not in profile and 3 not in profile:
         return CASE_A
-    if all(k != 2 for k in profile):
+    if 2 not in profile:
         return CASE_B
     if params.q % 4 == (-params.epsilon) % 4:
         return CASE_C

@@ -52,6 +52,7 @@ exponents are embedded by the cofactor q^12 - 1 over their own modulus.
 
 import math
 import re
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
@@ -342,10 +343,18 @@ def omega(params: GroupParams, group: str = GROUP_FULL) -> tuple[int, ...]:
 
 def member(orders, x: int) -> bool:
     """Membership in a divisor-closed order set given by its attained
-    orders: x divides some attained order."""
+    orders: x divides some attained order.
+
+    orders must be positive and ascending, as omega and parse_dump give
+    them: a positive multiple of x is at least x, so the scan starts at
+    the first order >= x.
+    """
     if x < 1:
         raise ValueError("order must be positive")
-    return any(o % x == 0 for o in orders)
+    for o in orders[bisect_left(orders, x):]:
+        if o % x == 0:
+            return True
+    return False
 
 
 _DUMP_HEADER = re.compile(r"^# epsilon=([+-]) q=([0-9]+) group=(SL|PSL)$")

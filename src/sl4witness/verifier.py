@@ -1,10 +1,11 @@
 """Independent re-checking of witness certificates.
 
 verify() trusts nothing but the group parameters: every property is
-re-derived with plain integer arithmetic.  Structural damage (wrong sizes,
-out-of-range or unreduced entries) raises MalformedCertificate before any
-check runs; semantic problems are collected per check label so a caller can
-see everything that is wrong at once.
+re-derived with plain integer arithmetic by this module's own helpers,
+which take only the record types from the constructor.  Structural damage
+(wrong sizes, out-of-range or unreduced entries) raises MalformedCertificate
+before any check runs; semantic problems are collected per check label so a
+caller can see everything that is wrong at once.
 
 Check labels:
 
@@ -12,11 +13,15 @@ Check labels:
   V2  exponent multiset is stable under e -> eps*q*e, so the diagonal is
       fixed by the (twisted) field automorphism and lives in the group
   V3  N is coprime to the characteristic (the element is semisimple)
-  V4  the claimed order is exactly lcm(N / gcd(N, e_j))
+  V4  the claimed order is exactly N / gcd(N, e_1, e_2, e_3, e_4): in a
+      cyclic group the lcm of the elements' orders is the order of the
+      subgroup they generate
   V5  no power claimed/ell is scalar, so the image in the projective
       quotient keeps the full claimed order: g^k is scalar exactly when k
-      is a multiple of k_s = lcm over u < v of N / gcd(N, e_u - e_v), so
-      V5 fails when k_s is a proper divisor of the claimed order
+      is a multiple of k_s = N / gcd(N, e_2 - e_1, e_3 - e_1, e_4 - e_1),
+      the lcm of the orders of all e_u - e_v, as those differences are
+      generated by the three taken from e_1; V5 fails when k_s is a proper
+      divisor of the claimed order
   V6  selections cover exactly the active profile slots, with the profile's
       cardinality and, by default, pairwise distinct selected values
   V7  sum_i p^i * (sum of selected exponents) vanishes mod N: the weighted
@@ -32,13 +37,37 @@ import math
 from itertools import combinations, product
 from typing import NamedTuple
 
-from . import arith, params as params_mod, witness
 from .params import (ALL_CASES, CASE_D, GroupParams, check_profile,
-                     classify_profile)
+                     classify_profile, target_orders)
 from .spectrum import member as in_spectrum
 from .witness import Selection, WitnessCertificate
 
 CHECK_LABELS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8")
+
+# The selection shapes the structural check accepts: the 15 nonempty
+# strictly increasing subsets of the positions 1..4.
+_SHAPES = frozenset(shape for k in range(1, 5)
+                    for shape in combinations((1, 2, 3, 4), k))
+
+# The case-D exponents (a, eps*q*a, r*b, -a*(1 + eps*q) - r*b) as integer
+# combinations of (a, eps*q*a, r*b).
+_CASE_D_FORMS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+
+
+def _case_d_shape_table() -> dict:
+    """(sigma, tau) for each shape whose selected case-D exponents sum to
+    sigma * a*(1 + eps*q) + tau * r*b, over the shapes of at most three
+    positions (a profile entry is at most 3)."""
+    table = {}
+    for shape in _SHAPES:
+        if len(shape) <= 3:
+            x, y, z = map(sum, zip(*(_CASE_D_FORMS[j - 1] for j in shape)))
+            if x == y:
+                table[shape] = (x, z)
+    return table
+
+
+_CASE_D_SHAPES = _case_d_shape_table()
 
 
 class MalformedCertificate(ValueError):
@@ -55,6 +84,46 @@ class VerificationReport(NamedTuple):
                      if any(label == l for label, _ in self.failures))
 
 
+def _fixed_point_exponent(p: int, exponents, selections) -> int:
+    """sum over slots of p^i * (sum of selected exponents)."""
+    total = 0
+    for sel in selections:
+        part = 0
+        for j in sel.positions:
+            part += exponents[j - 1]
+        total += p**sel.factor * part
+    return total
+
+
+def _case_d_exponents(a: int, b: int, r: int, t: int, eps: int,
+                      q: int) -> tuple[int, ...]:
+    u, v, w = a, eps * q * a, r * b
+    return tuple((x * u + y * v + z * w) % t for x, y, z in _CASE_D_FORMS)
+
+
+def _case_d_coefficients(pr: GroupParams, selections):
+    """(A, B) with weighted selected exponents a*A + r*b*B, or None when a
+    selection is not a case-D shape."""
+    sigma = tau = 0
+    for sel in selections:
+        coeffs = _CASE_D_SHAPES.get(sel.positions)
+        if coeffs is None:
+            return None
+        weight = pr.p**sel.factor
+        sigma += coeffs[0] * weight
+        tau += coeffs[1] * weight
+    return (1 + pr.epsilon * pr.q) * sigma, tau
+
+
+def _check_positions(positions) -> None:
+    """The shape rules, one by one, for positions not found in _SHAPES."""
+    if not positions or any(j not in (1, 2, 3, 4) for j in positions):
+        raise MalformedCertificate("selection positions must lie in 1..4")
+    if tuple(sorted(set(positions))) != positions:
+        raise MalformedCertificate(
+            "selection positions must be strictly increasing")
+
+
 def _structural_check(cert: WitnessCertificate) -> None:
     pr = cert.params
     if pr.q != pr.p**pr.m:
@@ -68,34 +137,35 @@ def _structural_check(cert: WitnessCertificate) -> None:
     N = cert.theta_order
     if not isinstance(N, int) or N < 2:
         raise MalformedCertificate("theta_order must be an integer >= 2")
-    if len(cert.exponents) != 4:
+    exps = cert.exponents
+    if len(exps) != 4:
         raise MalformedCertificate("exactly four exponents are required")
-    for e in cert.exponents:
-        if not isinstance(e, int) or not 0 <= e < N:
-            raise MalformedCertificate(
-                "exponents must be integers reduced mod theta_order")
+    if not (all(map(isinstance, exps, (int, int, int, int)))
+            and 0 <= min(exps) and max(exps) < N):
+        raise MalformedCertificate(
+            "exponents must be integers reduced mod theta_order")
     if cert.claimed_order < 1 or cert.target_order < 1:
         raise MalformedCertificate("orders must be positive")
     for sel in cert.selections:
         if not 0 <= sel.factor < pr.m:
             raise MalformedCertificate(
                 f"selection factor {sel.factor} out of range")
-        if not sel.positions or any(j not in (1, 2, 3, 4) for j in sel.positions):
-            raise MalformedCertificate("selection positions must lie in 1..4")
-        if tuple(sorted(set(sel.positions))) != sel.positions:
-            raise MalformedCertificate(
-                "selection positions must be strictly increasing")
+        try:
+            known = sel.positions in _SHAPES
+        except TypeError:  # unhashable positions, a list say
+            known = False
+        if not known:
+            _check_positions(sel.positions)
     if (cert.case == CASE_D) != (cert.case_d is not None):
         raise MalformedCertificate(
             "case_d data must be present exactly for case D_QcongEps")
 
 
-def _check_case_d(cert: WitnessCertificate, fail) -> None:
+def _check_case_d(cert: WitnessCertificate, n_ord: int | None, fail) -> None:
+    """The case-D checks; n_ord is the case-D modulus at cert.params."""
     pr = cert.params
-    eps, q = pr.epsilon, pr.q
     cd = cert.case_d
     s2 = pr.two_part_qme
-    n_ord = params_mod.target_orders(pr, CASE_D)  # r * (q - eps)_2
     if n_ord is None or cd.r != n_ord // s2:
         fail("V8", "case-D odd prime r does not match the parameters")
         return
@@ -103,14 +173,15 @@ def _check_case_d(cert: WitnessCertificate, fail) -> None:
     if cd.t != n_ord or cd.t != cert.theta_order:
         fail("V8", f"case-D modulus t = {cd.t} is inconsistent")
         return
-    try:
-        A, B = witness.compute_AB(cert.profile, pr, cert.selections)
-    except ValueError:
+    coeffs = _case_d_coefficients(pr, cert.selections)
+    if coeffs is None:
         fail("V8", "selections do not have case-D shapes")
         return
-    if (cd.coeff_a, cd.coeff_rb) != (A, B):
+    A, B = coeffs
+    if (cd.coeff_a, cd.coeff_rb) != coeffs:
         fail("V8", "case-D coefficients do not reproduce from the selections")
-    if witness.case_d_exponents(cd.a, cd.b, r, cd.t, eps, q) != cert.exponents:
+    if (_case_d_exponents(cd.a, cd.b, r, cd.t, pr.epsilon, pr.q)
+            != cert.exponents):
         fail("V8", "case-D exponents do not reproduce from (a, b)")
     if (cd.a * A + r * cd.b * B) % s2 != 0:
         fail("V8", "case-D congruence a*A + r*b*B != 0 mod (q-eps)_2")
@@ -127,38 +198,38 @@ def verify(cert: WitnessCertificate, *, strict_values: bool = True,
     pr = cert.params
     eps, p, q = pr.epsilon, pr.p, pr.q
     N = cert.theta_order
+    exps = cert.exponents
+    e1, e2, e3, e4 = exps
     failures: list[tuple[str, str]] = []
     warnings: list[tuple[str, str]] = []
 
     def fail(label: str, msg: str) -> None:
         failures.append((label, msg))
 
-    total = sum(cert.exponents)
+    total = e1 + e2 + e3 + e4
     if total % N != 0:
         fail("V1", f"exponent sum {total} is not 0 mod {N}")
 
-    if sorted((eps * q * e) % N for e in cert.exponents) != sorted(cert.exponents):
+    twist = eps * q
+    if (sorted([twist * e1 % N, twist * e2 % N, twist * e3 % N,
+                twist * e4 % N]) != sorted(exps)):
         fail("V2", "exponent multiset is not stable under e -> eps*q*e")
 
     if math.gcd(N, p) != 1:
         fail("V3", f"theta order {N} shares a factor with p = {p}")
 
-    order = 1
-    for e in cert.exponents:
-        order = math.lcm(order, N // math.gcd(N, e))
+    order = N // math.gcd(N, e1, e2, e3, e4)
     if order != cert.claimed_order:
         fail("V4", f"element order is {order}, certificate claims "
                    f"{cert.claimed_order}")
 
-    k_s = 1
-    for u, v in combinations(cert.exponents, 2):
-        k_s = math.lcm(k_s, arith.order_in_cyclic(N, u - v))
+    k_s = N // math.gcd(N, e2 - e1, e3 - e1, e4 - e1)
     if cert.claimed_order % k_s == 0 and cert.claimed_order != k_s:
         fail("V5", f"g^{k_s} is scalar and {k_s} properly divides the "
                    "claimed order, so the projective order is smaller")
 
-    active = tuple(i for i, k in enumerate(cert.profile) if k > 0)
-    if tuple(s.factor for s in cert.selections) != active:
+    active = [i for i, k in enumerate(cert.profile) if k > 0]
+    if [s.factor for s in cert.selections] != active:
         fail("V6", "selections do not cover exactly the active profile slots")
     else:
         for sel in cert.selections:
@@ -166,24 +237,26 @@ def verify(cert: WitnessCertificate, *, strict_values: bool = True,
             if len(sel.positions) != want:
                 fail("V6", f"slot {sel.factor} selects {len(sel.positions)} "
                            f"positions, profile wants {want}")
-        for sel in cert.selections:
-            vals = [cert.exponents[j - 1] for j in sel.positions]
-            if len(set(vals)) != len(vals):
-                msg = (f"slot {sel.factor} selects coinciding "
-                       "characteristic values")
-                if strict_values:
-                    fail("V6", msg)
-                else:
-                    warnings.append(("V6", msg))
+        # distinct positions pick distinct values unless exponents coincide
+        if len({e1, e2, e3, e4}) < 4:
+            for sel in cert.selections:
+                vals = [exps[j - 1] for j in sel.positions]
+                if len(set(vals)) != len(vals):
+                    msg = (f"slot {sel.factor} selects coinciding "
+                           "characteristic values")
+                    if strict_values:
+                        fail("V6", msg)
+                    else:
+                        warnings.append(("V6", msg))
 
-    if witness.fixed_point_exponent(p, cert.exponents, cert.selections) % N != 0:
+    if _fixed_point_exponent(p, exps, cert.selections) % N != 0:
         fail("V7", "weighted fixed-point exponent does not vanish mod N")
 
     expected_case = classify_profile(cert.profile, pr)
     if expected_case != cert.case:
         fail("V8", f"profile classifies as {expected_case}, certificate "
                    f"says {cert.case}")
-    n_ord = params_mod.target_orders(pr, cert.case)
+    n_ord = target_orders(pr, cert.case)
     if n_ord is None:
         fail("V8", f"case {cert.case} does not apply at q = {q}")
     else:
@@ -196,7 +269,7 @@ def verify(cert: WitnessCertificate, *, strict_values: bool = True,
     if cert.target_order != p * cert.claimed_order:
         fail("V8", "target order is not p * claimed order")
     if cert.case_d is not None:
-        _check_case_d(cert, fail)
+        _check_case_d(cert, n_ord, fail)
     if psl_orders is not None:
         if not in_spectrum(psl_orders, cert.claimed_order):
             fail("V8", f"claimed order {cert.claimed_order} is not an order "
@@ -236,6 +309,6 @@ def brute_force_selections(params: GroupParams, profile, exponents,
         pools.append(pool)
     results = []
     for combo in product(*pools):
-        if witness.fixed_point_exponent(params.p, exponents, combo) % N == 0:
+        if _fixed_point_exponent(params.p, exponents, combo) % N == 0:
             results.append(tuple(combo))
     return results

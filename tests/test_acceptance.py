@@ -334,3 +334,23 @@ def test_10_full_range_torus_exponents(report):
             "%d groups x %d types, %d mismatches, %.1fs, budget %.0fs"
             % (groups, len(spectrum._TYPES), len(mismatches), elapsed,
                budget))
+
+
+def test_11_all_profiles_at_q_3_8(report):
+    """All 4^8 profiles of SL4(3^8) construct and pass verify against the
+    exact projective spectrum, so each claimed order is an order of
+    PSL4(3^8) and p times it is not."""
+    budget = 30.0
+    start = time.perf_counter()
+    pr = params.derive(1, 3, 8)
+    psl = spectrum.omega(pr, group="PSL")
+    count = failures = 0
+    for profile in itertools.product((0, 1, 2, 3), repeat=8):
+        cert = witness.construct(pr, profile)
+        count += 1
+        failures += not verifier.verify(cert, psl_orders=psl).ok
+    elapsed = time.perf_counter() - start
+    ok = count == 4**8 and failures == 0 and elapsed < budget
+    report(11, "all-profiles-q-3-8", ok,
+            "%d certificates, %d failures, %.1fs, budget %.0fs"
+            % (count, failures, elapsed, budget))

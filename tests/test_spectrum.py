@@ -13,6 +13,7 @@ import hashlib
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl4witness import arith, params, spectrum, verifier
 
@@ -95,6 +96,18 @@ def test_member():
     assert not spectrum.member(table, 39)
     assert not spectrum.member(table, 40)
     assert spectrum.member(OMEGA_PSU4_3, 7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 10**6), max_size=40),
+       st.integers(1, 60) | st.integers(1, 2 * 10**6))
+def test_member_matches_full_scan(raw, x):
+    # the scan from the first order >= x finds what a scan of all finds
+    orders = tuple(sorted(set(raw)))
+    want = any(o % x == 0 for o in orders)
+    assert spectrum.member(orders, x) == want
+    for o in orders[:3]:
+        assert spectrum.member(orders, o)
 
 
 def test_q_cap_enforced():
