@@ -7,9 +7,17 @@ projective group; an independent verifier re-checks every claim, an exact
 spectrum oracle confirms the order-theoretic facts for every supported q,
 and explicit matrix realization plus random sampling cross-check the whole
 pipeline.
+
+Importing the package loads what construct, verify and sweep run: arith,
+params, witness, verifier and cli.  The spectrum oracle and the explicit
+field layer load on first use of one of their names, or of the
+submodules sl4witness.spectrum and sl4witness.ffield (PEP 562), so a
+process that never asks for them never compiles them.
 """
 
-from .arith import (PrimePower, SIZE_LIMIT, factorize, is_prime,
+import importlib
+
+from .arith import (PrimePower, SIZE_LIMIT, factorize, is_prime, member,
                     order_in_cyclic, prime_divisors,
                     primitive_prime_divisor, two_part)
 from .params import (CASE_A, CASE_B, CASE_C, CASE_D, GroupParams, Q_CAP,
@@ -19,14 +27,19 @@ from .witness import (Adjustment, CaseDInternals, ConstructionError,
                       Selection, WitnessCertificate, construct)
 from .verifier import (MalformedCertificate, VerificationReport,
                        brute_force_selections, verify)
-from .spectrum import (SPECTRUM_Q_CAP, OrbitRep, enumerate_orbits,
-                       format_dump, member, omega, parse_dump)
-from .ffield import (Field, Matrix4, RealizationError, build_field,
-                     element_of_order, realize, sample_orders)
 from .cli import (canonical_json, certificate_from_document,
                   certificate_to_document, main)
 
 __version__ = "0.1.0"
+
+# Names resolved on first access, by the submodule that defines them.
+_LAZY_MODULES = {
+    "spectrum": ("SPECTRUM_Q_CAP", "OrbitRep", "enumerate_orbits",
+                 "format_dump", "omega", "parse_dump"),
+    "ffield": ("Field", "Matrix4", "RealizationError", "build_field",
+               "element_of_order", "realize", "sample_orders"),
+}
+_LAZY = {name: mod for mod, names in _LAZY_MODULES.items() for name in names}
 
 __all__ = [
     "Adjustment", "CASE_A", "CASE_B", "CASE_C", "CASE_D", "CaseDInternals",
@@ -43,3 +56,17 @@ __all__ = [
     "prime_divisors", "primitive_prime_divisor", "realize", "sample_orders",
     "sign_from_str", "sign_to_str", "target_orders", "two_part", "verify",
 ]
+
+
+def __getattr__(name):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY_MODULES, *_LAZY})

@@ -5,11 +5,12 @@ lookup below 2^10, one gcd with the product of those primes below 2^20,
 Miller-Rabin with proven bases above), certified factorization (the
 primes below 2^10 found by one gcd, then Brent's rho on a fixed parameter
 schedule and work budget), primitive prime divisors of a^n - (eps*1)^n,
-and element orders in cyclic groups.  No randomness, so repeated runs
-factor the same input the same way.
+element orders in cyclic groups, and membership in a divisor-closed order
+set.  No randomness, so repeated runs factor the same input the same way.
 """
 
 import math
+from bisect import bisect_left
 from itertools import compress, count
 from typing import NamedTuple
 
@@ -243,6 +244,22 @@ def order_in_cyclic(modulus: int, e: int) -> int:
     if modulus < 1:
         raise ValueError("modulus must be positive")
     return modulus // math.gcd(modulus, e % modulus)
+
+
+def member(orders, x: int) -> bool:
+    """Membership in a divisor-closed order set given by its attained
+    orders: x divides some attained order.
+
+    orders must be positive and ascending, as omega and parse_dump give
+    them: a positive multiple of x is at least x, so the scan starts at
+    the first order >= x.
+    """
+    if x < 1:
+        raise ValueError("order must be positive")
+    for o in orders[bisect_left(orders, x):]:
+        if o % x == 0:
+            return True
+    return False
 
 
 def inverse_mod_2pow(x: int, s: int) -> int:

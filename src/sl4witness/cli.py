@@ -17,7 +17,7 @@ import re
 import sys
 from itertools import product
 
-from . import arith, spectrum as spectrum_mod, verifier, witness
+from . import arith, verifier, witness
 from .params import (ALL_CASES, Q_CAP, derive, derive_from_q, sign_from_str,
                      sign_to_str)
 from .witness import (Adjustment, CaseDInternals, Selection,
@@ -259,11 +259,15 @@ def cmd_construct(args) -> int:
 
 
 def _load_psl_orders(source: str, cert: WitnessCertificate):
+    # Imported here, as in cmd_spectrum, so that construct, verify without
+    # a spectrum and sweep leave the spectrum module unloaded.
+    from .spectrum import GROUP_PROJECTIVE, omega, parse_dump
+
     if source == "compute":
-        return spectrum_mod.omega(cert.params, spectrum_mod.GROUP_PROJECTIVE)
+        return omega(cert.params, GROUP_PROJECTIVE)
     with open(source, "r", encoding="utf-8") as fh:
-        dump_params, group, orders = spectrum_mod.parse_dump(fh.read())
-    if (group != spectrum_mod.GROUP_PROJECTIVE
+        dump_params, group, orders = parse_dump(fh.read())
+    if (group != GROUP_PROJECTIVE
             or dump_params.epsilon != cert.params.epsilon
             or dump_params.q != cert.params.q):
         raise DocumentError(
@@ -342,8 +346,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .spectrum import format_dump
+
     params = derive_from_q(sign_from_str(args.epsilon), args.q)
-    _write_text(args.out, spectrum_mod.format_dump(params, args.group))
+    _write_text(args.out, format_dump(params, args.group))
     return 0
 
 

@@ -24,13 +24,15 @@ in F_p (a sieve over each block of p candidates that differ only in the
 constant term); Ben-Or's test checks the rest, with one gcd for several of
 its passes.  Repeated runs always pick the same field and the same element
 tables; nothing here is randomized except sample_orders, which takes an
-explicit seed.  Orders of realized elements are found by the prime-divisor
-test: start from a known multiple and divide out each prime while the power
-stays the identity.  Orders of sampled matrices come from the Jordan
-decomposition: the semisimple part's by characteristic polynomial, the
-unipotent part's from the nilpotency index of g^L - I.  numpy is loaded
-only when sampling runs: the sampling helpers import it themselves, so
-importing the package, and every CLI command, leaves it unloaded.
+explicit seed.  Orders are found by one method, the prime-divisor test:
+start from a known multiple and divide out each prime while the power
+stays the identity; for realized elements directly, and for sampled
+matrices in the table of semisimple orders by characteristic polynomial.
+A sampled matrix's order is that semisimple order times its unipotent
+part's, which the nilpotency index of g^L - I gives (Jordan
+decomposition).  No CLI command uses this module, and the package loads
+it only on first use of one of its names; numpy is loaded only when
+sampling runs, as the sampling helpers import it themselves.
 """
 
 import math
@@ -595,8 +597,11 @@ def _charpoly_table(q: int):
     1, x, x^2, x^3, so x^L mod chi is the first column of C^L.  The
     semisimple part of C has the order and projective order of H = C^(q^e),
     which kills C's unipotent part (q^e >= 4, the largest block size) and
-    keeps both orders, as they are prime to q; a stepwise walk over the
-    powers of H finds them.
+    keeps both orders, as they are prime to q.  Both divide L, so the
+    prime-divisor test finds them, one prime at a time: for each l^a
+    exactly dividing L, the l-part of H's order is the least l^j for which
+    (H^(L / l^a))^(l^j) is I, and of its projective order the least for
+    which that power is scalar.
     """
     import numpy as np
 
@@ -609,18 +614,19 @@ def _charpoly_table(q: int):
                               -(c // q) % q, c % q], axis=1)
     big = math.lcm(*(q**d - 1 for d in range(1, 5)))
     residues = _matrix_pow(comp, big, q)[:, :, 0]
-    step = _matrix_pow(comp, q ** (2 if q == 3 else 1), q)
-    semis, proj_semis = np.zeros((2, size), dtype=np.int64)
+    kill = q ** (2 if q == 3 else 1)
+    semis, proj_semis = np.ones((2, size), dtype=np.int64)
     off_diagonal = ~np.eye(4, dtype=bool)
-    power, k = step, 1
-    while not semis.all():
-        diag = np.einsum("nii->ni", power)
-        scalar = (~power[:, off_diagonal].any(axis=1)
-                  & (diag == diag[:, :1]).all(axis=1))
-        proj_semis[scalar & (proj_semis == 0)] = k
-        semis[scalar & (diag[:, 0] == 1) & (semis == 0)] = k
-        power = power @ step % q
-        k += 1
+    for ell, a in arith.factorize(big):
+        power = _matrix_pow(comp, kill * (big // ell**a), q)
+        for j in range(a):
+            diag = np.einsum("nii->ni", power)
+            scalar = (~power[:, off_diagonal].any(axis=1)
+                      & (diag == diag[:, :1]).all(axis=1))
+            semis[~scalar | (diag[:, 0] != 1)] *= ell
+            proj_semis[~scalar] *= ell
+            if j + 1 < a:
+                power = _matrix_pow(power, ell, q)
     return semis, proj_semis, residues
 
 

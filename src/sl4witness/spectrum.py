@@ -52,12 +52,12 @@ exponents are embedded by the cofactor q^12 - 1 over their own modulus.
 
 import math
 import re
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
 from . import arith
+from .arith import member  # re-exported: the one membership test
 from .params import GroupParams, derive_from_q, sign_from_str, sign_to_str
 
 # Bounds only the reference enumeration, whose O(q^4) orbit walk takes
@@ -339,22 +339,6 @@ def omega(params: GroupParams, group: str = GROUP_FULL) -> tuple[int, ...]:
     if group == GROUP_PROJECTIVE:
         return proj
     raise ValueError(f"unknown group flavor {group!r}")
-
-
-def member(orders, x: int) -> bool:
-    """Membership in a divisor-closed order set given by its attained
-    orders: x divides some attained order.
-
-    orders must be positive and ascending, as omega and parse_dump give
-    them: a positive multiple of x is at least x, so the scan starts at
-    the first order >= x.
-    """
-    if x < 1:
-        raise ValueError("order must be positive")
-    for o in orders[bisect_left(orders, x):]:
-        if o % x == 0:
-            return True
-    return False
 
 
 _DUMP_HEADER = re.compile(r"^# epsilon=([+-]) q=([0-9]+) group=(SL|PSL)$")

@@ -37,9 +37,9 @@ import math
 from itertools import combinations, product
 from typing import NamedTuple
 
+from .arith import member as in_spectrum
 from .params import (ALL_CASES, CASE_D, GroupParams, check_profile,
                      classify_profile, target_orders)
-from .spectrum import member as in_spectrum
 from .witness import Selection, WitnessCertificate
 
 CHECK_LABELS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8")

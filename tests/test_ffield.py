@@ -679,7 +679,9 @@ def test_numpy_loaded_only_by_sampling():
 
 def test_library_import_skips_dataclasses_and_argparse():
     # the records are NamedTuples and cli imports argparse only to parse a
-    # command line, so the eager package import loads neither
+    # command line, so the package import loads neither; it loads what
+    # construct, verify and sweep run, and leaves the spectrum oracle and
+    # this module to their first use
     proc = _run_fresh("-c", textwrap.dedent("""
         import sys
         import sl4witness
@@ -687,9 +689,9 @@ def test_library_import_skips_dataclasses_and_argparse():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert not {"dataclasses", "inspect", "argparse"} & loaded
+    assert not {"sl4witness.spectrum", "sl4witness.ffield"} & loaded
     assert {"json", "sl4witness.arith", "sl4witness.params",
-            "sl4witness.witness", "sl4witness.spectrum",
-            "sl4witness.verifier", "sl4witness.ffield",
+            "sl4witness.witness", "sl4witness.verifier",
             "sl4witness.cli"} <= loaded
 
 
@@ -725,6 +727,40 @@ def test_sample_orders_contained_in_exact_tables():
             assert f % pj == 0
             quot = f // pj
             assert quot & (quot - 1) == 0
+
+
+def stepwise_charpoly_orders(q):
+    """Reference for _charpoly_table's orders: walk the powers H^k of
+    H = C^(q^e) for every companion matrix C in the table's layout, and
+    take the first k at which H^k is I and the first at which it is
+    scalar."""
+    size = q**3
+    c = np.arange(size)
+    comp = np.zeros((size, 4, 4), dtype=np.int64)
+    comp[:, [1, 2, 3], [0, 1, 2]] = 1
+    comp[:, :, 3] = np.stack([np.full(size, q - 1), c // q**2,
+                              -(c // q) % q, c % q], axis=1)
+    step = ffield._matrix_pow(comp, q ** (2 if q == 3 else 1), q)
+    semis, proj_semis = np.zeros((2, size), dtype=np.int64)
+    off_diagonal = ~np.eye(4, dtype=bool)
+    power, k = step, 1
+    while not semis.all():
+        diag = np.einsum("nii->ni", power)
+        scalar = (~power[:, off_diagonal].any(axis=1)
+                  & (diag == diag[:, :1]).all(axis=1))
+        proj_semis[scalar & (proj_semis == 0)] = k
+        semis[scalar & (diag[:, 0] == 1) & (semis == 0)] = k
+        power = power @ step % q
+        k += 1
+    return semis, proj_semis
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_charpoly_table_matches_stepwise_walk(q):
+    semis, proj_semis, _ = ffield._charpoly_table(q)
+    want_semis, want_proj = stepwise_charpoly_orders(q)
+    assert semis.tolist() == want_semis.tolist()
+    assert proj_semis.tolist() == want_proj.tolist()
 
 
 @pytest.mark.parametrize("q", [3, 5])
