@@ -18,15 +18,13 @@ process that never asks for them never compiles them.
 import importlib
 
 from .arith import (PrimePower, SIZE_LIMIT, factorize, is_prime, member,
-                    order_in_cyclic, prime_divisors,
-                    primitive_prime_divisor, two_part)
+                    prime_divisors, primitive_prime_divisor, two_part)
 from .params import (CASE_A, CASE_B, CASE_C, CASE_D, GroupParams, Q_CAP,
                      classify_profile, derive, derive_from_q, sign_from_str,
                      sign_to_str, target_orders)
 from .witness import (Adjustment, CaseDInternals, ConstructionError,
                       Selection, WitnessCertificate, construct)
-from .verifier import (MalformedCertificate, VerificationReport,
-                       brute_force_selections, verify)
+from .verifier import MalformedCertificate, VerificationReport, verify
 from .cli import (canonical_json, certificate_from_document,
                   certificate_to_document, main)
 
@@ -34,8 +32,8 @@ __version__ = "0.1.0"
 
 # Names resolved on first access, by the submodule that defines them.
 _LAZY_MODULES = {
-    "spectrum": ("SPECTRUM_Q_CAP", "OrbitRep", "enumerate_orbits",
-                 "format_dump", "omega", "parse_dump"),
+    "spectrum": ("OrbitRep", "enumerate_orbits", "format_dump", "omega",
+                 "parse_dump"),
     "ffield": ("Field", "Matrix4", "RealizationError", "build_field",
                "element_of_order", "realize", "sample_orders"),
 }
@@ -45,14 +43,14 @@ __all__ = [
     "Adjustment", "CASE_A", "CASE_B", "CASE_C", "CASE_D", "CaseDInternals",
     "ConstructionError", "Field", "GroupParams",
     "MalformedCertificate", "Matrix4", "OrbitRep", "PrimePower", "Q_CAP",
-    "RealizationError", "SIZE_LIMIT", "SPECTRUM_Q_CAP", "Selection",
+    "RealizationError", "SIZE_LIMIT", "Selection",
     "VerificationReport", "WitnessCertificate",
-    "brute_force_selections", "canonical_json", "certificate_from_document",
+    "canonical_json", "certificate_from_document",
     "certificate_to_document", "classify_profile",
     "construct", "derive", "derive_from_q", "element_of_order",
     "enumerate_orbits", "factorize", "format_dump", "build_field",
     "is_prime", "main", "member", "omega",
-    "order_in_cyclic", "parse_dump",
+    "parse_dump",
     "prime_divisors", "primitive_prime_divisor", "realize", "sample_orders",
     "sign_from_str", "sign_to_str", "target_orders", "two_part", "verify",
 ]

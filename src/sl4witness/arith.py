@@ -5,8 +5,8 @@ lookup below 2^10, one gcd with the product of those primes below 2^20,
 Miller-Rabin with proven bases above), certified factorization (the
 primes below 2^10 found by one gcd, then Brent's rho on a fixed parameter
 schedule and work budget), primitive prime divisors of a^n - (eps*1)^n,
-element orders in cyclic groups, and membership in a divisor-closed order
-set.  No randomness, so repeated runs factor the same input the same way.
+and membership in a divisor-closed order set.  No randomness, so repeated
+runs factor the same input the same way.
 """
 
 import math
@@ -238,14 +238,6 @@ def primitive_prime_divisor(a: int, n: int, eps: int) -> int | None:
     return min(_prime_exponents(target))
 
 
-def order_in_cyclic(modulus: int, e: int) -> int:
-    """Multiplicative order of g^e where g generates a cyclic group of the
-    given order; equals modulus // gcd(modulus, e)."""
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    return modulus // math.gcd(modulus, e % modulus)
-
-
 def member(orders, x: int) -> bool:
     """Membership in a divisor-closed order set given by its attained
     orders: x divides some attained order.
@@ -260,12 +252,3 @@ def member(orders, x: int) -> bool:
         if o % x == 0:
             return True
     return False
-
-
-def inverse_mod_2pow(x: int, s: int) -> int:
-    """Inverse of odd x modulo 2**s."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if x % 2 == 0:
-        raise ValueError("x must be odd")
-    return pow(x, -1, 1 << s)

@@ -166,10 +166,6 @@ class Field:
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
     def mul(self, a, b):
         """Product modulo the modulus."""
         return self._unpack(self._mul(self._pack(a), self._pack(b)))
@@ -400,11 +396,6 @@ class Matrix4(NamedTuple):
                 row.append(acc)
             out.append(tuple(row))
         return Matrix4(F, tuple(out))
-
-    def is_identity(self) -> bool:
-        F = self.field
-        return all(self.rows[i][j] == (F.one if i == j else F.zero)
-                   for i in range(4) for j in range(4))
 
 
 def diagonal(field: Field, entries) -> Matrix4:

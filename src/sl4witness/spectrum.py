@@ -40,14 +40,6 @@ center, of order gcd(4, c); the comment at _TWO_DROPS argues delta per type.  te
 every q <= Q_CAP, and must run again if Q_CAP is raised.  The cost does not
 depend on q apart from factoring q - eps, q + eps, q^2 + eps*q + 1 and
 q^2 + 1: both tables at q = 65521 take ~1.8 ms in a fresh process (2 vCPUs).
-
-The brute-force enumeration is kept as the reference the closed form is
-tested against: _enumerated_omega_sets() walks every determinant-one orbit
-assignment and every Jordan partition of its multiplicities, so it checks
-the largest-block shortcut too.  It is O(q^4) and capped at SPECTRUM_Q_CAP.
-Its exponent arithmetic happens inside one cyclic group of order q^12 - 1,
-which contains every q^d - (eps)^d for d <= 4 as a divisor; degree-d
-exponents are embedded by the cofactor q^12 - 1 over their own modulus.
 """
 
 import math
@@ -57,13 +49,7 @@ from itertools import product
 from typing import NamedTuple
 
 from . import arith
-from .arith import member  # re-exported: the one membership test
 from .params import GroupParams, derive_from_q, sign_from_str, sign_to_str
-
-# Bounds only the reference enumeration, whose O(q^4) orbit walk takes
-# about 2 s per group at q = 27; omega() itself accepts every q that
-# derive() does.
-SPECTRUM_Q_CAP = 27
 
 GROUP_FULL = "SL"
 GROUP_PROJECTIVE = "PSL"
@@ -94,10 +80,6 @@ class OrbitRep(NamedTuple):
     embedded: int  # same value as an exponent mod q^12 - 1
 
 
-def _big_order(params: GroupParams) -> int:
-    return params.q**12 - 1
-
-
 @lru_cache(maxsize=None)
 def enumerate_orbits(params: GroupParams, d: int) -> tuple[OrbitRep, ...]:
     """All orbits of e -> eps*q*e mod q^d - eps^d having exact size d.
@@ -110,7 +92,7 @@ def enumerate_orbits(params: GroupParams, d: int) -> tuple[OrbitRep, ...]:
     eps, q = params.epsilon, params.q
     modulus = q**d - eps**d
     mult = (eps * q) % modulus
-    cofactor = _big_order(params) // modulus
+    cofactor = (q**12 - 1) // modulus
     seen = bytearray(modulus)
     reps = []
     for x in range(modulus):
@@ -128,108 +110,12 @@ def enumerate_orbits(params: GroupParams, d: int) -> tuple[OrbitRep, ...]:
     return tuple(reps)
 
 
-def _geom_sum(params: GroupParams, d: int) -> int:
-    """1 + (eps*q) + ... + (eps*q)^(d-1), reduced mod q^12 - 1."""
-    eps, q = params.epsilon, params.q
-    return sum((eps * q)**j for j in range(d)) % _big_order(params)
-
-
-def _block_choices(orbits, total):
-    """Multisets of distinct orbits with multiplicities summing to total."""
-    out = []
-    acc = []
-
-    def rec(start, remaining):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for i in range(start, len(orbits)):
-            for mu in range(1, remaining + 1):
-                acc.append((orbits[i], mu))
-                rec(i + 1, remaining - mu)
-                acc.pop()
-
-    rec(0, total)
-    return out
-
-
-def _semisimple_data(params: GroupParams):
-    """Determinant-one orbit assignments, in a fixed deterministic order."""
-    big = _big_order(params)
-    per_d = {d: enumerate_orbits(params, d) for d in (1, 2, 3, 4)}
-    geom = {d: _geom_sum(params, d) for d in (1, 2, 3, 4)}
-    for split in _DIM_SPLITS:
-        pools = [_block_choices(per_d[d], n)
-                 for d, n in zip((1, 2, 3, 4), split) if n]
-        for combo in product(*pools):
-            blocks = tuple(b for group in combo for b in group)
-            det = sum(mu * orb.embedded * geom[orb.d]
-                      for orb, mu in blocks) % big
-            if det == 0:
-                yield blocks
-
-
 def _p_part(p: int, b: int) -> int:
     """Smallest power of p that is >= b: the order of a size-b Jordan block."""
     v = 1
     while v < b:
         v *= p
     return v
-
-
-def _eigen_exponents(params: GroupParams, embedded) -> list[int]:
-    """Exponents mod q^12 - 1 of all eigenvalues: each (d, x) pair
-    contributes the twist orbit x, eps*q*x, ..., of length d."""
-    big = _big_order(params)
-    step = (params.epsilon * params.q) % big
-    xs = []
-    for d, x in embedded:
-        for _ in range(d):
-            xs.append(x)
-            x = (x * step) % big
-    return xs
-
-
-def _scalar_order(params: GroupParams, xs) -> int:
-    """Least k > 0 making the diagonal with eigenvalue exponents xs a
-    scalar of order dividing q - eps: its order modulo scalars."""
-    big = _big_order(params)
-    quot = big // (params.q - params.epsilon)
-    k_pairs = 1
-    for u in range(len(xs)):
-        for v in range(u + 1, len(xs)):
-            diff = (xs[u] - xs[v]) % big
-            k_pairs = math.lcm(k_pairs, big // math.gcd(big, diff))
-    return k_pairs * (quot // math.gcd(quot, (xs[0] * k_pairs) % quot))
-
-
-def _orders_for_blocks(params: GroupParams, blocks) -> tuple[int, int]:
-    """(semisimple order, least k making the semisimple part scalar)."""
-    big = _big_order(params)
-    ss_order = 1
-    for orb, _mu in blocks:
-        ss_order = math.lcm(ss_order, big // math.gcd(big, orb.embedded))
-    xs = _eigen_exponents(params, [(orb.d, orb.embedded) for orb, _ in blocks])
-    return ss_order, _scalar_order(params, xs)
-
-
-def _enumerated_omega_sets(params: GroupParams):
-    """Reference for _omega_sets: every determinant-one orbit assignment
-    with exact orbit sizes and every Jordan partition of each multiplicity,
-    walked one by one."""
-    if params.q > SPECTRUM_Q_CAP:
-        raise ValueError(
-            f"spectrum enumeration is capped at q <= {SPECTRUM_Q_CAP}")
-    p = params.p
-    full: set[int] = set()
-    proj: set[int] = set()
-    for blocks in _semisimple_data(params):
-        ss_order, k0 = _orders_for_blocks(params, blocks)
-        for parts in product(*(_PARTITIONS[mu] for _, mu in blocks)):
-            up = _p_part(p, max(max(part) for part in parts))
-            full.add(up * ss_order)
-            proj.add(math.lcm(up, k0))
-    return tuple(sorted(full)), tuple(sorted(proj))
 
 
 # The eleven semisimple types: for each way of filling dimension 4 with

@@ -34,13 +34,13 @@ Check labels:
 """
 
 import math
-from itertools import combinations, product
+from itertools import combinations
 from typing import NamedTuple
 
 from .arith import member as in_spectrum
 from .params import (ALL_CASES, CASE_D, GroupParams, check_profile,
                      classify_profile, target_orders)
-from .witness import Selection, WitnessCertificate
+from .witness import WitnessCertificate
 
 CHECK_LABELS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8")
 
@@ -78,10 +78,6 @@ class VerificationReport(NamedTuple):
     ok: bool
     failures: tuple[tuple[str, str], ...]
     warnings: tuple[tuple[str, str], ...]
-
-    def failed_checks(self) -> tuple[str, ...]:
-        return tuple(l for l in CHECK_LABELS
-                     if any(label == l for label, _ in self.failures))
 
 
 def _fixed_point_exponent(p: int, exponents, selections) -> int:
@@ -280,35 +276,3 @@ def verify(cert: WitnessCertificate, *, strict_values: bool = True,
 
     return VerificationReport(ok=not failures, failures=tuple(failures),
                               warnings=tuple(warnings))
-
-
-def brute_force_selections(params: GroupParams, profile, exponents,
-                           theta_order: int, *, strict_values: bool = True):
-    """Every selection tuple passing the V6 shape rules and V7, exhaustively.
-
-    Enumeration order is the lexicographic product of per-slot position
-    subsets, so results are reproducible.  m is capped: the search space
-    grows like 15^m.
-    """
-    profile = tuple(profile)
-    if len(profile) != params.m:
-        raise ValueError("profile length must equal m")
-    if params.m > 6:
-        raise ValueError("exhaustive search is limited to m <= 6")
-    N = theta_order
-    pools = []
-    for i, k in enumerate(profile):
-        if k == 0:
-            continue
-        pool = []
-        for positions in combinations((1, 2, 3, 4), k):
-            vals = [exponents[j - 1] % N for j in positions]
-            if strict_values and len(set(vals)) != len(vals):
-                continue
-            pool.append(Selection(i, positions))
-        pools.append(pool)
-    results = []
-    for combo in product(*pools):
-        if _fixed_point_exponent(params.p, exponents, combo) % N == 0:
-            results.append(tuple(combo))
-    return results

@@ -178,17 +178,16 @@ def solve_ab(A: int, B: int, params: GroupParams, r: int) -> tuple[int, int]:
     if va == vb:
         raise ValueError("2-parts of A and B must differ (balance first)")
     s2 = params.two_part_qme
-    s_bits = s2.bit_length() - 1
     if va < vb:
         b = 1
         rhs = (-r * (B // va)) % s2
-        a = rhs * arith.inverse_mod_2pow((A // va) % s2, s_bits) % s2
+        a = rhs * pow(A // va, -1, s2) % s2
         if a % r == 0:
             a += s2
     else:
         a = 1
         rhs = (-(A // vb)) % s2
-        b = rhs * arith.inverse_mod_2pow((r * (B // vb)) % s2, s_bits) % s2
+        b = rhs * pow(r * (B // vb), -1, s2) % s2
     if (a * A + r * b * B) % s2 != 0:
         raise ConstructionError("congruence solution check failed")
     if (a + b) % 2 != 1 or math.gcd(a, r) != 1:

@@ -327,24 +327,3 @@ def test_factorize_work_is_bounded(monkeypatch):
     monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 18)
     assert len(arith.factorize(n)) == 2
 
-
-def test_order_in_cyclic():
-    assert arith.order_in_cyclic(40, 1) == 40
-    assert arith.order_in_cyclic(40, 10) == 4
-    assert arith.order_in_cyclic(40, 0) == 1
-    assert arith.order_in_cyclic(40, 41) == 40
-    with pytest.raises(ValueError):
-        arith.order_in_cyclic(0, 1)
-
-
-def test_inverse_mod_2pow():
-    rnd = random.Random(3003)
-    for _ in range(300):
-        s = rnd.randint(1, 24)
-        x = rnd.randint(0, 1 << 30) * 2 + 1
-        inv = arith.inverse_mod_2pow(x, s)
-        assert (x * inv) % (1 << s) == 1
-    with pytest.raises(ValueError):
-        arith.inverse_mod_2pow(4, 3)
-    with pytest.raises(ValueError):
-        arith.inverse_mod_2pow(3, 0)

@@ -91,6 +91,11 @@ def square_and_multiply(field, a, e):
     return result
 
 
+def sub(field, a, b):
+    """a - b, coefficient by coefficient mod p."""
+    return tuple((x - y) % field.p for x, y in zip(a, b))
+
+
 def poly_gcd(a, b, p):
     """Reference gcd of little-endian coefficient lists over F_p."""
     a, b = list(a), list(b)
@@ -119,7 +124,7 @@ def benor_is_irreducible(p, modulus):
     x = u = (0, 1) + (0,) * (k - 2)
     for _ in range(k // 2):
         u = square_and_multiply(ring, u, p)
-        if len(poly_gcd(ring.sub(u, x), modulus, p)) > 1:
+        if len(poly_gcd(sub(ring, u, x), modulus, p)) > 1:
             return False
     return True
 
@@ -291,8 +296,7 @@ def test_field_axioms_seeded(p, k):
         assert field.mul(field.mul(x, y), z) == field.mul(x, field.mul(y, z))
         assert field.mul(x, field.add(y, z)) == field.add(
             field.mul(x, y), field.mul(x, z))
-        assert field.sub(x, x) == field.zero
-        assert field.add(x, field.sub(field.zero, x)) == field.zero
+        assert field.add(x, sub(field, field.zero, x)) == field.zero
         if x != field.zero:
             assert field.pow(x, field.order - 1) == field.one
 
@@ -502,19 +506,19 @@ def test_element_index_validation():
 
 def test_matrix_ops():
     field = ffield.build_field(3, 2)
-    assert ffield.diagonal(field, (field.one,) * 4).is_identity()
+    identity = ffield.diagonal(field, (field.one,) * 4).rows
     two = field.element(2)
     scal = ffield.diagonal(field, (two, two, two, two))
-    assert not scal.is_identity()
+    assert scal.rows != identity
     assert scal.mul(scal).mul(scal).rows == ffield.diagonal(
         field, tuple(field.pow(two, 3) for _ in range(4))).rows
     g = ffield.element_of_order(field, 8)
     d = ffield.diagonal(field, (g, g, g, g))
     acc = d
     for _ in range(7):
-        assert not acc.is_identity()
+        assert acc.rows != identity
         acc = acc.mul(d)
-    assert acc.is_identity()
+    assert acc.rows == identity
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (7, 2)])
@@ -546,11 +550,12 @@ def test_realize_worked_example():
     assert dets == field.one
     # repeated multiplication is the reference for the prime-divisor test:
     # the first identity power is exactly the claimed order
+    identity = ffield.diagonal(field, (field.one,) * 4).rows
     acc = mat
     for _ in range(1, cert.claimed_order):
-        assert not acc.is_identity()
+        assert acc.rows != identity
         acc = acc.mul(mat)
-    assert acc.is_identity()
+    assert acc.rows == identity
 
 
 # sha256 of repr((p, k, modulus, rows)) of the realized matrix for one grid

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sl4witness import arith, params, spectrum, verifier
+from spectrum_reference import enumerated_omega_sets
 
 # published spectra for the two linear groups of dimension 4 over F_3 and
 # the full preimage of the first; any regression here is a real bug
@@ -62,7 +63,7 @@ def test_omega_matches_full_class_enumeration():
     # the largest block); the reference walks every partition choice
     for eps in (1, -1):
         pr = params.derive(eps, 3, 1)
-        full, proj = spectrum._enumerated_omega_sets(pr)
+        full, proj = enumerated_omega_sets(pr)
         assert full == spectrum.omega(pr, "SL")
         assert proj == spectrum.omega(pr, "PSL")
 
@@ -90,12 +91,12 @@ def test_omega_sorted_and_contains_identity():
 
 def test_member():
     table = OMEGA_PSL4_3
-    assert spectrum.member(table, 5)
-    assert spectrum.member(table, 4)
-    assert not spectrum.member(table, 15)
-    assert not spectrum.member(table, 39)
-    assert not spectrum.member(table, 40)
-    assert spectrum.member(OMEGA_PSU4_3, 7)
+    assert arith.member(table, 5)
+    assert arith.member(table, 4)
+    assert not arith.member(table, 15)
+    assert not arith.member(table, 39)
+    assert not arith.member(table, 40)
+    assert arith.member(OMEGA_PSU4_3, 7)
 
 
 @settings(max_examples=300, deadline=None)
@@ -105,19 +106,19 @@ def test_member_matches_full_scan(raw, x):
     # the scan from the first order >= x finds what a scan of all finds
     orders = tuple(sorted(set(raw)))
     want = any(o % x == 0 for o in orders)
-    assert spectrum.member(orders, x) == want
+    assert arith.member(orders, x) == want
     for o in orders[:3]:
-        assert spectrum.member(orders, o)
+        assert arith.member(orders, o)
 
 
 def test_q_cap_enforced():
     # the cap bounds only the reference enumeration; omega() goes on
     pr = params.derive(1, 29, 1)
     with pytest.raises(ValueError):
-        spectrum._enumerated_omega_sets(pr)
+        enumerated_omega_sets(pr)
     table = spectrum.omega(pr, group="PSL")
-    assert table[0] == 1 and spectrum.member(table, 29)
-    assert not spectrum.member(table, 29 * 29)
+    assert table[0] == 1 and arith.member(table, 29)
+    assert not arith.member(table, 29 * 29)
 
 
 def _small_fields(limit):
@@ -134,7 +135,7 @@ def test_closed_form_matches_enumeration():
         for eps in (1, -1):
             pr = params.derive(eps, p, m)
             assert spectrum._omega_sets(pr) == \
-                spectrum._enumerated_omega_sets(pr), (eps, p**m)
+                enumerated_omega_sets(pr), (eps, p**m)
 
 
 # sha256 of format_dump for the fields the enumeration is slow on, as the
@@ -216,13 +217,13 @@ def test_omega_at_q_cap_scale():
         for group in ("SL", "PSL"):
             table = spectrum.omega(pr, group)
             assert all(group_order % o == 0 for o in table)
-            assert spectrum.member(table, 65521)
-            assert not spectrum.member(table, 65521**2)
+            assert arith.member(table, 65521)
+            assert not arith.member(table, 65521**2)
     assert time.perf_counter() - start < 5.0
 
 
 def test_one_membership_test():
-    assert verifier.in_spectrum is spectrum.member
+    assert verifier.in_spectrum is arith.member
 
 
 def test_dump_round_trip():

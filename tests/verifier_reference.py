@@ -7,14 +7,20 @@ forms are tested against: V4 as the lcm of the four exponents' orders, V5
 as the lcm over all six pairwise differences, the profile and selection
 shapes element by element, and V7 and case D through the constructor's
 own helpers.  Reports and MalformedCertificate messages must agree.
+
+It also holds two helpers only tests use: failed_checks() lists a report's
+failed check labels, and brute_force_selections() is the exhaustive search
+that the constructor's choice of selections is checked against.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
-from sl4witness import arith, params as params_mod, witness
+from sl4witness import params as params_mod, witness
 from sl4witness.params import ALL_CASES, CASE_A, CASE_B, CASE_C, CASE_D
-from sl4witness.verifier import MalformedCertificate, VerificationReport
+from sl4witness.verifier import (CHECK_LABELS, MalformedCertificate,
+                                 VerificationReport)
+from sl4witness.witness import Selection
 
 
 def check_profile(profile, m):
@@ -47,7 +53,7 @@ def scalar_period(N, exponents):
     """V5's k_s: the lcm over u < v of the orders of e_u - e_v."""
     k_s = 1
     for u, v in combinations(exponents, 2):
-        k_s = math.lcm(k_s, arith.order_in_cyclic(N, u - v))
+        k_s = math.lcm(k_s, N // math.gcd(N, u - v))
     return k_s
 
 
@@ -207,3 +213,41 @@ def verify(cert, *, strict_values=True, psl_orders=None):
 
     return VerificationReport(ok=not failures, failures=tuple(failures),
                               warnings=tuple(warnings))
+
+
+def failed_checks(report):
+    """The labels of the checks a report failed, in check order."""
+    return tuple(l for l in CHECK_LABELS
+                 if any(label == l for label, _ in report.failures))
+
+
+def brute_force_selections(params, profile, exponents, theta_order, *,
+                           strict_values=True):
+    """Every selection tuple passing the V6 shape rules and V7, exhaustively.
+
+    Enumeration order is the lexicographic product of per-slot position
+    subsets, so results are reproducible.  m is capped: the search space
+    grows like 15^m.
+    """
+    profile = tuple(profile)
+    if len(profile) != params.m:
+        raise ValueError("profile length must equal m")
+    if params.m > 6:
+        raise ValueError("exhaustive search is limited to m <= 6")
+    N = theta_order
+    pools = []
+    for i, k in enumerate(profile):
+        if k == 0:
+            continue
+        pool = []
+        for positions in combinations((1, 2, 3, 4), k):
+            vals = [exponents[j - 1] % N for j in positions]
+            if strict_values and len(set(vals)) != len(vals):
+                continue
+            pool.append(Selection(i, positions))
+        pools.append(pool)
+    results = []
+    for combo in product(*pools):
+        if witness.fixed_point_exponent(params.p, exponents, combo) % N == 0:
+            results.append(tuple(combo))
+    return results
