@@ -28,8 +28,10 @@ explicit seed.  Orders are found by one method, the prime-divisor test:
 start from a known multiple and divide out each prime while the power
 stays the identity; for realized elements directly, and for sampled
 matrices in the table of semisimple orders by characteristic polynomial.
-A sampled matrix's order is that semisimple order times its unipotent
-part's, which the nilpotency index of g^L - I gives (Jordan
+A sampled matrix g's characteristic polynomial comes from the traces of
+g, g^2 and g^3 (Newton's identities), and its order is that semisimple
+order times its unipotent part's: 1 unless the polynomial has a repeated
+root, else given by the nilpotency index of g^L - I (Jordan
 decomposition).  No CLI command uses this module, and the package loads
 it only on first use of one of its names; numpy is loaded only when
 sampling runs, as the sampling helpers import it themselves.
@@ -441,42 +443,40 @@ def realize(cert) -> Matrix4:
 # ---------------------------------------------------------------------------
 # randomized cross-check over the prime field
 
-# Laplace expansion along rows 0 and 1: the determinant is the signed sum,
-# over the 6 column pairs, of the 2x2 minor on rows 0, 1 times the
-# complementary minor on rows 2, 3.  _MINOR_ENTRIES holds the entries a, b,
-# c, d of the 12 minors ad - bc, as flat indices 4 * row + column: for each
-# of a, b, c, d, the 6 top minors, then their complements in the same order.
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_TOP = ((0, 1), (2, 0), (0, 3), (1, 2), (3, 1), (2, 3))
 _MINOR_ENTRIES = [4 * (top + dr) + cols[i]
                   for dr, i in ((0, 0), (1, 1), (0, 1), (1, 0))
-                  for top, pairs in ((0, _PAIRS), (2, _PAIRS[::-1]))
+                  for top, pairs in ((0, _TOP), (2, _PAIRS[::-1]))
                   for cols in pairs]
-_SIGNS = [1, -1, 1, 1, -1, 1]
-
-
-_DET_ROWS = 256
+_DET_ROWS = 1024
 
 
 def _det4_mod(m, q):
-    """Determinants mod q of a (n, 4, 4) batch of small integers, n >= 1,
-    via complementary 2x2 minors.
+    """Determinants mod q, as int16, of a (n, 4, 4) batch with entries in
+    (-q, q), q <= 5, n >= 1, by Laplace expansion along rows 0 and 1: the
+    sum over the 6 column pairs of the 2x2 minor on rows 0, 1 times the
+    complementary minor on rows 2, 3.  _MINOR_ENTRIES lists the entries a,
+    then b, c and d, of the 12 minors ad - bc as flat indices, top minors
+    first; _TOP reverses the pairs (0, 2) and (1, 3) to take their sign -1.
 
+    A minor is at most 2 (q - 1)^2 <= 32, so |det| <= 6 * 32^2 < 2^15.
     Each block of _DET_ROWS matrices is copied transposed, so the entries
-    of the minors are gathered as contiguous rows.  The blocks keep the
-    largest copy (48 x 256 entries, 96 KiB) below glibc's 128 KiB mmap
-    threshold; larger copies are mapped fresh on every call, which made
-    1000-matrix sample batches slower.
+    are gathered as contiguous rows; the largest copy (48 x 1024 entries,
+    96 KiB) stays below glibc's 128 KiB mmap threshold, above which copies
+    are mapped fresh on every call.
     """
     import numpy as np
 
-    dets = []
+    dets = np.empty(len(m), dtype=np.int16)
     for start in range(0, len(m), _DET_ROWS):
-        block = m[start:start + _DET_ROWS]
-        entries = block.reshape(len(block), 16).T.copy()[_MINOR_ENTRIES]
+        block = m[start:start + _DET_ROWS].reshape(-1, 16)
+        entries = block.T.astype(np.int16, order="C").take(_MINOR_ENTRIES, 0)
         a, b, c, d = entries.reshape(4, 12, len(block))
         minors = a * b - c * d
-        dets.append(_SIGNS @ (minors[:6] * minors[6:]) % q)
-    return np.concatenate(dets)
+        dets[start:start + len(block)] = (
+            (minors[:6] * minors[6:]).sum(axis=0, dtype=np.int16) % q)
+    return dets
 
 
 def sample_orders(q: int, count: int, seed: int = 0):
@@ -504,33 +504,30 @@ def sample_orders(q: int, count: int, seed: int = 0):
 
 
 def _random_sl4(q: int, count: int, seed: int):
-    """A (count, 4, 4) batch of uniform random determinant-one matrices mod
-    q.
+    """A (count, 4, 4) int64 batch of uniform random determinant-one
+    matrices mod q.
 
-    Rejection-sample invertible matrices, then scale the first row by
-    det^{-1}; every determinant-one matrix has the same number (q - 1) of
-    invertible preimages under that map, so the result is uniform.
+    Rejection-sample invertible matrices, redrawing only the rows still
+    singular, then scale the first row by 1 / det = det^(q - 2); every
+    determinant-one matrix has the same number (q - 1) of invertible
+    preimages under that map, so the result is uniform.
     """
     import numpy as np
 
     rng = np.random.default_rng(seed)
     mats = rng.integers(0, q, size=(count, 4, 4), dtype=np.int64)
     dets = _det4_mod(mats, q)
-    while True:
-        bad = np.flatnonzero(dets == 0)
-        if bad.size == 0:
-            break
+    bad = np.flatnonzero(dets == 0)
+    while bad.size:
         fresh = rng.integers(0, q, size=(bad.size, 4, 4), dtype=np.int64)
         mats[bad] = fresh
-        dets[bad] = _det4_mod(fresh, q)
-    inv_table = np.array([0] + [pow(v, q - 2, q) for v in range(1, q)],
-                         dtype=np.int64)
-    mats[:, 0, :] = (mats[:, 0, :] * inv_table[dets][:, None]) % q
+        dets[bad] = fresh_dets = _det4_mod(fresh, q)
+        bad = bad[fresh_dets == 0]
+    mats[:, 0] = mats[:, 0] * dets[:, None] ** (q - 2) % q
     return mats
 
 
-# Matrices per slice, which keeps the slice's powers to a few megabytes
-# whatever the sample count.
+# Matrices per slice: its powers take a few megabytes whatever the count.
 _SLICE_ROWS = 1 << 14
 
 
@@ -542,36 +539,38 @@ def _jordan_orders(mats, q: int):
     order is ord(g_s) ord(g_u) and the projective order is that of g_s
     times ord(g_u) (Carter, Finite Groups of Lie Type, 1985).  g_s enters
     only through the characteristic polynomial
-    chi = x^4 - c1 x^3 + c2 x^2 - c3 x + 1, looked up in _charpoly_table:
-    c1 = tr g, c2 = (c1^2 - tr g^2) / 2, and c3, the sum of the principal
-    3x3 minors, follows from chi(1) = det(I - g).  By Cayley-Hamilton the
-    table's x^L mod chi gives N = g^L - I = g_u^L - I, nilpotent of the
-    index b of g_u - I, the largest Jordan block; ord(g_u) is the least
-    power of q at least b: 1 if N = 0, q if N^q = 0, else q^2.
+    chi = x^4 - c1 x^3 + c2 x^2 - c3 x + 1, looked up in _charpoly_table.
+    Newton's identities over the integers give c1 = p1,
+    c2 = (p1^2 - p2) / 2 and c3 = (c2 p1 - c1 p2 + p3) / 3 from the power
+    sums p_i = tr g^i, dividing exactly before reducing mod q; as
+    p3 = sum (g^2)_ij g_ji, g^2 is the only product.  By Cayley-Hamilton
+    the table's r = x^L - 1 mod chi gives N = r(g) = g^L - I = g_u^L - I,
+    nilpotent of the index b of g_u - I, the largest Jordan block; ord(g_u)
+    is the least power of q at least b: 1 if N = 0, q if N^q = 0, else q^2.
+    L is prime to q, so x^L - 1 is squarefree and r = 0 (g_u = I) unless
+    chi has a repeated root; N is formed only where r is not 0.
     """
     import numpy as np
 
     semis, proj_semis, residues = _charpoly_table(q)
-    diag = np.arange(4)
     # entries stay below 2^13, so only values read mod q are reduced
     mats2 = mats @ mats
-    mats3 = mats2 @ mats
-    c1 = mats[:, diag, diag].sum(axis=1)
-    c2 = (c1 * c1 - mats2[:, diag, diag].sum(axis=1)) * ((q + 1) // 2)
-    c3 = 2 - c1 + c2 - _det4_mod(np.eye(4, dtype=np.int64) - mats, q)
-    index = c1 % q + q * (c2 % q) + q * q * (c3 % q)
-    t = residues[index]
-    nil = (t[:, 1, None, None] * mats + t[:, 2, None, None] * mats2
-           + t[:, 3, None, None] * mats3)
-    nil[:, diag, diag] += t[:, :1] - 1
-    nil %= q
-    moved = np.flatnonzero(nil.any(axis=(1, 2)))
+    p1, p2 = np.einsum("nii->n", mats), np.einsum("nii->n", mats2)
+    c2 = (p1 * p1 - p2) // 2
+    c3 = (c2 * p1 - p1 * p2 + np.einsum("nij,nji->n", mats2, mats)) // 3
+    index = p1 % q + q * (c2 % q) + q * q * (c3 % q)
+    rows = np.flatnonzero(residues.any(axis=1)[index])
+    t = residues[index[rows]][:, :, None, None]
+    g, g2 = mats[rows], mats2[rows]
+    nil = (t[:, 0] * np.eye(4, dtype=np.int64) + t[:, 1] * g + t[:, 2] * g2
+           + t[:, 3] * (g2 @ g)) % q
+    moved = nil.any(axis=(1, 2))
+    rows, nil = rows[moved], nil[moved]
     unipotent = np.ones(len(mats), dtype=np.int64)
-    unipotent[moved] = q
+    unipotent[rows] = q
     if q == 3:  # a block of size 4 > q needs q^2
-        nil = nil[moved]
         cube = nil @ nil @ nil % q
-        unipotent[moved[cube.any(axis=(1, 2))]] = q * q
+        unipotent[rows[cube.any(axis=(1, 2))]] = q * q
     return ((semis[index] * unipotent).tolist(),
             (proj_semis[index] * unipotent).tolist())
 
@@ -581,7 +580,7 @@ def _charpoly_table(q: int):
     """Per characteristic polynomial chi = x^4 - c1 x^3 + c2 x^2 - c3 x + 1
     over F_q, at index c1 + q c2 + q^2 c3: the order and projective order
     of the semisimple part of any matrix with that chi, and the
-    coefficients of x^L mod chi, constant first, where
+    coefficients of x^L - 1 mod chi, constant first, where
     L = lcm(q^d - 1 : d <= 4) is a multiple of every semisimple order.
 
     C, the companion matrix of chi, is multiplication by x on the basis
@@ -605,6 +604,7 @@ def _charpoly_table(q: int):
                               -(c // q) % q, c % q], axis=1)
     big = math.lcm(*(q**d - 1 for d in range(1, 5)))
     residues = _matrix_pow(comp, big, q)[:, :, 0]
+    residues[:, 0] = (residues[:, 0] - 1) % q
     kill = q ** (2 if q == 3 else 1)
     semis, proj_semis = np.ones((2, size), dtype=np.int64)
     off_diagonal = ~np.eye(4, dtype=bool)

@@ -38,8 +38,7 @@ import math
 from typing import NamedTuple
 
 from . import arith, params as params_mod
-from .params import (ALL_CASES, CASE_A, CASE_B, CASE_C, CASE_D, GroupParams,
-                     classify_profile)
+from .params import CASE_A, CASE_B, CASE_C, GroupParams, classify_profile
 
 
 class ConstructionError(RuntimeError):

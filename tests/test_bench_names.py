@@ -91,3 +91,22 @@ def test_library_defines_nothing_only_tests_use():
                 or f"{mod}.{name}" in traced):
             unused.append(f"{mod}.{name}")
     assert unused == []
+
+
+def test_library_modules_use_every_import():
+    # __init__ imports names to export them; every other module must read
+    # each name it imports, or a constant that moved away stays importable
+    # from the module that no longer needs it
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names, _ = _mentions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in names:
+                        unused.append(f"{path.stem}.{bound}")
+    assert unused == []

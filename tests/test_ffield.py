@@ -614,17 +614,20 @@ def test_realize_size_limit():
         ffield.build_field(13, 36)  # build_field refuses it too
 
 
+def laplace_det(mat):
+    """Reference determinant of a square integer matrix, exact, by
+    expansion along the first row."""
+    if len(mat) == 1:
+        return mat[0][0]
+    total = 0
+    for j in range(len(mat)):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        term = mat[0][j] * laplace_det(minor)
+        total += -term if j % 2 else term
+    return total
+
+
 def test_det4_matches_laplace():
-    def laplace(mat, q):
-        n = len(mat)
-        if n == 1:
-            return mat[0][0] % q
-        total = 0
-        for j in range(n):
-            minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-            term = mat[0][j] * laplace(minor, q)
-            total += -term if j % 2 else term
-        return total % q
     rnd = random.Random(77)
     for q in (3, 5):
         mats = np.array(
@@ -632,7 +635,7 @@ def test_det4_matches_laplace():
              for _ in range(50)], dtype=np.int64)
         got = ffield._det4_mod(mats, q)
         for i in range(50):
-            assert got[i] == laplace(mats[i].tolist(), q)
+            assert got[i] == laplace_det(mats[i].tolist()) % q
     # more rows than one block of _DET_ROWS, the last block short, with
     # entries in (-q, q) as for I - g
     rows = 2 * ffield._DET_ROWS + 37
@@ -642,7 +645,30 @@ def test_det4_matches_laplace():
              for _ in range(rows)], dtype=np.int64)
         got = ffield._det4_mod(mats, q)
         assert got.shape == (rows,)
-        assert got.tolist() == [laplace(mat, q) for mat in mats.tolist()]
+        assert got.tolist() == [laplace_det(mat) % q for mat in mats.tolist()]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_det4_at_the_int16_edge(q):
+    # entries +-(q - 1) give the largest minors; (q - 1) H4, with H4 the
+    # 4x4 Hadamard matrix, has |det| = 16 (q - 1)^4, 4096 at q = 5
+    hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1],
+                         [1, 1, -1, -1], [1, -1, -1, 1]], dtype=np.int64)
+    edge = (q - 1) * hadamard
+    assert abs(laplace_det(edge.tolist())) == 16 * (q - 1) ** 4
+    rnd = random.Random(q)
+    rows = ffield._DET_ROWS + 300  # one full block and a short one
+    mats = np.array(
+        [[[rnd.choice((1 - q, q - 1)) for _ in range(4)] for _ in range(4)]
+         for _ in range(rows)], dtype=np.int64)
+    # the edge matrix, its negation and a row swap, in both blocks
+    for at in (0, ffield._DET_ROWS - 1, ffield._DET_ROWS, rows - 1):
+        mats[at] = edge
+    mats[1] = mats[ffield._DET_ROWS + 1] = -edge
+    mats[2] = mats[ffield._DET_ROWS + 2] = edge[[1, 0, 2, 3]]
+    got = ffield._det4_mod(mats, q)
+    assert got.shape == (rows,)
+    assert got.tolist() == [laplace_det(mat) % q for mat in mats.tolist()]
 
 
 def test_sample_orders_deterministic():
@@ -835,6 +861,62 @@ def test_jordan_orders_match_stepwise_walk_on_every_type(q):
     full, _ = ffield._jordan_orders(types, q)
     assert set(full) == ({1, 2, 3, 6, 9, 18} if q == 3
                          else {1, 2, 4, 5, 10, 20})
+
+
+def companion_powers(q):
+    """The companion matrices and their q-th and q^2-th powers, which
+    include the semisimple parts."""
+    powers = [companion_matrices(q)]
+    for _ in range(2):
+        power = powers[-1]
+        for _ in range(q - 1):
+            power = np.matmul(power, powers[-1]) % q
+        powers.append(power)
+    return powers
+
+
+def det_route_index(mats, q):
+    """Reference table index c1 + q c2 + q^2 c3 of each matrix's
+    characteristic polynomial x^4 - c1 x^3 + c2 x^2 - c3 x + 1, with
+    c2 = (c1^2 - tr g^2) / 2 mod q and c3 from chi(1) = det(I - g)."""
+    c1 = np.einsum("nii->n", mats)
+    c2 = (c1 * c1 - np.einsum("nii->n", mats @ mats)) * ((q + 1) // 2)
+    dets = np.rint(np.linalg.det(np.eye(4) - mats)).astype(np.int64)
+    c3 = 2 - c1 + c2 - dets
+    return (c1 % q + q * (c2 % q) + q * q * (c3 % q)).tolist()
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_power_sums_give_the_det_route_index(q, monkeypatch):
+    # a table whose semisimple order is the index itself and whose
+    # residues are all 0 makes _jordan_orders return the index it looks up
+    size = q**3
+    monkeypatch.setattr(ffield, "_charpoly_table", lambda q: (
+        np.arange(size), np.arange(size), np.zeros((size, 4), np.int64)))
+    batches = [*companion_powers(q), jordan_types(q)]
+    batches += [ffield._random_sl4(q, 1000, seed) for seed in range(20)]
+    seen = set()
+    for mats in batches:
+        index = det_route_index(mats, q)
+        assert ffield._jordan_orders(mats, q)[0] == index
+        seen.update(index)
+    assert seen == set(range(size))
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_residue_is_zero_iff_chi_is_squarefree(q):
+    # the table's x^L - 1 mod chi is 0 exactly when gcd(chi, chi') = 1, so
+    # skipping the Jordan step there loses no unipotent part
+    residues = ffield._charpoly_table(q)[2]
+    squarefree = 0
+    for c in range(q**3):
+        c1, c2, c3 = c % q, c // q % q, c // q**2
+        chi = [1, -c3 % q, c2, -c1 % q, 1]
+        deriv = [j * a % q for j, a in enumerate(chi)][1:]
+        coprime = len(poly_gcd(chi, deriv, q)) == 1
+        assert (not residues[c].any()) == coprime, c
+        squarefree += coprime
+    assert 0 < squarefree < q**3
 
 
 def test_sample_orders_validation():

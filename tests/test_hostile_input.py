@@ -101,7 +101,7 @@ def good_cert_file(tmp_path_factory):
 
 def test_documents_cover_every_case():
     cases = {doc["case"] for doc in DOCS}
-    assert cases == set(witness.ALL_CASES)
+    assert cases == set(params.ALL_CASES)
     assert any(doc.get("case_d", {}).get("adjustments") for doc in DOCS)
 
 

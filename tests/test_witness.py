@@ -17,10 +17,10 @@ def test_classify_profile():
     assert witness.classify_profile((0, 2), pr9) == witness.CASE_A
     assert witness.classify_profile((1, 0), pr9) == witness.CASE_B
     assert witness.classify_profile((3, 1), pr9) == witness.CASE_B
-    assert witness.classify_profile((2, 1), pr9) == witness.CASE_D
+    assert witness.classify_profile((2, 1), pr9) == params.CASE_D
     assert witness.classify_profile((2, 1), pr9u) == witness.CASE_C
     pr27u = params.derive(-1, 3, 3)  # 27 = 3 = eps mod 4
-    assert witness.classify_profile((2, 1, 0), pr27u) == witness.CASE_D
+    assert witness.classify_profile((2, 1, 0), pr27u) == params.CASE_D
     pr27 = params.derive(1, 3, 3)
     assert witness.classify_profile((2, 1, 0), pr27) == witness.CASE_C
 
@@ -79,7 +79,7 @@ def test_case_c_worked_example():
 
 def test_case_d_worked_example():
     cert = witness.construct(params.derive(1, 3, 2), (2, 1))
-    assert cert.case == witness.CASE_D
+    assert cert.case == params.CASE_D
     assert cert.theta_order == 40
     assert cert.exponents == (1, 9, 10, 20)
     assert cert.claimed_order == 40
@@ -93,7 +93,7 @@ def test_case_d_worked_example():
 
 def test_case_d_unitary_27():
     cert = witness.construct(params.derive(-1, 3, 3), (2, 1, 0))
-    assert cert.case == witness.CASE_D
+    assert cert.case == params.CASE_D
     cd = cert.case_d
     assert (cd.r, cd.t) == (13, 52)
     assert (cd.coeff_a, cd.coeff_rb) == (-26, 3)
@@ -173,7 +173,7 @@ def test_case_moduli_come_from_target_orders(monkeypatch):
         cert = witness.construct(pr, profile)
         cases.add(cert.case)
         assert verifier.verify(cert).ok
-    assert cases == {witness.CASE_A, witness.CASE_B, witness.CASE_D}
+    assert cases == {witness.CASE_A, witness.CASE_B, params.CASE_D}
     assert sorted(calls) == [(25, 2, 1), (25, 3, 1), (25, 4, 1)]
 
 
@@ -181,7 +181,7 @@ def test_case_moduli_come_from_target_orders(monkeypatch):
     (witness.CASE_A, 1, (2, 0), [(25, 4, 1)]),
     (witness.CASE_B, 1, (1, 0), [(25, 3, 1)]),
     (witness.CASE_C, -1, (2, 1), []),
-    (witness.CASE_D, 1, (2, 1), [(25, 2, 1)]),
+    (params.CASE_D, 1, (2, 1), [(25, 2, 1)]),
 ])
 def test_each_case_runs_only_its_own_search(monkeypatch, case, eps, profile,
                                             searched):
@@ -223,7 +223,7 @@ def test_grid_invariants():
                     report = verifier.verify(cert)
                     assert report.ok, (eps, p, m, profile, report.failures)
                     assert cert.target_order == p * cert.claimed_order
-                    if cert.case == witness.CASE_D:
+                    if cert.case == params.CASE_D:
                         cd = cert.case_d
                         assert len(cd.adjustments) <= 2
                         assert (cd.a * cd.coeff_a
