@@ -58,8 +58,7 @@ def two_part(a: int) -> int:
     """Largest power of 2 dividing a; the sign of a is ignored."""
     if a == 0:
         raise ValueError("2-part of 0 is undefined")
-    a = abs(a)
-    return a & -a
+    return a & -a  # the lowest set bit, of -a as of a
 
 
 def _primes_below(limit: int) -> tuple[int, ...]:

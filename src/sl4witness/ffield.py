@@ -548,7 +548,9 @@ def _jordan_orders(mats, q: int):
     nilpotent of the index b of g_u - I, the largest Jordan block; ord(g_u)
     is the least power of q at least b: 1 if N = 0, q if N^q = 0, else q^2.
     L is prime to q, so x^L - 1 is squarefree and r = 0 (g_u = I) unless
-    chi has a repeated root; N is formed only where r is not 0.
+    chi has a repeated root; N is formed only where r is not 0.  A block
+    of size 4 makes g_s scalar, so at q = 3 N^3 is formed only where the
+    table's projective semisimple order is 1, chi = (x - lambda)^4.
     """
     import numpy as np
 
@@ -568,7 +570,11 @@ def _jordan_orders(mats, q: int):
     rows, nil = rows[moved], nil[moved]
     unipotent = np.ones(len(mats), dtype=np.int64)
     unipotent[rows] = q
-    if q == 3:  # a block of size 4 > q needs q^2
+    if q == 3:
+        # a block of size 4 > q needs q^2; it fills all of V, so g_s is
+        # scalar and chi = (x - lambda)^4: projective semisimple order 1
+        whole = proj_semis[index[rows]] == 1
+        rows, nil = rows[whole], nil[whole]
         cube = nil @ nil @ nil % q
         unipotent[rows[cube.any(axis=(1, 2))]] = q * q
     return ((semis[index] * unipotent).tolist(),

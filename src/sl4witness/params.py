@@ -106,19 +106,19 @@ def derive_from_q(epsilon: int, q: int) -> GroupParams:
     return derive(epsilon, powers[0].prime, powers[0].exponent)
 
 
-_PROFILE_ENTRIES = frozenset((0, 1, 2, 3))
-
-
 def check_profile(profile: tuple[int, ...], m: int) -> None:
+    """Refuse a profile of the wrong length or with an entry that is not an
+    int in 0..3, as the document format does: a bool or a float equal to
+    one of them (True, 1.0) is refused too."""
     if len(profile) != m:
         raise ValueError(f"profile length {len(profile)} != m = {m}")
-    try:
-        if _PROFILE_ENTRIES.issuperset(profile):
-            return
-    except TypeError:  # an unhashable entry
-        pass
-    # an entry that equals one of 0..3 but hashes otherwise still passes
-    if any(k not in (0, 1, 2, 3) for k in profile):
+    for k in profile:
+        if type(k) is int:  # the fast path
+            if 0 <= k <= 3:
+                continue
+        elif (isinstance(k, int) and not isinstance(k, bool)
+              and k in (0, 1, 2, 3)):
+            continue
         raise ValueError("profile entries must lie in {0, 1, 2, 3}")
 
 

@@ -35,11 +35,11 @@ Check labels:
 
 import math
 from itertools import combinations
+from operator import attrgetter
 from typing import NamedTuple
 
 from .arith import member as in_spectrum
-from .params import (ALL_CASES, CASE_D, GroupParams, check_profile,
-                     classify_profile, target_orders)
+from .params import ALL_CASES, CASE_D, classify_profile, target_orders
 from .witness import WitnessCertificate
 
 CHECK_LABELS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8")
@@ -69,6 +69,8 @@ def _case_d_shape_table() -> dict:
 
 _CASE_D_SHAPES = _case_d_shape_table()
 
+_factor = attrgetter("factor")
+
 
 class MalformedCertificate(ValueError):
     """The certificate is structurally unusable; no checks were run."""
@@ -80,35 +82,12 @@ class VerificationReport(NamedTuple):
     warnings: tuple[tuple[str, str], ...]
 
 
-def _fixed_point_exponent(p: int, exponents, selections) -> int:
-    """sum over slots of p^i * (sum of selected exponents)."""
-    total = 0
-    for sel in selections:
-        part = 0
-        for j in sel.positions:
-            part += exponents[j - 1]
-        total += p**sel.factor * part
-    return total
-
-
 def _case_d_exponents(a: int, b: int, r: int, t: int, eps: int,
                       q: int) -> tuple[int, ...]:
     u, v, w = a, eps * q * a, r * b
-    return tuple((x * u + y * v + z * w) % t for x, y, z in _CASE_D_FORMS)
-
-
-def _case_d_coefficients(pr: GroupParams, selections):
-    """(A, B) with weighted selected exponents a*A + r*b*B, or None when a
-    selection is not a case-D shape."""
-    sigma = tau = 0
-    for sel in selections:
-        coeffs = _CASE_D_SHAPES.get(sel.positions)
-        if coeffs is None:
-            return None
-        weight = pr.p**sel.factor
-        sigma += coeffs[0] * weight
-        tau += coeffs[1] * weight
-    return (1 + pr.epsilon * pr.q) * sigma, tau
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) = _CASE_D_FORMS
+    return ((x1 * u + y1 * v + z1 * w) % t, (x2 * u + y2 * v + z2 * w) % t,
+            (x3 * u + y3 * v + z3 * w) % t, (x4 * u + y4 * v + z4 * w) % t)
 
 
 def _check_positions(positions) -> None:
@@ -120,12 +99,14 @@ def _check_positions(positions) -> None:
             "selection positions must be strictly increasing")
 
 
-def _structural_check(cert: WitnessCertificate) -> None:
+def _structural_check(cert: WitnessCertificate) -> str:
+    """Refuse a structurally unusable certificate; return the case its
+    profile classifies as, which validates the profile on the way."""
     pr = cert.params
     if pr.q != pr.p**pr.m:
         raise MalformedCertificate("params: q != p^m")
     try:
-        check_profile(cert.profile, pr.m)
+        expected_case = classify_profile(cert.profile, pr)
     except ValueError as exc:
         raise MalformedCertificate(str(exc)) from None
     if cert.case not in ALL_CASES:
@@ -136,14 +117,17 @@ def _structural_check(cert: WitnessCertificate) -> None:
     exps = cert.exponents
     if len(exps) != 4:
         raise MalformedCertificate("exactly four exponents are required")
-    if not (all(map(isinstance, exps, (int, int, int, int)))
-            and 0 <= min(exps) and max(exps) < N):
+    e1, e2, e3, e4 = exps
+    if not (isinstance(e1, int) and isinstance(e2, int)
+            and isinstance(e3, int) and isinstance(e4, int)
+            and 0 <= e1 < N and 0 <= e2 < N and 0 <= e3 < N and 0 <= e4 < N):
         raise MalformedCertificate(
             "exponents must be integers reduced mod theta_order")
     if cert.claimed_order < 1 or cert.target_order < 1:
         raise MalformedCertificate("orders must be positive")
+    m = pr.m
     for sel in cert.selections:
-        if not 0 <= sel.factor < pr.m:
+        if not 0 <= sel.factor < m:
             raise MalformedCertificate(
                 f"selection factor {sel.factor} out of range")
         try:
@@ -155,47 +139,51 @@ def _structural_check(cert: WitnessCertificate) -> None:
     if (cert.case == CASE_D) != (cert.case_d is not None):
         raise MalformedCertificate(
             "case_d data must be present exactly for case D_QcongEps")
+    return expected_case
 
 
-def _check_case_d(cert: WitnessCertificate, n_ord: int | None, fail) -> None:
-    """The case-D checks; n_ord is the case-D modulus at cert.params."""
+def _check_case_d(cert: WitnessCertificate, n_ord: int | None, coeffs,
+                  fail) -> None:
+    """The case-D checks; n_ord is the case-D modulus at cert.params, and
+    coeffs the (A, B) with weighted selected exponents a*A + r*b*B, or None
+    when a selection is not a case-D shape."""
     pr = cert.params
     cd = cert.case_d
+    r, t = cd.r, cd.t
     s2 = pr.two_part_qme
-    if n_ord is None or cd.r != n_ord // s2:
+    if n_ord is None or r != n_ord // s2:
         fail("V8", "case-D odd prime r does not match the parameters")
         return
-    r = cd.r
-    if cd.t != n_ord or cd.t != cert.theta_order:
-        fail("V8", f"case-D modulus t = {cd.t} is inconsistent")
+    if t != n_ord or t != cert.theta_order:
+        fail("V8", f"case-D modulus t = {t} is inconsistent")
         return
-    coeffs = _case_d_coefficients(pr, cert.selections)
     if coeffs is None:
         fail("V8", "selections do not have case-D shapes")
         return
     A, B = coeffs
+    a, b = cd.a, cd.b
     if (cd.coeff_a, cd.coeff_rb) != coeffs:
         fail("V8", "case-D coefficients do not reproduce from the selections")
-    if (_case_d_exponents(cd.a, cd.b, r, cd.t, pr.epsilon, pr.q)
-            != cert.exponents):
+    if _case_d_exponents(a, b, r, t, pr.epsilon, pr.q) != cert.exponents:
         fail("V8", "case-D exponents do not reproduce from (a, b)")
-    if (cd.a * A + r * cd.b * B) % s2 != 0:
+    if (a * A + r * b * B) % s2 != 0:
         fail("V8", "case-D congruence a*A + r*b*B != 0 mod (q-eps)_2")
-    if (cd.a + cd.b) % 2 != 1:
+    if (a + b) % 2 != 1:
         fail("V8", "case-D parity: a + b must be odd")
-    if math.gcd(cd.a, r) != 1:
+    if math.gcd(a, r) != 1:
         fail("V8", "case-D: a must be coprime to r")
 
 
 def verify(cert: WitnessCertificate, *, strict_values: bool = True,
            psl_orders=None) -> VerificationReport:
     """Run all checks; psl_orders optionally adds the spectrum cross-check."""
-    _structural_check(cert)
+    expected_case = _structural_check(cert)
     pr = cert.params
     eps, p, q = pr.epsilon, pr.p, pr.q
     N = cert.theta_order
     exps = cert.exponents
     e1, e2, e3, e4 = exps
+    claimed = cert.claimed_order
     failures: list[tuple[str, str]] = []
     warnings: list[tuple[str, str]] = []
 
@@ -215,64 +203,86 @@ def verify(cert: WitnessCertificate, *, strict_values: bool = True,
         fail("V3", f"theta order {N} shares a factor with p = {p}")
 
     order = N // math.gcd(N, e1, e2, e3, e4)
-    if order != cert.claimed_order:
+    if order != claimed:
         fail("V4", f"element order is {order}, certificate claims "
-                   f"{cert.claimed_order}")
+                   f"{claimed}")
 
     k_s = N // math.gcd(N, e2 - e1, e3 - e1, e4 - e1)
-    if cert.claimed_order % k_s == 0 and cert.claimed_order != k_s:
+    if claimed % k_s == 0 and claimed != k_s:
         fail("V5", f"g^{k_s} is scalar and {k_s} properly divides the "
                    "claimed order, so the projective order is smaller")
 
-    active = [i for i, k in enumerate(cert.profile) if k > 0]
-    if [s.factor for s in cert.selections] != active:
-        fail("V6", "selections do not cover exactly the active profile slots")
-    else:
-        for sel in cert.selections:
-            want = cert.profile[sel.factor]
-            if len(sel.positions) != want:
-                fail("V6", f"slot {sel.factor} selects {len(sel.positions)} "
+    # V6, V7 and case D's (A, B) in one pass over the selections.  V6
+    # checks slot by slot only when the selections cover exactly the
+    # active profile slots, and reports sizes before coinciding values.
+    profile = cert.profile
+    selections = cert.selections
+    covered = (list(map(_factor, selections))
+               == [i for i, k in enumerate(profile) if k > 0])
+    distinct = len({e1, e2, e3, e4}) == 4
+    clashes = []
+    fixed = sigma = tau = 0
+    case_d_shapes = cert.case_d is not None
+    for sel in selections:
+        factor, positions = sel.factor, sel.positions
+        weight = p**factor
+        part = 0
+        for j in positions:
+            part += exps[j - 1]
+        fixed += weight * part
+        if case_d_shapes:
+            coeffs = _CASE_D_SHAPES.get(positions)
+            if coeffs is None:
+                case_d_shapes = False
+            else:
+                sigma += coeffs[0] * weight
+                tau += coeffs[1] * weight
+        if covered:
+            want = profile[factor]
+            if len(positions) != want:
+                fail("V6", f"slot {factor} selects {len(positions)} "
                            f"positions, profile wants {want}")
-        # distinct positions pick distinct values unless exponents coincide
-        if len({e1, e2, e3, e4}) < 4:
-            for sel in cert.selections:
-                vals = [exps[j - 1] for j in sel.positions]
+            # distinct positions pick distinct values unless exponents coincide
+            if not distinct:
+                vals = [exps[j - 1] for j in positions]
                 if len(set(vals)) != len(vals):
-                    msg = (f"slot {sel.factor} selects coinciding "
-                           "characteristic values")
-                    if strict_values:
-                        fail("V6", msg)
-                    else:
-                        warnings.append(("V6", msg))
+                    clashes.append(f"slot {factor} selects coinciding "
+                                   "characteristic values")
+    if not covered:
+        fail("V6", "selections do not cover exactly the active profile slots")
+    for msg in clashes:
+        if strict_values:
+            fail("V6", msg)
+        else:
+            warnings.append(("V6", msg))
 
-    if _fixed_point_exponent(p, exps, cert.selections) % N != 0:
+    if fixed % N != 0:
         fail("V7", "weighted fixed-point exponent does not vanish mod N")
 
-    expected_case = classify_profile(cert.profile, pr)
-    if expected_case != cert.case:
+    case = cert.case
+    if expected_case != case:
         fail("V8", f"profile classifies as {expected_case}, certificate "
-                   f"says {cert.case}")
-    n_ord = target_orders(pr, cert.case)
+                   f"says {case}")
+    n_ord = target_orders(pr, case)
     if n_ord is None:
-        fail("V8", f"case {cert.case} does not apply at q = {q}")
+        fail("V8", f"case {case} does not apply at q = {q}")
     else:
-        if cert.theta_order != n_ord:
-            fail("V8", f"theta order {cert.theta_order} != case modulus "
-                       f"{n_ord}")
-        if cert.claimed_order != n_ord:
-            fail("V8", f"claimed order {cert.claimed_order} != case order "
-                       f"{n_ord}")
-    if cert.target_order != p * cert.claimed_order:
+        if N != n_ord:
+            fail("V8", f"theta order {N} != case modulus {n_ord}")
+        if claimed != n_ord:
+            fail("V8", f"claimed order {claimed} != case order {n_ord}")
+    if cert.target_order != p * claimed:
         fail("V8", "target order is not p * claimed order")
     if cert.case_d is not None:
-        _check_case_d(cert, n_ord, fail)
+        _check_case_d(cert, n_ord,
+                      ((1 + eps * q) * sigma, tau) if case_d_shapes else None,
+                      fail)
     if psl_orders is not None:
-        if not in_spectrum(psl_orders, cert.claimed_order):
-            fail("V8", f"claimed order {cert.claimed_order} is not an order "
-                       "of the projective group")
+        if not in_spectrum(psl_orders, claimed):
+            fail("V8", f"claimed order {claimed} is not an order of the "
+                       "projective group")
         if in_spectrum(psl_orders, cert.target_order):
             fail("V8", f"target order {cert.target_order} is already an "
                        "order of the projective group")
 
-    return VerificationReport(ok=not failures, failures=tuple(failures),
-                              warnings=tuple(warnings))
+    return VerificationReport(not failures, tuple(failures), tuple(warnings))

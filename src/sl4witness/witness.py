@@ -38,7 +38,8 @@ import math
 from typing import NamedTuple
 
 from . import arith, params as params_mod
-from .params import CASE_A, CASE_B, CASE_C, GroupParams, classify_profile
+from .params import (CASE_A, CASE_B, CASE_C, CASE_D, GroupParams,
+                     classify_profile)
 
 
 class ConstructionError(RuntimeError):
@@ -204,8 +205,30 @@ def case_d_exponents(a: int, b: int, r: int, t: int, eps: int,
     )
 
 
+# Per case, the positions a slot with profile entry k selects (None where
+# the case has no such slot).
+_BASE_SHAPES = {
+    CASE_A: (None, None, (1, 3), None),
+    CASE_B: (None, (4,), None, (1, 2, 3)),
+    CASE_C: (None, (4,), (3, 4), (1, 2, 4)),
+    CASE_D: (None, (3,), (1, 2), (1, 2, 4)),
+}
+
+# Selection records, _RECORDS[case][k][i] = Selection(i, base shape of k)
+# for i < m, built on a case's first use and rebuilt for a longer profile.
+_RECORDS = {}
+
+
 def construct(params: GroupParams, profile) -> WitnessCertificate:
-    """Build a certificate for this profile; deterministic for fixed input."""
+    """Build a certificate for this profile; deterministic for fixed input.
+
+    One pass over the profile picks each active slot's record and sums, per
+    entry k, the weight W_k = sum of p^i over the slots with k_i = k.  A
+    selection enters every sum below only through p^i times a quantity of
+    its shape, so case D's (A, B) and the closing fixed-point exponent are
+    combinations of the W_k; a slot that case C or D retouches moves its
+    p^i from the base shape to the new one.
+    """
     profile = tuple(profile)
     case = classify_profile(profile, params)
     eps, p, q = params.epsilon, params.p, params.q
@@ -214,47 +237,62 @@ def construct(params: GroupParams, profile) -> WitnessCertificate:
     # never None: case D needs a mixed profile, so m >= 2 and q > 3
     n_ord = params_mod.target_orders(params, case)
 
+    shapes = _BASE_SHAPES[case]
+    rows = _RECORDS.get(case)
+    if rows is None or len(rows[0]) < len(profile):
+        rows = _RECORDS[case] = tuple(
+            tuple(Selection(i, shape) if shape else None
+                  for i in range(len(profile))) for shape in shapes)
+    selections = []
+    weights = [0, 0, 0, 0]
+    weight = 1
+    for i, k in enumerate(profile):
+        if k:
+            selections.append(rows[k][i])
+            weights[k] += weight
+        weight *= p
+    moved = []  # (factor, base positions, new positions) per retouched slot
+
     if case == CASE_A:
-        exponents = tuple(v % n_ord for v in (1, eps * q, q * q, eps * q**3))
-        selections = tuple(Selection(i, (1, 3))
-                           for i, k in enumerate(profile) if k == 2)
+        exponents = (1 % n_ord, (eps * q) % n_ord, (q * q) % n_ord,
+                     (eps * q**3) % n_ord)
 
     elif case == CASE_B:
         exponents = (1 % n_ord, (eps * q) % n_ord, (q * q) % n_ord, 0)
-        selections = tuple(
-            Selection(i, (4,) if k == 1 else (1, 2, 3))
-            for i, k in enumerate(profile) if k in (1, 3)
-        )
 
     elif case == CASE_C:
         exponents = (1, (eps * q) % n_ord, n_ord // 2, 0)
-        base = {1: (4,), 2: (3, 4), 3: (1, 2, 4)}
-        selections = tuple(Selection(i, base[k])
-                           for i, k in enumerate(profile) if k > 0)
-        total = fixed_point_exponent(p, exponents, selections) % n_ord
+        total = _weighted_sum(exponents, shapes, weights, moved, p) % n_ord
         if total != 0:
             if total != n_ord // 2:
                 raise ConstructionError("case C sum is neither 0 nor N/2")
             # Trading the fixed value 1 for -1 in one odd slot shifts the
             # sum by N/2, which cancels it.
-            sels = list(selections)
-            idx = next((n for n, s in enumerate(sels)
-                        if profile[s.factor] in (1, 3)), None)
-            if idx is None:
-                raise ConstructionError("no k in {1,3} slot available in case C")
-            sels[idx] = Selection(sels[idx].factor, _FLIP[sels[idx].positions])
-            selections = tuple(sels)
+            for idx, sel in enumerate(selections):
+                if profile[sel.factor] in (1, 3):
+                    break
+            else:
+                raise ConstructionError(
+                    "no k in {1,3} slot available in case C")
+            new = _FLIP[sel.positions]
+            selections[idx] = Selection(sel.factor, new)
+            moved.append((sel.factor, sel.positions, new))
 
     else:  # CASE_D
         s2 = params.two_part_qme
         t = n_ord
         r = t // s2
-        base = {1: (3,), 2: (1, 2), 3: (1, 2, 4)}
-        selections = tuple(Selection(i, base[k])
-                           for i, k in enumerate(profile) if k > 0)
-        A, B = compute_AB(profile, params, selections)
+        sigma = tau = 0
+        for k in (1, 2, 3):
+            coeff_sigma, coeff_tau = _SHAPE_COEFFS[shapes[k]]
+            sigma += coeff_sigma * weights[k]
+            tau += coeff_tau * weights[k]
         selections, A, B, adjustments = balance_two_parts(
-            A, B, profile, params, selections)
+            (1 + eps * q) * sigma, tau, profile, params, tuple(selections))
+        for adj in adjustments:
+            base = shapes[profile[adj.factor]]
+            new = (_FLIP if adj.kind == "flip" else _SWAP)[base]
+            moved.append((adj.factor, base, new))
         a, b = solve_ab(A, B, params, r)
         # The selected values are pairwise distinct mod t = r * s2.  r
         # divides q + eps, so mod r the exponents are (a, -a, 0, 0), and
@@ -264,19 +302,30 @@ def construct(params: GroupParams, profile) -> WitnessCertificate:
         # is 2 as q = eps (mod 4), and a + b is odd, so the difference has
         # 2-part exactly 2 and is nonzero mod s2 >= 4.
         exponents = case_d_exponents(a, b, r, t, eps, q)
-        case_d = CaseDInternals(r=r, t=t, a=a, b=b, coeff_a=A, coeff_rb=B,
-                                adjustments=adjustments)
+        case_d = CaseDInternals(r, t, a, b, A, B, adjustments)
 
-    if fixed_point_exponent(p, exponents, selections) % n_ord != 0:
+    if _weighted_sum(exponents, shapes, weights, moved, p) % n_ord != 0:
         raise ConstructionError("fixed-point exponent does not vanish")
-    return WitnessCertificate(
-        params=params,
-        profile=profile,
-        case=case,
-        theta_order=n_ord,
-        exponents=exponents,
-        selections=selections,
-        claimed_order=n_ord,
-        target_order=p * n_ord,
-        case_d=case_d,
-    )
+    return WitnessCertificate(params, profile, case, n_ord, exponents,
+                              tuple(selections), n_ord, p * n_ord, case_d)
+
+
+def _weighted_sum(exponents, shapes, weights, moved, p) -> int:
+    """The fixed-point exponent from the per-entry weights: sum over k of
+    W_k times the exponents shapes[k] selects, corrected by p^i times the
+    change at each retouched slot."""
+    total = 0
+    for k, shape in enumerate(shapes):
+        if weights[k]:
+            part = 0
+            for j in shape:
+                part += exponents[j - 1]
+            total += weights[k] * part
+    for factor, base, new in moved:
+        part = 0
+        for j in new:
+            part += exponents[j - 1]
+        for j in base:
+            part -= exponents[j - 1]
+        total += p**factor * part
+    return total

@@ -94,3 +94,24 @@ def test_sign_helpers():
         params.sign_from_str("x")
     with pytest.raises(ValueError):
         params.sign_to_str(0)
+
+
+@pytest.mark.parametrize("entry", [True, False, 1.0, 2.0, [1]])
+def test_check_profile_refuses_entries_that_are_not_plain_ints(entry):
+    # True, False and 1.0 hash and compare like 1, 0 and 1; the document
+    # format refuses them, so the library does too
+    with pytest.raises(ValueError, match=r"entries must lie in \{0, 1, 2, 3\}"):
+        params.check_profile((entry, 2), 2)
+    with pytest.raises(ValueError):
+        params.classify_profile((2, entry), params.derive(1, 3, 2))
+
+
+def test_check_profile_accepts_int_subclasses():
+    # as the document format's plain-int test does: bool is the one
+    # subclass of int it refuses
+    class Entry(int):
+        pass
+
+    params.check_profile((Entry(2), Entry(0)), 2)
+    assert (params.classify_profile((Entry(2), 1), params.derive(1, 3, 2))
+            == params.CASE_D)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from sl4witness import arith, params, spectrum, verifier, witness
+from sl4witness import arith, cli, params, spectrum, verifier, witness
 from verifier_reference import brute_force_selections, failed_checks
 from sl4witness.verifier import MalformedCertificate
 from sl4witness.witness import Selection
@@ -172,6 +172,31 @@ def test_malformed_profile_length(cert_a):
     bad = cert_a._replace(profile=(2,))
     with pytest.raises(MalformedCertificate):
         verifier.verify(bad)
+
+
+@pytest.mark.parametrize("entry", [True, False, 1.0, [2]])
+def test_malformed_profile_entry_type(cert_a, entry):
+    # cert_a's profile is (2, 2); each entry hashes or compares like an
+    # allowed value or is unhashable, and none is a plain int
+    bad = cert_a._replace(profile=(entry, 2))
+    with pytest.raises(MalformedCertificate,
+                       match=r"entries must lie in \{0, 1, 2, 3\}"):
+        verifier.verify(bad)
+
+
+def test_construct_refuses_what_the_document_format_refuses():
+    # (True, 2) once built a case-D certificate whose own document the
+    # parser refused
+    pr = params.derive(1, 3, 2)
+    for profile in ((True, 2), (False, 2), (1.0, 2), ([1], 2)):
+        with pytest.raises(ValueError):
+            witness.construct(pr, profile)
+    cert = witness.construct(pr, (1, 2))
+    doc = cli.certificate_to_document(cert)
+    assert cli.certificate_from_document(doc) == cert
+    doc["profile"][0] = True
+    with pytest.raises(cli.DocumentError, match="profile entry"):
+        cli.certificate_from_document(doc)
 
 
 def test_malformed_unreduced_exponent(cert_a):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import verifier_reference as ref
+import witness_reference
 from sl4witness import params, spectrum, verifier, witness
 from sl4witness.verifier import MalformedCertificate
 from sl4witness.witness import Selection
@@ -302,16 +303,34 @@ def _wrong_fixed_point(*args):
 
 
 def _wrong_case_d_exponents(a, b, r, t, eps, q,
-                            _right=witness.case_d_exponents):
+                            _right=witness_reference.case_d_exponents):
     # the inverse element: its fixed-point exponent vanishes too
     return tuple(-e % t for e in _right(a, b, r, t, eps, q))
 
 
-def _wrong_compute_AB(profile, pr, selections, _right=witness.compute_AB):
+def _wrong_compute_AB(profile, pr, selections,
+                      _right=witness_reference.compute_AB):
     # same 2-part and residue mod (q - eps)_2, so (a, b) and the exponents
     # come out as before and only the recorded coefficient is off
     A, B = _right(profile, pr, selections)
     return A * (1 + 2**40), B
+
+
+def _rejects_what_is_built(grid, construct):
+    """Rebuild the grid's case C and D certificates with construct; every
+    one that comes out changed must fail verify.  Returns how many did."""
+    honest = {(c.params, c.profile): c for c in grid
+              if c.case in (params.CASE_C, params.CASE_D)}
+    changed = 0
+    for (pr, profile), good in honest.items():
+        try:
+            cert = construct(pr, profile)
+        except witness.ConstructionError:
+            continue
+        if cert != good:
+            changed += 1
+            assert not verifier.verify(cert).ok, cert
+    return changed
 
 
 @pytest.mark.parametrize("name, wrong", [
@@ -321,16 +340,20 @@ def _wrong_compute_AB(profile, pr, selections, _right=witness.compute_AB):
 ])
 def test_verify_rejects_what_a_wrong_constructor_helper_builds(
         grid, monkeypatch, name, wrong):
-    honest = {(c.params, c.profile): c for c in grid
-              if c.case in (params.CASE_C, params.CASE_D)}
+    # the reference constructor calls each helper on every certificate of
+    # a case that uses it, and builds what construct builds
+    # (test_witness_equivalence)
+    monkeypatch.setattr(witness_reference, name, wrong)
+    assert _rejects_what_is_built(grid, witness_reference.construct) > 0
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("case_d_exponents", _wrong_case_d_exponents),
+    ("compute_AB", _wrong_compute_AB),
+])
+def test_verify_rejects_what_construct_builds_with_a_wrong_helper(
+        grid, monkeypatch, name, wrong):
+    # construct itself reaches compute_AB only through balance_two_parts,
+    # on the certificates it retouches
     monkeypatch.setattr(witness, name, wrong)
-    changed = 0
-    for (pr, profile), good in honest.items():
-        try:
-            cert = witness.construct(pr, profile)
-        except witness.ConstructionError:
-            continue
-        if cert != good:
-            changed += 1
-            assert not verifier.verify(cert).ok, cert
-    assert changed > 0
+    assert _rejects_what_is_built(grid, witness.construct) > 0

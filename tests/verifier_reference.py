@@ -26,7 +26,8 @@ from sl4witness.witness import Selection
 def check_profile(profile, m):
     if len(profile) != m:
         raise ValueError(f"profile length {len(profile)} != m = {m}")
-    if any(k not in (0, 1, 2, 3) for k in profile):
+    if any(not isinstance(k, int) or isinstance(k, bool)
+           or k not in (0, 1, 2, 3) for k in profile):
         raise ValueError("profile entries must lie in {0, 1, 2, 3}")
 
 
