@@ -2,11 +2,13 @@
 
 Everything here is pure and deterministic: 2-adic parts, primality (a
 lookup below 2^10, one gcd with the product of those primes below 2^20,
-Miller-Rabin with proven bases above), certified factorization (the
-primes below 2^10 found by one gcd, then Brent's rho on a fixed parameter
-schedule and work budget), primitive prime divisors of a^n - (eps*1)^n,
-and membership in a divisor-closed order set.  No randomness, so repeated
-runs factor the same input the same way.
+Miller-Rabin with proven bases above), certified factorization in three
+stages (the primes below 2^10 by one gcd with their product, then each
+composite part below 2^34 by gcds with cached products of runs of the
+primes in [2^10, 2^17), and each larger one by Brent's rho on a fixed
+parameter schedule and work budget), primitive prime divisors of
+a^n - (eps*1)^n, and membership in a divisor-closed order set.  No
+randomness, so repeated runs factor the same input the same way.
 """
 
 import math
@@ -22,9 +24,10 @@ MAX_DIGITS = len(str(SIZE_LIMIT))
 
 _LOW_TRIAL_LIMIT = 1 << 10
 
-# Rho squarings per split, ~1 s: splitting off p takes about sqrt(p), so a
-# balanced 2^64 semiprime needs ~2^17, and a composite with no prime below
-# about 2^38 is refused.
+# Rho squarings per split, ~1 s.  Rho only splits parts of 2^34 and more,
+# which the mid-range table does not reach: splitting off p takes about
+# sqrt(p), so a balanced 2^64 semiprime needs ~2^17, and a composite with
+# no prime below about 2^38 is refused.
 _RHO_BUDGET = 1 << 21
 
 # Miller-Rabin with the first k primes as bases is a proven-deterministic
@@ -73,6 +76,20 @@ def _primes_below(limit: int) -> tuple[int, ...]:
 
 _LOW_PRIMES = _primes_below(_LOW_TRIAL_LIMIT)
 _LOW_PRODUCT = math.prod(_LOW_PRIMES)
+
+# The mid-range table: the primes in [2^10, 2^17), in runs of _MID_RUN,
+# with each run's least prime and product.  Nothing is built at import: a
+# scan that runs past the table adds the next block between two of
+# _MID_BOUNDS.  On a 2-vCPU host the first block takes ~0.3 ms and the
+# second ~2.3 ms, so a process whose least primes stay below 2^14 never
+# builds the second, and at most two splits per process pay for the
+# table.  Its products take ~32 kB.
+_MID_BOUNDS = (_LOW_TRIAL_LIMIT, 1 << 14, 1 << 17)
+_MID_SPLIT_LIMIT = _MID_BOUNDS[-1] ** 2
+_MID_RUN = 64
+_mid_starts: list[int] = []
+_mid_products: list[int] = []
+_mid_blocks = 0
 
 
 def is_prime(n: int) -> bool:
@@ -150,13 +167,62 @@ def _brent_rho(n: int) -> int:
             return g
 
 
+def _extend_mid_table() -> None:
+    """Append the runs of primes in the next block [lo, hi) of the
+    mid-range table.  An odd-only sieve by the primes below 2^10 finds
+    them, which is enough below 2^20."""
+    global _mid_blocks
+    if _mid_blocks == len(_MID_BOUNDS) - 1:
+        raise ValueError("mid-range table exhausted")
+    lo, hi = _MID_BOUNDS[_mid_blocks:_mid_blocks + 2]
+    size = (hi - lo) // 2
+    # entry i stands for lo + 1 + 2i, which p divides when
+    # i = -(lo + 1) / 2 (mod p)
+    odd = bytearray([1]) * size
+    for p in _LOW_PRIMES[1:]:
+        if p * p > hi:
+            break
+        i = -(lo + 1) * (p + 1) // 2 % p
+        odd[i::p] = bytes(len(range(i, size, p)))
+    primes = list(compress(range(lo + 1, hi, 2), odd))
+    for j in range(0, len(primes), _MID_RUN):
+        _mid_starts.append(primes[j])
+        _mid_products.append(math.prod(primes[j:j + _MID_RUN]))
+    _mid_blocks += 1
+
+
+def _least_mid_prime(m: int) -> int:
+    """Least prime factor of a composite m < 2^34 with no prime factor
+    below 2^10.
+
+    Such an m has a prime factor below 2^17, and every divisor of m below
+    2^20 is prime.  So the first run of the mid-range table whose product
+    shares a factor with m holds m's least prime, and the gcd g is that
+    prime, unless it is 2^20 or more and so the product of several of the
+    run's primes; then the first odd number from the run's start that
+    divides g is its least prime, as a composite below 2^17 has a prime
+    factor below 2^10.
+    """
+    for i in count():
+        if i == len(_mid_products):
+            _extend_mid_table()
+        g = math.gcd(_mid_products[i], m)
+        if g > 1:
+            break
+    if g < _LOW_TRIAL_LIMIT * _LOW_TRIAL_LIMIT:
+        return g
+    return next(c for c in count(_mid_starts[i], 2) if g % c == 0)
+
+
 def _prime_exponents(n: int) -> dict[int, int]:
     """The prime -> exponent map of n >= 2, in no particular order.
 
     The primes below 2^10 are found by one gcd with their product and
-    divided out.  Brent's rho splits the cofactor until is_prime holds
-    for every part.  So each factor is certified prime and the result can
-    be trusted by downstream order/divisor computations.
+    divided out.  The cofactor is split until is_prime holds for every
+    part: a composite part below 2^34 by its least prime, which the
+    mid-range table's gcds find, and a larger one by Brent's rho.  So each
+    factor is certified prime and the result can be trusted by downstream
+    order/divisor computations.
     """
     if n < 2:
         raise ValueError("factorize needs n >= 2")
@@ -187,14 +253,17 @@ def _prime_exponents(n: int) -> dict[int, int]:
         if is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue
-        d = _brent_rho(m)
+        d = _least_mid_prime(m) if m < _MID_SPLIT_LIMIT else _brent_rho(m)
         stack.append(d)
         stack.append(m // d)
     return found
 
 
 def factorize(n: int) -> list[PrimePower]:
-    """Full prime factorization of n >= 2, ascending by prime; ValueError
+    """Full prime factorization of n >= 2, ascending by prime.
+
+    Primes below 2^10 fall out of one gcd, a composite part below 2^34
+    splits by the mid-range table and a larger one by rho: ValueError
     when a rho split needs over _RHO_BUDGET = 2^21 squarings (~1 s)."""
     return [PrimePower(p, e) for p, e in sorted(_prime_exponents(n).items())]
 
@@ -211,7 +280,8 @@ def primitive_prime_divisor(a: int, n: int, eps: int) -> int | None:
     Dividing out every prime shared with an earlier term leaves exactly the
     primitive primes, as a primitive prime divides no earlier term, so the
     answer is the least prime factor of what is left: one gcd finds it
-    below 2^10, factorize above (ValueError past its rho budget).
+    below 2^10, factorize's stages above, so a value left below 2^34 never
+    reaches rho (ValueError past rho's budget).
     """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")

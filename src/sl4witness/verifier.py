@@ -90,10 +90,20 @@ def _case_d_exponents(a: int, b: int, r: int, t: int, eps: int,
             (x3 * u + y3 * v + z3 * w) % t, (x4 * u + y4 * v + z4 * w) % t)
 
 
+def _plain_int(x) -> bool:
+    """x is an int but not a bool, as the document format requires: a
+    float or a bool would pass the range and shape tests by comparing or
+    hashing like an int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_positions(positions) -> None:
-    """The shape rules, one by one, for positions not found in _SHAPES."""
-    if not positions or any(j not in (1, 2, 3, 4) for j in positions):
-        raise MalformedCertificate("selection positions must lie in 1..4")
+    """The shape rules, one by one, for positions not found in _SHAPES as
+    a tuple of ints."""
+    if not positions or any(not _plain_int(j) or j not in (1, 2, 3, 4)
+                            for j in positions):
+        raise MalformedCertificate(
+            "selection positions must be integers in 1..4")
     if tuple(sorted(set(positions))) != positions:
         raise MalformedCertificate(
             "selection positions must be strictly increasing")
@@ -127,15 +137,22 @@ def _structural_check(cert: WitnessCertificate) -> str:
         raise MalformedCertificate("orders must be positive")
     m = pr.m
     for sel in cert.selections:
-        if not 0 <= sel.factor < m:
+        factor, positions = sel.factor, sel.positions
+        if type(factor) is not int and not _plain_int(factor):
+            raise MalformedCertificate("selection factor must be an integer")
+        if not 0 <= factor < m:
             raise MalformedCertificate(
-                f"selection factor {sel.factor} out of range")
+                f"selection factor {factor} out of range")
         try:
-            known = sel.positions in _SHAPES
+            known = positions in _SHAPES
         except TypeError:  # unhashable positions, a list say
             known = False
+        if known:  # (1.0, 3.0) is found too
+            for j in positions:
+                if type(j) is not int:
+                    known = False
         if not known:
-            _check_positions(sel.positions)
+            _check_positions(positions)
     if (cert.case == CASE_D) != (cert.case_d is not None):
         raise MalformedCertificate(
             "case_d data must be present exactly for case D_QcongEps")

@@ -226,6 +226,75 @@ def test_factorize_balanced_semiprimes_promptly():
         assert elapsed < 2.0, (k, elapsed)
 
 
+MID_PRIMES = list(sympy.primerange(1031, 131072))
+
+
+def test_mid_table_holds_the_primes_in_runs():
+    # scanning a prime of 2^17 or more runs through the whole table
+    with pytest.raises(ValueError, match="exhausted"):
+        arith._least_mid_prime(131101)
+    assert arith._mid_blocks == len(arith._MID_BOUNDS) - 1
+    ends = arith._mid_starts[1:] + [arith._MID_BOUNDS[-1]]
+    runs = []
+    for start, end, product in zip(arith._mid_starts, ends,
+                                   arith._mid_products):
+        run = [q for q in MID_PRIMES if start <= q < end]
+        assert run[0] == start and len(run) <= arith._MID_RUN
+        assert math.prod(run) == product
+        runs += run
+    assert runs == MID_PRIMES
+
+
+def test_factorize_mid_range_matches_sympy():
+    # products of 2 or 3 primes from [2^10, 2^17) below 2^34, where the
+    # mid-range table splits every part
+    rnd = random.Random(3434)
+    values = []
+    while len(values) < 2500:
+        n = math.prod(rnd.choices(MID_PRIMES, k=rnd.choice((2, 3))))
+        if n < arith._MID_SPLIT_LIMIT:
+            values.append(n)
+    for n in values:
+        got = [(f.prime, f.exponent) for f in arith.factorize(n)]
+        assert got == _sympy_factors(n), n
+
+
+def test_factorize_mid_range_edges():
+    above = sympy.nextprime(2**17) * sympy.nextprime(2**17 + 2**10)
+    assert 131063 * 131071 == 17178558473 < arith._MID_SPLIT_LIMIT < above
+    for n, want in ((1031 * 1033, [(1031, 1), (1033, 1)]),
+                    (1031**3, [(1031, 3)]),
+                    (131063 * 131071, [(131063, 1), (131071, 1)]),
+                    (1031 * 131071 * 3, [(3, 1), (1031, 1), (131071, 1)]),
+                    (above, _sympy_factors(above))):
+        assert [(f.prime, f.exponent) for f in arith.factorize(n)] == want
+    # several of one run's primes: the gcd is their product, not a prime
+    assert arith._least_mid_prime(1031 * 1033 * 1039) == 1031
+    assert arith._least_mid_prime(1033 * 1039) == 1033
+
+
+def test_rho_runs_only_above_the_mid_range(monkeypatch):
+    calls = []
+    rho = arith._brent_rho
+
+    def counted(n):
+        calls.append(n)
+        return rho(n)
+
+    monkeypatch.setattr(arith, "_brent_rho", counted)
+    rnd = random.Random(3535)
+    for _ in range(300):
+        n = math.prod(rnd.choices(MID_PRIMES, k=2))
+        third = rnd.choice(MID_PRIMES)
+        if n * third < arith._MID_SPLIT_LIMIT:
+            n *= third
+        arith.factorize(n)
+    arith.factorize(131063 * 131071)
+    assert calls == []
+    arith.factorize(1000003 * 1000033)
+    assert calls == [1000003 * 1000033]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(2, 2**32 - 1), min_size=1, max_size=4))
 def test_factorize_matches_sympy_on_products_of_primes(seeds):
@@ -295,7 +364,8 @@ def test_primitive_prime_divisor_at_low_prime_edge():
 
 def test_primitive_prime_divisor_rho_path():
     # stripped values with no prime below 2^10 that are not prime: the
-    # least prime factor comes from a rho split
+    # least prime factor comes from splitting them, which rho did before
+    # the mid-range table took every part below 2^34
     cases = {(60899, 4, -1): 22469, (52501, 4, 1): 10253,
              (52501, 4, -1): 10253, (34649, 4, 1): 8089}
     for (a, n, eps), r in cases.items():

@@ -8,6 +8,9 @@ exit code 0, 1 or 2, each within TIME_BOUND_S.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -153,3 +156,31 @@ def test_hard_ppd_exits_2_promptly(capsys):
                                 "--epsilon", "+"]) == 2
         assert time.perf_counter() - start < TIME_BOUND_S
         assert "rho" in capsys.readouterr().err
+
+
+def test_mid_range_ppd_exits_0_promptly(capsys):
+    # 61729^3 - 1 strips to 14221 * 89317, which the mid-range table splits
+    start = time.perf_counter()
+    assert _main_exit_code(["ppd", "--a", "61729", "--n", "3",
+                            "--epsilon", "+"]) == 0
+    assert time.perf_counter() - start < TIME_BOUND_S
+    assert capsys.readouterr().out.strip() == "14221"
+
+
+def test_mid_range_table_builds_promptly_in_a_fresh_process():
+    # the largest composite the mid-range table splits needs all of it,
+    # and a fresh process builds it from nothing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import time; from sl4witness import arith; "
+            "start = time.perf_counter(); "
+            "f = arith.factorize(131063 * 131071); "
+            "print(time.perf_counter() - start); print(*f)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    elapsed, factors = proc.stdout.splitlines()
+    assert float(elapsed) < TIME_BOUND_S
+    assert factors == ("PrimePower(prime=131063, exponent=1) "
+                       "PrimePower(prime=131071, exponent=1)")

@@ -184,6 +184,26 @@ def test_malformed_profile_entry_type(cert_a, entry):
         verifier.verify(bad)
 
 
+@pytest.mark.parametrize("factor", [1.0, True, "1"])
+def test_malformed_selection_factor_type(cert_a, factor):
+    # cert_a (q = 9) selects (1, 3) from factors 0 and 1; 1.0 and True
+    # compare like 1, and "1" does not compare with ints at all
+    sels = (cert_a.selections[0], Selection(factor, (1, 3)))
+    with pytest.raises(MalformedCertificate,
+                       match="selection factor must be an integer"):
+        verifier.verify(cert_a._replace(selections=sels))
+
+
+@pytest.mark.parametrize("positions", [(1.0, 3.0), (1, 3.0), (True, 3),
+                                       [1.0, 3.0]])
+def test_malformed_selection_position_type(cert_a, positions):
+    # (1.0, 3.0) and (True, 3) hash like the allowed shape (1, 3)
+    sels = (cert_a.selections[0], Selection(1, positions))
+    with pytest.raises(MalformedCertificate,
+                       match=r"positions must be integers in 1\.\.4"):
+        verifier.verify(cert_a._replace(selections=sels))
+
+
 def test_construct_refuses_what_the_document_format_refuses():
     # (True, 2) once built a case-D certificate whose own document the
     # parser refused

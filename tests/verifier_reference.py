@@ -87,12 +87,16 @@ def _structural_check(cert):
     if cert.claimed_order < 1 or cert.target_order < 1:
         raise MalformedCertificate("orders must be positive")
     for sel in cert.selections:
+        if not isinstance(sel.factor, int) or isinstance(sel.factor, bool):
+            raise MalformedCertificate("selection factor must be an integer")
         if not 0 <= sel.factor < pr.m:
             raise MalformedCertificate(
                 f"selection factor {sel.factor} out of range")
-        if not sel.positions or any(j not in (1, 2, 3, 4)
-                                    for j in sel.positions):
-            raise MalformedCertificate("selection positions must lie in 1..4")
+        if not sel.positions or any(
+                not isinstance(j, int) or isinstance(j, bool)
+                or j not in (1, 2, 3, 4) for j in sel.positions):
+            raise MalformedCertificate(
+                "selection positions must be integers in 1..4")
         if tuple(sorted(set(sel.positions))) != sel.positions:
             raise MalformedCertificate(
                 "selection positions must be strictly increasing")
