@@ -18,8 +18,8 @@ import sys
 from itertools import product
 
 from . import arith, verifier, witness
-from .params import (ALL_CASES, Q_CAP, derive, derive_from_q, sign_from_str,
-                     sign_to_str)
+from .params import (ALL_CASES, Q_CAP, derive, derive_from_q, is_plain_int,
+                     sign_from_str, sign_to_str)
 from .witness import (Adjustment, CaseDInternals, Selection,
                       WitnessCertificate)
 
@@ -90,7 +90,7 @@ def _dump(value, newline: str) -> str:
     # newline is "\n" followed by the indentation of value's own line
     if isinstance(value, str):
         return _encode_str(value)
-    if isinstance(value, int) and not isinstance(value, bool):
+    if type(value) is int:  # bools and other ints go to json.dumps below
         return int.__repr__(value)
     inner = newline + "  "
     if isinstance(value, dict):
@@ -132,8 +132,14 @@ def _int_from_string(value, where):
 
 
 def _plain_int(value, where):
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_plain_int(value):
         raise DocumentError(f"{where} must be an integer")
+    return value
+
+
+def _list(value, where):
+    if not isinstance(value, list):
+        raise DocumentError(f"{where} must be a list")
     return value
 
 
@@ -157,10 +163,8 @@ def certificate_from_document(doc) -> WitnessCertificate:
     if _plain_int(block["q"], "params.q") != params.q:
         raise DocumentError("params.q does not equal p^m")
 
-    profile = doc["profile"]
-    if not isinstance(profile, list):
-        raise DocumentError("profile must be a list")
-    profile = tuple(_plain_int(k, "profile entry") for k in profile)
+    profile = tuple(_plain_int(k, "profile entry")
+                    for k in _list(doc["profile"], "profile"))
 
     case = doc["case"]
     if not isinstance(case, str):
@@ -171,15 +175,10 @@ def certificate_from_document(doc) -> WitnessCertificate:
         raise DocumentError("exponents must be a list of four strings")
     exponents = tuple(_int_from_string(e, "exponent") for e in exponents)
 
-    raw_selections = doc["selections"]
-    if not isinstance(raw_selections, list):
-        raise DocumentError("selections must be a list")
     selections = []
-    for entry in raw_selections:
+    for entry in _list(doc["selections"], "selections"):
         _expect_keys(entry, ("factor", "positions"), where="selection")
-        positions = entry["positions"]
-        if not isinstance(positions, list):
-            raise DocumentError("selection positions must be a list")
+        positions = _list(entry["positions"], "selection positions")
         selections.append(Selection(
             factor=_plain_int(entry["factor"], "selection factor"),
             positions=tuple(_plain_int(j, "selection position")
@@ -191,11 +190,8 @@ def certificate_from_document(doc) -> WitnessCertificate:
         block = doc["case_d"]
         _expect_keys(block, ("r", "t", "a", "b", "A", "B", "adjustments"),
                      where="case_d")
-        raw_adjustments = block["adjustments"]
-        if not isinstance(raw_adjustments, list):
-            raise DocumentError("case_d adjustments must be a list")
         adjustments = []
-        for entry in raw_adjustments:
+        for entry in _list(block["adjustments"], "case_d adjustments"):
             _expect_keys(entry, ("kind", "factor"), where="adjustment")
             if entry["kind"] not in ("flip", "swap"):
                 raise DocumentError(f"unknown adjustment kind {entry['kind']!r}")
@@ -417,16 +413,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentError, verifier.MalformedCertificate) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except witness.ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    # DocumentError and MalformedCertificate are ValueErrors
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -106,6 +106,13 @@ def derive_from_q(epsilon: int, q: int) -> GroupParams:
     return derive(epsilon, powers[0].prime, powers[0].exponent)
 
 
+def is_plain_int(x) -> bool:
+    """x is an int but not a bool, as the document format requires: a
+    float or a bool would pass range and shape tests by comparing or
+    hashing like an int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_profile(profile: tuple[int, ...], m: int) -> None:
     """Refuse a profile of the wrong length or with an entry that is not an
     int in 0..3, as the document format does: a bool or a float equal to
@@ -116,8 +123,7 @@ def check_profile(profile: tuple[int, ...], m: int) -> None:
         if type(k) is int:  # the fast path
             if 0 <= k <= 3:
                 continue
-        elif (isinstance(k, int) and not isinstance(k, bool)
-              and k in (0, 1, 2, 3)):
+        elif is_plain_int(k) and k in (0, 1, 2, 3):
             continue
         raise ValueError("profile entries must lie in {0, 1, 2, 3}")
 

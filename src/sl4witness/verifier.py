@@ -3,9 +3,9 @@
 verify() trusts nothing but the group parameters: every property is
 re-derived with plain integer arithmetic by this module's own helpers,
 which take only the record types from the constructor.  Structural damage
-(wrong sizes, out-of-range or unreduced entries) raises MalformedCertificate
-before any check runs; semantic problems are collected per check label so a
-caller can see everything that is wrong at once.
+(wrong sizes or types, out-of-range or unreduced entries) raises
+MalformedCertificate before any check runs; semantic problems are collected
+per check label so a caller can see everything that is wrong at once.
 
 Check labels:
 
@@ -39,7 +39,8 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .arith import member as in_spectrum
-from .params import ALL_CASES, CASE_D, classify_profile, target_orders
+from .params import (ALL_CASES, CASE_D, classify_profile, is_plain_int,
+                     target_orders)
 from .witness import WitnessCertificate
 
 CHECK_LABELS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8")
@@ -90,17 +91,10 @@ def _case_d_exponents(a: int, b: int, r: int, t: int, eps: int,
             (x3 * u + y3 * v + z3 * w) % t, (x4 * u + y4 * v + z4 * w) % t)
 
 
-def _plain_int(x) -> bool:
-    """x is an int but not a bool, as the document format requires: a
-    float or a bool would pass the range and shape tests by comparing or
-    hashing like an int."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _check_positions(positions) -> None:
     """The shape rules, one by one, for positions not found in _SHAPES as
     a tuple of ints."""
-    if not positions or any(not _plain_int(j) or j not in (1, 2, 3, 4)
+    if not positions or any(not is_plain_int(j) or j not in (1, 2, 3, 4)
                             for j in positions):
         raise MalformedCertificate(
             "selection positions must be integers in 1..4")
@@ -128,17 +122,26 @@ def _structural_check(cert: WitnessCertificate) -> str:
     if len(exps) != 4:
         raise MalformedCertificate("exactly four exponents are required")
     e1, e2, e3, e4 = exps
-    if not (isinstance(e1, int) and isinstance(e2, int)
-            and isinstance(e3, int) and isinstance(e4, int)
-            and 0 <= e1 < N and 0 <= e2 < N and 0 <= e3 < N and 0 <= e4 < N):
+    plain = (type(e1) is int and type(e2) is int and type(e3) is int
+             and type(e4) is int) or all(map(is_plain_int, exps))
+    if not (plain and 0 <= e1 < N and 0 <= e2 < N and 0 <= e3 < N
+            and 0 <= e4 < N):
         raise MalformedCertificate(
             "exponents must be integers reduced mod theta_order")
-    if cert.claimed_order < 1 or cert.target_order < 1:
+    claimed, target = cert.claimed_order, cert.target_order
+    if not ((type(claimed) is int and type(target) is int)
+            or (is_plain_int(claimed) and is_plain_int(target))):
+        raise MalformedCertificate("orders must be integers")
+    if claimed < 1 or target < 1:
         raise MalformedCertificate("orders must be positive")
     m = pr.m
     for sel in cert.selections:
-        factor, positions = sel.factor, sel.positions
-        if type(factor) is not int and not _plain_int(factor):
+        try:
+            factor, positions = sel.factor, sel.positions
+        except AttributeError:  # a plain tuple, say
+            raise MalformedCertificate(
+                "selections must be Selection records") from None
+        if type(factor) is not int and not is_plain_int(factor):
             raise MalformedCertificate("selection factor must be an integer")
         if not 0 <= factor < m:
             raise MalformedCertificate(
@@ -153,9 +156,19 @@ def _structural_check(cert: WitnessCertificate) -> str:
                     known = False
         if not known:
             _check_positions(positions)
-    if (cert.case == CASE_D) != (cert.case_d is not None):
+    cd = cert.case_d
+    if (cert.case == CASE_D) != (cd is not None):
         raise MalformedCertificate(
             "case_d data must be present exactly for case D_QcongEps")
+    if cd is not None:
+        try:
+            values = (cd.r, cd.t, cd.a, cd.b, cd.coeff_a, cd.coeff_rb)
+        except AttributeError:
+            raise MalformedCertificate(
+                "case_d must be a CaseDInternals record") from None
+        for x in values:
+            if type(x) is not int and not is_plain_int(x):
+                raise MalformedCertificate("case_d values must be integers")
     return expected_case
 
 

@@ -711,19 +711,19 @@ def test_numpy_loaded_only_by_sampling():
 def test_library_import_skips_dataclasses_and_argparse():
     # the records are NamedTuples and cli imports argparse only to parse a
     # command line, so the package import loads neither; it loads what
-    # construct, verify and sweep run, and leaves the spectrum oracle and
-    # this module to their first use
+    # construct and verify run, and leaves the command line and its json,
+    # the spectrum oracle and this module to their first use
     proc = _run_fresh("-c", textwrap.dedent("""
         import sys
         import sl4witness
         print(" ".join(sorted(sys.modules)))"""))
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
-    assert not {"dataclasses", "inspect", "argparse"} & loaded
-    assert not {"sl4witness.spectrum", "sl4witness.ffield"} & loaded
-    assert {"json", "sl4witness.arith", "sl4witness.params",
-            "sl4witness.witness", "sl4witness.verifier",
-            "sl4witness.cli"} <= loaded
+    assert not {"dataclasses", "inspect", "argparse", "json"} & loaded
+    assert not {"sl4witness.spectrum", "sl4witness.ffield",
+                "sl4witness.cli"} & loaded
+    assert {"sl4witness.arith", "sl4witness.params",
+            "sl4witness.witness", "sl4witness.verifier"} <= loaded
 
 
 def test_verify_with_spectrum_does_not_load_numpy(tmp_path):

@@ -1,15 +1,17 @@
 """What each CLI command loads, and the package names resolved on first use.
 
-The package import loads what construct, verify and sweep run; the spectrum
-oracle and the field layer load when a command or a caller first asks for
-them, and numpy only when sampling runs.  Each command runs in a fresh
-interpreter, which lists the modules it loaded as it exits."""
+The package import loads what construct and verify run; the command line,
+the spectrum oracle and the field layer load when a command or a caller
+first asks for them, and numpy only when sampling runs.  Each command runs
+in a fresh interpreter, which lists the modules it loaded as it exits."""
 
+import ast
 import importlib
 import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -114,11 +116,11 @@ def test_lazy_names_resolve_after_a_bare_import():
     proc = _run_fresh("-c", textwrap.dedent("""
         import sys
         import sl4witness
-        lazy = {"sl4witness.spectrum", "sl4witness.ffield"}
+        lazy = {"sl4witness.spectrum", "sl4witness.ffield", "sl4witness.cli"}
         assert not lazy & set(sys.modules)
         names = dir(sl4witness)
-        assert {"ffield", "spectrum", "realize", "omega",
-                "parse_dump", "Field"} <= set(names)
+        assert {"ffield", "spectrum", "cli", "realize", "omega",
+                "parse_dump", "Field", "canonical_json"} <= set(names)
         assert names == sorted(names)
         assert not lazy & set(sys.modules)
         assert sl4witness.member is sl4witness.arith.member
@@ -154,3 +156,48 @@ def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(sl4witness, name)
     assert not hasattr(sl4witness, name)
+
+
+def test_construct_and_verify_leave_cli_unloaded():
+    proc = _run_fresh("-c", textwrap.dedent("""
+        import sys
+        import sl4witness
+        cert = sl4witness.construct(sl4witness.derive(1, 3, 2), (2, 1))
+        assert sl4witness.verify(cert).ok
+        assert not {"sl4witness.cli", "json"} & set(sys.modules)
+        write = sl4witness.canonical_json
+        assert {"sl4witness.cli", "json"} <= set(sys.modules)
+        assert write is sys.modules["sl4witness.cli"].canonical_json
+        doc = sl4witness.certificate_to_document(cert)
+        assert sl4witness.certificate_from_document(doc) == cert
+        print("ok")"""))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def _top_level_definitions(path):
+    """The names a module's source binds at top level."""
+    defined = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets
+                           if isinstance(t, ast.Name))
+    return defined
+
+
+def test_export_table_matches_the_submodules():
+    # a name in the table is resolved only on its first access, so a typo
+    # or a name its module only imports would otherwise pass unnoticed
+    package = Path(sl4witness.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    assert set(sl4witness._EXPORTS) == modules - {"__init__", "__main__"}
+    undefined = [f"{mod}.{name}"
+                 for mod, names in sl4witness._EXPORTS.items()
+                 for name in set(names) - _top_level_definitions(
+                     package / f"{mod}.py")]
+    assert undefined == []
+    assert sorted(sl4witness.__all__) == sl4witness.__all__
+    assert len(sl4witness.__all__) == sum(map(len,
+                                              sl4witness._EXPORTS.values()))

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import verifier_reference
 from sl4witness import arith, cli, params, spectrum, verifier, witness
 from verifier_reference import brute_force_selections, failed_checks
 from sl4witness.verifier import MalformedCertificate
@@ -202,6 +203,51 @@ def test_malformed_selection_position_type(cert_a, positions):
     with pytest.raises(MalformedCertificate,
                        match=r"positions must be integers in 1\.\.4"):
         verifier.verify(cert_a._replace(selections=sels))
+
+
+@pytest.fixture(scope="module")
+def cert_d125():
+    cert = witness.construct(params.derive(1, 5, 3), (2, 1, 0))
+    assert cert.case == witness.CASE_D and cert.case_d.r == 3
+    return cert
+
+
+# Hand-built records with a wrong-typed field, and the message each earns;
+# each once raised TypeError or AttributeError, or verified ok.
+_WRONG_TYPES = {
+    "claimed_str": (lambda c: c._replace(claimed_order="41"),
+                    "orders must be integers"),
+    "orders_float": (lambda c: c._replace(claimed_order=41.0,
+                                          target_order=123.0),
+                     "orders must be integers"),
+    "exponent_bool": (lambda c: c._replace(
+        exponents=(True,) + c.exponents[1:]),
+        "exponents must be integers reduced mod theta_order"),
+    "selection_tuple": (lambda c: c._replace(
+        selections=((0, (3,)),) + c.selections[1:]),
+        "selections must be Selection records"),
+    "case_d_r_float": (lambda c: c._replace(case_d=c.case_d._replace(r=3.0)),
+                       "case_d values must be integers"),
+    "case_d_a_str": (lambda c: c._replace(case_d=c.case_d._replace(a="1")),
+                     "case_d values must be integers"),
+    "case_d_tuple": (lambda c: c._replace(case_d=(1, 2)),
+                     "case_d must be a CaseDInternals record"),
+}
+
+
+@pytest.mark.parametrize("kind", _WRONG_TYPES)
+def test_wrong_typed_fields_are_malformed(cert_a, cert_d125, kind):
+    # both first exponents are 1, which True equals; cert_d125's case-D
+    # data has r = 3 and a = 1
+    assert cert_a.exponents[0] == cert_d125.exponents[0] == 1
+    tamper, message = _WRONG_TYPES[kind]
+    certs = (cert_d125,) if kind.startswith("case_d") else (cert_a, cert_d125)
+    for cert in certs:
+        bad = tamper(cert)
+        for verify in (verifier.verify, verifier_reference.verify):
+            with pytest.raises(MalformedCertificate) as info:
+                verify(bad)
+            assert str(info.value) == message
 
 
 def test_construct_refuses_what_the_document_format_refuses():

@@ -81,12 +81,18 @@ def _structural_check(cert):
     if len(cert.exponents) != 4:
         raise MalformedCertificate("exactly four exponents are required")
     for e in cert.exponents:
-        if not isinstance(e, int) or not 0 <= e < N:
+        if (not isinstance(e, int) or isinstance(e, bool)
+                or not 0 <= e < N):
             raise MalformedCertificate(
                 "exponents must be integers reduced mod theta_order")
+    for order in (cert.claimed_order, cert.target_order):
+        if not isinstance(order, int) or isinstance(order, bool):
+            raise MalformedCertificate("orders must be integers")
     if cert.claimed_order < 1 or cert.target_order < 1:
         raise MalformedCertificate("orders must be positive")
     for sel in cert.selections:
+        if not (hasattr(sel, "factor") and hasattr(sel, "positions")):
+            raise MalformedCertificate("selections must be Selection records")
         if not isinstance(sel.factor, int) or isinstance(sel.factor, bool):
             raise MalformedCertificate("selection factor must be an integer")
         if not 0 <= sel.factor < pr.m:
@@ -103,6 +109,15 @@ def _structural_check(cert):
     if (cert.case == CASE_D) != (cert.case_d is not None):
         raise MalformedCertificate(
             "case_d data must be present exactly for case D_QcongEps")
+    if cert.case_d is not None:
+        fields = ("r", "t", "a", "b", "coeff_a", "coeff_rb")
+        if not all(hasattr(cert.case_d, f) for f in fields):
+            raise MalformedCertificate(
+                "case_d must be a CaseDInternals record")
+        for f in fields:
+            value = getattr(cert.case_d, f)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise MalformedCertificate("case_d values must be integers")
 
 
 def _check_case_d(cert, fail):
