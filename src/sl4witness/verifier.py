@@ -39,8 +39,8 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .arith import member as in_spectrum
-from .params import (ALL_CASES, CASE_D, classify_profile, is_plain_int,
-                     target_orders)
+from .params import (ALL_CASES, CASE_D, GroupParams, classify_profile,
+                     is_plain_int, target_orders)
 from .witness import WitnessCertificate
 
 CHECK_LABELS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8")
@@ -71,6 +71,9 @@ def _case_d_shape_table() -> dict:
 _CASE_D_SHAPES = _case_d_shape_table()
 
 _factor = attrgetter("factor")
+
+# The types a profile, the exponents and the selections may have.
+_SEQUENCES = (tuple, list)
 
 
 class MalformedCertificate(ValueError):
@@ -107,8 +110,12 @@ def _structural_check(cert: WitnessCertificate) -> str:
     """Refuse a structurally unusable certificate; return the case its
     profile classifies as, which validates the profile on the way."""
     pr = cert.params
+    if not isinstance(pr, GroupParams):
+        raise MalformedCertificate("params must be a GroupParams record")
     if pr.q != pr.p**pr.m:
         raise MalformedCertificate("params: q != p^m")
+    if not isinstance(cert.profile, _SEQUENCES):
+        raise MalformedCertificate("profile must be a list or tuple")
     try:
         expected_case = classify_profile(cert.profile, pr)
     except ValueError as exc:
@@ -119,6 +126,8 @@ def _structural_check(cert: WitnessCertificate) -> str:
     if not isinstance(N, int) or N < 2:
         raise MalformedCertificate("theta_order must be an integer >= 2")
     exps = cert.exponents
+    if not isinstance(exps, _SEQUENCES):
+        raise MalformedCertificate("exponents must be a list or tuple")
     if len(exps) != 4:
         raise MalformedCertificate("exactly four exponents are required")
     e1, e2, e3, e4 = exps
@@ -135,6 +144,8 @@ def _structural_check(cert: WitnessCertificate) -> str:
     if claimed < 1 or target < 1:
         raise MalformedCertificate("orders must be positive")
     m = pr.m
+    if not isinstance(cert.selections, _SEQUENCES):
+        raise MalformedCertificate("selections must be a list or tuple")
     for sel in cert.selections:
         try:
             factor, positions = sel.factor, sel.positions
@@ -194,7 +205,8 @@ def _check_case_d(cert: WitnessCertificate, n_ord: int | None, coeffs,
     a, b = cd.a, cd.b
     if (cd.coeff_a, cd.coeff_rb) != coeffs:
         fail("V8", "case-D coefficients do not reproduce from the selections")
-    if _case_d_exponents(a, b, r, t, pr.epsilon, pr.q) != cert.exponents:
+    if (_case_d_exponents(a, b, r, t, pr.epsilon, pr.q)
+            != tuple(cert.exponents)):
         fail("V8", "case-D exponents do not reproduce from (a, b)")
     if (a * A + r * b * B) % s2 != 0:
         fail("V8", "case-D congruence a*A + r*b*B != 0 mod (q-eps)_2")

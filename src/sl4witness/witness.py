@@ -80,15 +80,6 @@ class WitnessCertificate(NamedTuple):
     case_d: CaseDInternals | None = None
 
 
-def fixed_point_exponent(p: int, exponents: tuple[int, ...],
-                         selections: tuple[Selection, ...]) -> int:
-    """sum over slots of p^i * (sum of selected exponents)."""
-    total = 0
-    for sel in selections:
-        total += p**sel.factor * sum(exponents[j - 1] for j in sel.positions)
-    return total
-
-
 # Per-selection contribution to the fixed-point exponent in case D, written
 # as sigma * a * (1 + eps*q) + tau * r*b.  Only these six position sets occur.
 _SHAPE_COEFFS = {
@@ -104,30 +95,66 @@ _FLIP = {(3,): (4,), (4,): (3,), (1, 2, 4): (1, 2, 3), (1, 2, 3): (1, 2, 4)}
 _SWAP = {(1, 2): (3, 4), (3, 4): (1, 2)}
 
 
-def compute_AB(profile: tuple[int, ...], params: GroupParams,
-               selections: tuple[Selection, ...]) -> tuple[int, int]:
-    """Coefficients (A, B) with total fixed-point exponent a*A + r*b*B."""
-    eps, q, p = params.epsilon, params.q, params.p
-    sigma_sum = 0
-    tau_sum = 0
-    for sel in selections:
-        try:
-            sigma, tau = _SHAPE_COEFFS[sel.positions]
-        except KeyError:
-            raise ValueError(f"selection {sel.positions} is not a case-D shape")
-        sigma_sum += sigma * p**sel.factor
-        tau_sum += tau * p**sel.factor
-    return (1 + eps * q) * sigma_sum, tau_sum
+def fixed_point_exponent(exponents: tuple[int, ...], shapes, weights,
+                         moved, p: int) -> int:
+    """sum over slots of p^i * (sum of selected exponents), from the
+    per-entry weights: W_k times the exponents shapes[k] selects, plus p^i
+    times the change at each slot (i, base, new) in moved."""
+    total = 0
+    for k, shape in enumerate(shapes):
+        if weights[k]:
+            part = 0
+            for j in shape:
+                part += exponents[j - 1]
+            total += weights[k] * part
+    for factor, base, new in moved:
+        part = 0
+        for j in new:
+            part += exponents[j - 1]
+        for j in base:
+            part -= exponents[j - 1]
+        total += p**factor * part
+    return total
 
 
-def balance_two_parts(
-    A: int,
-    B: int,
-    profile: tuple[int, ...],
-    params: GroupParams,
-    selections: tuple[Selection, ...],
-) -> tuple[tuple[Selection, ...], int, int, tuple[Adjustment, ...]]:
-    """Retouch selections until (A)_2 != (B)_2.
+def compute_AB(shapes, weights, moved,
+               params: GroupParams) -> tuple[int, int]:
+    """Coefficients (A, B) with total fixed-point exponent a*A + r*b*B,
+    from the weights and retouched slots as in fixed_point_exponent."""
+    sigma = tau = 0
+    for k, shape in enumerate(shapes):
+        if weights[k]:
+            coeff_sigma, coeff_tau = _SHAPE_COEFFS[shape]
+            sigma += coeff_sigma * weights[k]
+            tau += coeff_tau * weights[k]
+    for factor, base, new in moved:
+        weight = params.p**factor
+        (sigma_base, tau_base), (sigma_new, tau_new) = (
+            _SHAPE_COEFFS[base], _SHAPE_COEFFS[new])
+        sigma += (sigma_new - sigma_base) * weight
+        tau += (tau_new - tau_base) * weight
+    return (1 + params.epsilon * params.q) * sigma, tau
+
+
+def _retouch(selections: list[Selection], moved: list, profile, entries,
+             table) -> int | None:
+    """Give the first slot whose profile entry is in entries the positions
+    table maps its own to, record (factor, base, new) in moved and return
+    the factor; None if no slot has such an entry."""
+    for idx, sel in enumerate(selections):
+        if profile[sel.factor] in entries:
+            new = table[sel.positions]
+            selections[idx] = Selection(sel.factor, new)
+            moved.append((sel.factor, sel.positions, new))
+            return sel.factor
+    return None
+
+
+def balance_two_parts(profile: tuple[int, ...], params: GroupParams,
+                      selections: list[Selection], shapes, weights,
+                      moved: list) -> tuple[int, int, tuple[Adjustment, ...]]:
+    """(A, B) from compute_AB, with selections retouched until
+    (A)_2 != (B)_2; each retouch goes into selections and moved.
 
     When both 2-parts equal 2, flipping the lowest k_i in {1, 3} slot between
     positions 3 and 4 moves A by (1 + eps*q)*p^i and B by 2*p^i, which
@@ -136,33 +163,25 @@ def balance_two_parts(
     2*(1 + eps*q)*p^i, whose 2-part is exactly 4, so A's 2-part changes while
     B stays put.  At most two touches are ever needed.
     """
+    A, B = compute_AB(shapes, weights, moved, params)
     if arith.two_part(A) != arith.two_part(B):
-        return selections, A, B, ()
-    sels = list(selections)
+        return A, B, ()
     adjustments = []
-
-    def recompute():
-        return compute_AB(profile, params, tuple(sels))
-
     if arith.two_part(A) == 2:
-        idx = next((n for n, s in enumerate(sels)
-                    if profile[s.factor] in (1, 3)), None)
-        if idx is None:
+        factor = _retouch(selections, moved, profile, (1, 3), _FLIP)
+        if factor is None:
             raise ConstructionError("no k in {1,3} slot available to flip")
-        sels[idx] = Selection(sels[idx].factor, _FLIP[sels[idx].positions])
-        adjustments.append(Adjustment("flip", sels[idx].factor))
-        A, B = recompute()
+        adjustments.append(Adjustment("flip", factor))
+        A, B = compute_AB(shapes, weights, moved, params)
     if arith.two_part(A) == arith.two_part(B):
-        idx = next((n for n, s in enumerate(sels)
-                    if profile[s.factor] == 2), None)
-        if idx is None:
+        factor = _retouch(selections, moved, profile, (2,), _SWAP)
+        if factor is None:
             raise ConstructionError("no k = 2 slot available to swap")
-        sels[idx] = Selection(sels[idx].factor, _SWAP[sels[idx].positions])
-        adjustments.append(Adjustment("swap", sels[idx].factor))
-        A, B = recompute()
+        adjustments.append(Adjustment("swap", factor))
+        A, B = compute_AB(shapes, weights, moved, params)
     if A == 0 or B == 0 or arith.two_part(A) == arith.two_part(B):
         raise ConstructionError("2-part balancing failed")
-    return tuple(sels), A, B, tuple(adjustments)
+    return A, B, tuple(adjustments)
 
 
 def solve_ab(A: int, B: int, params: GroupParams, r: int) -> tuple[int, int]:
@@ -225,9 +244,9 @@ def construct(params: GroupParams, profile) -> WitnessCertificate:
     One pass over the profile picks each active slot's record and sums, per
     entry k, the weight W_k = sum of p^i over the slots with k_i = k.  A
     selection enters every sum below only through p^i times a quantity of
-    its shape, so case D's (A, B) and the closing fixed-point exponent are
-    combinations of the W_k; a slot that case C or D retouches moves its
-    p^i from the base shape to the new one.
+    its shape, so fixed_point_exponent and case D's compute_AB read the
+    W_k and the list moved, where _retouch records each slot case C or D
+    retouches, (i, base shape, new shape).
     """
     profile = tuple(profile)
     case = classify_profile(profile, params)
@@ -262,37 +281,23 @@ def construct(params: GroupParams, profile) -> WitnessCertificate:
 
     elif case == CASE_C:
         exponents = (1, (eps * q) % n_ord, n_ord // 2, 0)
-        total = _weighted_sum(exponents, shapes, weights, moved, p) % n_ord
+        total = fixed_point_exponent(exponents, shapes, weights, moved,
+                                     p) % n_ord
         if total != 0:
             if total != n_ord // 2:
                 raise ConstructionError("case C sum is neither 0 nor N/2")
             # Trading the fixed value 1 for -1 in one odd slot shifts the
             # sum by N/2, which cancels it.
-            for idx, sel in enumerate(selections):
-                if profile[sel.factor] in (1, 3):
-                    break
-            else:
+            if _retouch(selections, moved, profile, (1, 3), _FLIP) is None:
                 raise ConstructionError(
                     "no k in {1,3} slot available in case C")
-            new = _FLIP[sel.positions]
-            selections[idx] = Selection(sel.factor, new)
-            moved.append((sel.factor, sel.positions, new))
 
     else:  # CASE_D
         s2 = params.two_part_qme
         t = n_ord
         r = t // s2
-        sigma = tau = 0
-        for k in (1, 2, 3):
-            coeff_sigma, coeff_tau = _SHAPE_COEFFS[shapes[k]]
-            sigma += coeff_sigma * weights[k]
-            tau += coeff_tau * weights[k]
-        selections, A, B, adjustments = balance_two_parts(
-            (1 + eps * q) * sigma, tau, profile, params, tuple(selections))
-        for adj in adjustments:
-            base = shapes[profile[adj.factor]]
-            new = (_FLIP if adj.kind == "flip" else _SWAP)[base]
-            moved.append((adj.factor, base, new))
+        A, B, adjustments = balance_two_parts(profile, params, selections,
+                                              shapes, weights, moved)
         a, b = solve_ab(A, B, params, r)
         # The selected values are pairwise distinct mod t = r * s2.  r
         # divides q + eps, so mod r the exponents are (a, -a, 0, 0), and
@@ -304,28 +309,7 @@ def construct(params: GroupParams, profile) -> WitnessCertificate:
         exponents = case_d_exponents(a, b, r, t, eps, q)
         case_d = CaseDInternals(r, t, a, b, A, B, adjustments)
 
-    if _weighted_sum(exponents, shapes, weights, moved, p) % n_ord != 0:
+    if fixed_point_exponent(exponents, shapes, weights, moved, p) % n_ord != 0:
         raise ConstructionError("fixed-point exponent does not vanish")
     return WitnessCertificate(params, profile, case, n_ord, exponents,
                               tuple(selections), n_ord, p * n_ord, case_d)
-
-
-def _weighted_sum(exponents, shapes, weights, moved, p) -> int:
-    """The fixed-point exponent from the per-entry weights: sum over k of
-    W_k times the exponents shapes[k] selects, corrected by p^i times the
-    change at each retouched slot."""
-    total = 0
-    for k, shape in enumerate(shapes):
-        if weights[k]:
-            part = 0
-            for j in shape:
-                part += exponents[j - 1]
-            total += weights[k] * part
-    for factor, base, new in moved:
-        part = 0
-        for j in new:
-            part += exponents[j - 1]
-        for j in base:
-            part -= exponents[j - 1]
-        total += p**factor * part
-    return total

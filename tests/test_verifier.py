@@ -232,6 +232,14 @@ _WRONG_TYPES = {
                      "case_d values must be integers"),
     "case_d_tuple": (lambda c: c._replace(case_d=(1, 2)),
                      "case_d must be a CaseDInternals record"),
+    "params_none": (lambda c: c._replace(params=None),
+                    "params must be a GroupParams record"),
+    "profile_none": (lambda c: c._replace(profile=None),
+                     "profile must be a list or tuple"),
+    "exponents_none": (lambda c: c._replace(exponents=None),
+                       "exponents must be a list or tuple"),
+    "selections_none": (lambda c: c._replace(selections=None),
+                        "selections must be a list or tuple"),
 }
 
 
@@ -248,6 +256,18 @@ def test_wrong_typed_fields_are_malformed(cert_a, cert_d125, kind):
             with pytest.raises(MalformedCertificate) as info:
                 verify(bad)
             assert str(info.value) == message
+
+
+def test_list_fields_verify_like_tuples(cert_a, cert_d125):
+    # a document parses into tuples, but lists are accepted too; case D's
+    # exponents are compared with the ones reproduced from (a, b)
+    for cert in (cert_a, cert_d125):
+        listed = cert._replace(profile=list(cert.profile),
+                               exponents=list(cert.exponents),
+                               selections=list(cert.selections))
+        for verify in (verifier.verify, verifier_reference.verify):
+            assert verify(listed) == verify(cert)
+            assert verify(listed).ok
 
 
 def test_construct_refuses_what_the_document_format_refuses():

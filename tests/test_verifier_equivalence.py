@@ -24,7 +24,6 @@ from sl4witness.verifier import MalformedCertificate
 from sl4witness.witness import Selection
 
 ROOT = Path(__file__).resolve().parents[1]
-GRID_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _outcome(verify, cert, **kwargs):
@@ -37,15 +36,8 @@ def _outcome(verify, cert, **kwargs):
 
 
 @pytest.fixture(scope="module")
-def grid():
-    certs = []
-    for eps in (1, -1):
-        for p in GRID_PRIMES:
-            for m in (1, 2, 3):
-                pr = params.derive(eps, p, m)
-                for profile in itertools.product((0, 1, 2, 3), repeat=m):
-                    certs.append(witness.construct(pr, profile))
-    return certs
+def grid(grid_inputs):
+    return [witness.construct(pr, profile) for pr, profile in grid_inputs]
 
 
 @lru_cache(maxsize=None)
@@ -317,6 +309,13 @@ def _wrong_compute_AB(profile, pr, selections,
     return A * (1 + 2**40), B
 
 
+def _wrong_construct_compute_AB(shapes, weights, moved, pr,
+                                _right=witness.compute_AB):
+    # construct's compute_AB, off in the same way
+    A, B = _right(shapes, weights, moved, pr)
+    return A * (1 + 2**40), B
+
+
 def _rejects_what_is_built(grid, construct):
     """Rebuild the grid's case C and D certificates with construct; every
     one that comes out changed must fail verify.  Returns how many did."""
@@ -349,12 +348,13 @@ def test_verify_rejects_what_a_wrong_constructor_helper_builds(
 
 
 @pytest.mark.parametrize("name, wrong", [
+    ("fixed_point_exponent", _wrong_fixed_point),
     ("case_d_exponents", _wrong_case_d_exponents),
-    ("compute_AB", _wrong_compute_AB),
+    ("compute_AB", _wrong_construct_compute_AB),
 ])
 def test_verify_rejects_what_construct_builds_with_a_wrong_helper(
         grid, monkeypatch, name, wrong):
-    # construct itself reaches compute_AB only through balance_two_parts,
-    # on the certificates it retouches
+    # construct reaches fixed_point_exponent on every certificate and
+    # compute_AB, through balance_two_parts, on every case-D certificate
     monkeypatch.setattr(witness, name, wrong)
     assert _rejects_what_is_built(grid, witness.construct) > 0

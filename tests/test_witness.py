@@ -117,15 +117,18 @@ def test_case_d_balancing_adjustments():
 
 
 def test_compute_ab_frozen():
+    # q = 9, eps = +1: case D's base shapes with W_1 = 3, W_2 = 1 for the
+    # profile (2, 1) and W_2 = 1, W_3 = 3 for (2, 3)
     pr = params.derive(1, 3, 2)
-    sels = (Selection(0, (1, 2)), Selection(1, (3,)))
-    assert witness.compute_AB((2, 1), pr, sels) == (10, 3)
-    sels = (Selection(0, (1, 2)), Selection(1, (1, 2, 4)))
-    assert witness.compute_AB((2, 3), pr, sels) == (10, -3)
-    sels = (Selection(0, (3, 4)), Selection(1, (3,)))
-    assert witness.compute_AB((2, 1), pr, sels) == (-10, 3)
-    with pytest.raises(ValueError):
-        witness.compute_AB((2, 1), pr, (Selection(0, (1, 4)),))
+    shapes = witness._BASE_SHAPES[params.CASE_D]
+    assert witness.compute_AB(shapes, (0, 3, 1, 0), [], pr) == (10, 3)
+    assert witness.compute_AB(shapes, (0, 0, 1, 3), [], pr) == (10, -3)
+    # slot 0 of (2, 1) swapped from (1, 2) to (3, 4)
+    moved = [(0, (1, 2), (3, 4))]
+    assert witness.compute_AB(shapes, (0, 3, 1, 0), moved, pr) == (-10, 3)
+    # a shape that is not case D's has no coefficients
+    with pytest.raises(KeyError):
+        witness.compute_AB((None, (1, 4), None, None), (0, 1, 0, 0), [], pr)
 
 
 def test_solve_ab_frozen():
@@ -258,6 +261,37 @@ def test_construct_rejects_bad_profiles():
 
 
 def test_fixed_point_exponent():
+    # slot 0 selects (1, 2) and slot 1 selects (3,), at p = 3
     exps = (1, 9, 10, 20)
-    sels = (Selection(0, (1, 2)), Selection(1, (3,)))
-    assert witness.fixed_point_exponent(3, exps, sels) == (1 + 9) + 3 * 10
+    shapes = witness._BASE_SHAPES[params.CASE_D]
+    assert (witness.fixed_point_exponent(exps, shapes, (0, 3, 1, 0), [], 3)
+            == (1 + 9) + 3 * 10)
+    # the same selections, slot 1 retouched from a base shape (4,) to (3,)
+    shapes = (None, (4,), (1, 2), None)
+    moved = [(1, (4,), (3,))]
+    assert (witness.fixed_point_exponent(exps, shapes, (0, 3, 1, 0), moved, 3)
+            == (1 + 9) + 3 * 10)
+
+
+def test_helpers_run_once_per_use_on_the_grid(grid_inputs, monkeypatch):
+    # bench/tracing.py counts these two by name, so construct must reach
+    # them: the fixed-point exponent once per certificate and once more per
+    # case-C certificate, (A, B) once per case-D certificate and once more
+    # after each retouch (2222 and 465 over the 1848 grid certificates)
+    calls = {"fixed_point_exponent": 0, "compute_AB": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(witness, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(witness, name, counting)
+    cases = {case: 0 for case in params.ALL_CASES}
+    adjustments = 0
+    for pr, profile in grid_inputs:
+        cert = witness.construct(pr, profile)
+        cases[cert.case] += 1
+        if cert.case_d is not None:
+            adjustments += len(cert.case_d.adjustments)
+    assert (calls["fixed_point_exponent"]
+            == len(grid_inputs) + cases[params.CASE_C])
+    assert calls["compute_AB"] == cases[params.CASE_D] + adjustments
+    assert calls == {"fixed_point_exponent": 2222, "compute_AB": 465}

@@ -5,8 +5,9 @@ by one lookup and re-derives V7 and the case-D data itself.  This module
 keeps the earlier, direct version of every check as the reference those
 forms are tested against: V4 as the lcm of the four exponents' orders, V5
 as the lcm over all six pairwise differences, the profile and selection
-shapes element by element, and V7 and case D through the constructor's
-own helpers.  Reports and MalformedCertificate messages must agree.
+shapes element by element, and V7 and case D through the earlier
+constructor's helpers in witness_reference.  Reports and
+MalformedCertificate messages must agree.
 
 It also holds two helpers only tests use: failed_checks() lists a report's
 failed check labels, and brute_force_selections() is the exhaustive search
@@ -16,8 +17,10 @@ that the constructor's choice of selections is checked against.
 import math
 from itertools import combinations, product
 
-from sl4witness import params as params_mod, witness
-from sl4witness.params import ALL_CASES, CASE_A, CASE_B, CASE_C, CASE_D
+import witness_reference
+from sl4witness import params as params_mod
+from sl4witness.params import (ALL_CASES, CASE_A, CASE_B, CASE_C, CASE_D,
+                               GroupParams)
 from sl4witness.verifier import (CHECK_LABELS, MalformedCertificate,
                                  VerificationReport)
 from sl4witness.witness import Selection
@@ -67,8 +70,12 @@ def in_spectrum(orders, x):
 
 def _structural_check(cert):
     pr = cert.params
+    if not isinstance(pr, GroupParams):
+        raise MalformedCertificate("params must be a GroupParams record")
     if pr.q != pr.p**pr.m:
         raise MalformedCertificate("params: q != p^m")
+    if not isinstance(cert.profile, (tuple, list)):
+        raise MalformedCertificate("profile must be a list or tuple")
     try:
         check_profile(cert.profile, pr.m)
     except ValueError as exc:
@@ -78,6 +85,8 @@ def _structural_check(cert):
     N = cert.theta_order
     if not isinstance(N, int) or N < 2:
         raise MalformedCertificate("theta_order must be an integer >= 2")
+    if not isinstance(cert.exponents, (tuple, list)):
+        raise MalformedCertificate("exponents must be a list or tuple")
     if len(cert.exponents) != 4:
         raise MalformedCertificate("exactly four exponents are required")
     for e in cert.exponents:
@@ -90,6 +99,8 @@ def _structural_check(cert):
             raise MalformedCertificate("orders must be integers")
     if cert.claimed_order < 1 or cert.target_order < 1:
         raise MalformedCertificate("orders must be positive")
+    if not isinstance(cert.selections, (tuple, list)):
+        raise MalformedCertificate("selections must be a list or tuple")
     for sel in cert.selections:
         if not (hasattr(sel, "factor") and hasattr(sel, "positions")):
             raise MalformedCertificate("selections must be Selection records")
@@ -134,13 +145,15 @@ def _check_case_d(cert, fail):
         fail("V8", f"case-D modulus t = {cd.t} is inconsistent")
         return
     try:
-        A, B = witness.compute_AB(cert.profile, pr, cert.selections)
+        A, B = witness_reference.compute_AB(cert.profile, pr,
+                                            cert.selections)
     except ValueError:
         fail("V8", "selections do not have case-D shapes")
         return
     if (cd.coeff_a, cd.coeff_rb) != (A, B):
         fail("V8", "case-D coefficients do not reproduce from the selections")
-    if witness.case_d_exponents(cd.a, cd.b, r, cd.t, eps, q) != cert.exponents:
+    if (witness_reference.case_d_exponents(cd.a, cd.b, r, cd.t, eps, q)
+            != tuple(cert.exponents)):
         fail("V8", "case-D exponents do not reproduce from (a, b)")
     if (cd.a * A + r * cd.b * B) % s2 != 0:
         fail("V8", "case-D congruence a*A + r*b*B != 0 mod (q-eps)_2")
@@ -201,8 +214,8 @@ def verify(cert, *, strict_values=True, psl_orders=None):
                 else:
                     warnings.append(("V6", msg))
 
-    if (witness.fixed_point_exponent(p, cert.exponents, cert.selections) % N
-            != 0):
+    if (witness_reference.fixed_point_exponent(p, cert.exponents,
+                                               cert.selections) % N != 0):
         fail("V7", "weighted fixed-point exponent does not vanish mod N")
 
     expected_case = classify_profile(cert.profile, pr)
@@ -268,6 +281,7 @@ def brute_force_selections(params, profile, exponents, theta_order, *,
         pools.append(pool)
     results = []
     for combo in product(*pools):
-        if witness.fixed_point_exponent(params.p, exponents, combo) % N == 0:
+        if (witness_reference.fixed_point_exponent(params.p, exponents, combo)
+                % N == 0):
             results.append(tuple(combo))
     return results
