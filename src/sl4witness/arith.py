@@ -6,9 +6,10 @@ Miller-Rabin with proven bases above), certified factorization in three
 stages (the primes below 2^10 by one gcd with their product, then each
 composite part below 2^34 by gcds with cached products of runs of the
 primes in [2^10, 2^17), and each larger one by Brent's rho on a fixed
-parameter schedule and work budget), primitive prime divisors of
-a^n - (eps*1)^n, and membership in a divisor-closed order set.  No
-randomness, so repeated runs factor the same input the same way.
+parameter schedule and work budget), powers refused past a size bound
+before they are computed, primitive prime divisors of a^n - (eps*1)^n,
+and membership in a divisor-closed order set.  No randomness, so
+repeated runs factor the same input the same way.
 """
 
 import math
@@ -273,6 +274,16 @@ def prime_divisors(n: int) -> list[int]:
     return sorted(_prime_exponents(n))
 
 
+def power_at_most(a: int, n: int, limit: int) -> int | None:
+    """The integer a**n, or None when n < 0 or a**n exceeds limit: as
+    |a|**n has at least n * (a.bit_length() - 1) + 1 bits, a power past
+    limit's bit length is refused by that bound before it is computed."""
+    if n < 0 or n * (a.bit_length() - 1) >= limit.bit_length():
+        return None
+    power = a**n
+    return power if power <= limit else None
+
+
 def primitive_prime_divisor(a: int, n: int, eps: int) -> int | None:
     """Smallest prime dividing a^n - (eps*1)^n but no a^i - (eps*1)^i, i < n.
 
@@ -287,12 +298,10 @@ def primitive_prime_divisor(a: int, n: int, eps: int) -> int | None:
         raise ValueError("eps must be +1 or -1")
     if a < 2 or n < 2:
         raise ValueError("need a >= 2 and n >= 2")
-    # a**n has at least n * (a.bit_length() - 1) + 1 bits, so a huge power
-    # is refused by that bound before it is computed
-    if (n * (a.bit_length() - 1) >= SIZE_LIMIT.bit_length()
-            or a**n > SIZE_LIMIT):
+    power = power_at_most(a, n, SIZE_LIMIT)
+    if power is None:
         raise ValueError("a**n exceeds supported size")
-    target = a**n - eps**n
+    target = power - eps**n
     for i in range(1, n):
         earlier = a**i - eps**i
         g = math.gcd(target, earlier)

@@ -307,7 +307,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("m-max must be at least 1")
     # refuse an oversized grid before scanning for primes, and its largest
     # field (derive's own check) before the first certificate
-    if args.p_max > Q_CAP or args.m_max >= Q_CAP.bit_length():
+    if args.p_max > Q_CAP:
         raise ValueError(f"p-max {args.p_max} with m-max {args.m_max} "
                          f"exceeds supported bound {Q_CAP}")
     primes = [n for n in range(3, args.p_max + 1) if arith.is_prime(n)]

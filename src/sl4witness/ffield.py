@@ -69,8 +69,6 @@ def _is_irreducible(ring):
     works on packed values throughout (see Field).
     """
     p, k, width = ring.p, ring.k, ring._width
-    if k == 1:
-        return True
     u = 1 << width  # the polynomial x
     minus_x = (p - 1) << width
     f = ring._pack(ring.modulus)
@@ -315,10 +313,7 @@ def build_field(p: int, k: int) -> Field:
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be positive")
-    # p^k has at least k * (p.bit_length() - 1) + 1 bits, so a huge field
-    # is refused before p^k is computed
-    if (k * (p.bit_length() - 1) >= arith.SIZE_LIMIT.bit_length()
-            or p**k > arith.SIZE_LIMIT):
+    if arith.power_at_most(p, k, arith.SIZE_LIMIT) is None:
         raise ValueError(f"F_{p}^{k} exceeds the size limit")
     if k == 1:
         return Field(p, 1, (0, 1))  # x, the first candidate
@@ -420,7 +415,7 @@ def realize(cert) -> Matrix4:
     """
     pr = cert.params
     k = 12 * pr.m
-    if pr.p**k > arith.SIZE_LIMIT:
+    if arith.power_at_most(pr.p, k, arith.SIZE_LIMIT) is None:
         raise RealizationError(
             f"field F_{pr.p}^{k} exceeds the size limit")
     field = build_field(pr.p, k)

@@ -71,13 +71,9 @@ def derive(epsilon: int, p: int, m: int) -> GroupParams:
         raise ValueError(f"p must be an odd prime, got {p}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    # p >= 3 > 2, so this m already puts p^m past the cap; refusing it
-    # here keeps p**m from running on an unbounded exponent
-    if m >= Q_CAP.bit_length():
+    q = arith.power_at_most(p, m, Q_CAP)
+    if q is None:
         raise ValueError(f"q = {p}^{m} exceeds supported bound {Q_CAP}")
-    q = p**m
-    if q > Q_CAP:
-        raise ValueError(f"q = {q} exceeds supported bound {Q_CAP}")
     return GroupParams(
         epsilon=epsilon,
         p=p,

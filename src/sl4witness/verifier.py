@@ -38,7 +38,7 @@ from itertools import combinations
 from operator import attrgetter
 from typing import NamedTuple
 
-from .arith import member as in_spectrum
+from .arith import SIZE_LIMIT, member as in_spectrum, power_at_most
 from .params import (ALL_CASES, CASE_D, GroupParams, classify_profile,
                      is_plain_int, target_orders)
 from .witness import WitnessCertificate
@@ -112,7 +112,10 @@ def _structural_check(cert: WitnessCertificate) -> str:
     pr = cert.params
     if not isinstance(pr, GroupParams):
         raise MalformedCertificate("params must be a GroupParams record")
-    if pr.q != pr.p**pr.m:
+    p, m = pr.p, pr.m
+    if (not ((type(p) is int and type(m) is int)
+             or (is_plain_int(p) and is_plain_int(m)))
+            or power_at_most(p, m, SIZE_LIMIT) != pr.q):
         raise MalformedCertificate("params: q != p^m")
     if not isinstance(cert.profile, _SEQUENCES):
         raise MalformedCertificate("profile must be a list or tuple")
@@ -143,7 +146,6 @@ def _structural_check(cert: WitnessCertificate) -> str:
         raise MalformedCertificate("orders must be integers")
     if claimed < 1 or target < 1:
         raise MalformedCertificate("orders must be positive")
-    m = pr.m
     if not isinstance(cert.selections, _SEQUENCES):
         raise MalformedCertificate("selections must be a list or tuple")
     for sel in cert.selections:

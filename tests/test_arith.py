@@ -331,6 +331,28 @@ def test_primitive_prime_divisor_known():
     assert arith.primitive_prime_divisor(2, 3, -1) is None
 
 
+def test_power_at_most():
+    limit = arith.SIZE_LIMIT
+    assert arith.power_at_most(3, 4, 81) == 81
+    assert arith.power_at_most(3, 4, 80) is None
+    assert arith.power_at_most(2, 128, limit) == limit
+    assert arith.power_at_most(2, 129, limit) is None
+    assert arith.power_at_most(5, 0, 1) == 1
+    assert arith.power_at_most(0, 7, 1) == 0
+    assert arith.power_at_most(1, 10**18, 1) == 1
+    assert arith.power_at_most(3, -1, limit) is None
+    # refused by the bit-length bound, before a**n is computed
+    start = time.perf_counter()
+    assert arith.power_at_most(3, 10**18, limit) is None
+    assert arith.power_at_most(10**1000, 10**4, limit) is None
+    assert time.perf_counter() - start < 0.1
+    for a in range(2, 40):
+        for n in range(0, 100):
+            for bound in (a**n - 1, a**n, limit):
+                expect = a**n if a**n <= bound else None
+                assert arith.power_at_most(a, n, bound) == expect
+
+
 def test_primitive_prime_divisor_validation():
     with pytest.raises(ValueError):
         arith.primitive_prime_divisor(1, 2, 1)

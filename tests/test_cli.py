@@ -9,12 +9,11 @@ import os
 import subprocess
 import sys
 import time
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sl4witness import arith, cli, params, spectrum, witness
+from sl4witness import arith, cli, params, spectrum, verifier, witness
 from sl4witness.cli import DocumentError
 
 
@@ -88,19 +87,10 @@ def test_canonical_json_edges():
             cli.canonical_json(value)
 
 
-def test_canonical_json_matches_json_dumps_on_grid():
-    primes = [p for p in range(3, 38) if arith.is_prime(p)]
-    count = 0
-    for eps in (1, -1):
-        for p in primes:
-            for m in (1, 2, 3):
-                pr = params.derive(eps, p, m)
-                for profile in product(range(4), repeat=m):
-                    doc = cli.certificate_to_document(
-                        witness.construct(pr, profile))
-                    assert cli.canonical_json(doc) == reference_json(doc)
-                    count += 1
-    assert count == 1848
+def test_canonical_json_matches_json_dumps_on_grid(grid_inputs):
+    for pr, profile in grid_inputs:
+        doc = cli.certificate_to_document(witness.construct(pr, profile))
+        assert cli.canonical_json(doc) == reference_json(doc)
 
 
 def doc_of(cert):
@@ -434,6 +424,63 @@ def test_sweep_exit_codes(capsys):
     assert "checked 8 certificates" in text
     assert run_main("sweep", "--p-max", "2", "--m-max", "1") == 2
     capsys.readouterr()
+
+
+def _rejecting_verify(cert, **kwargs):
+    return verifier.VerificationReport(False, (("V1", "forced"),), ())
+
+
+def test_construct_exits_1_when_verify_rejects(tmp_path, capsys,
+                                               monkeypatch):
+    # construct and verify agree on every honest input
+    monkeypatch.setattr(verifier, "verify", _rejecting_verify)
+    out = tmp_path / "cert.json"
+    assert run_main("construct", "--epsilon", "+", "--p", "3", "--m", "2",
+                    "--profile", "2,2", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "V1 FAIL: forced\n"
+    assert json.loads(out.read_text())["params"]["q"] == 9
+
+
+def test_construction_failure_exits_1(capsys, monkeypatch):
+    # construct raises ConstructionError on no honest input
+    def failing(pr, profile):
+        raise witness.ConstructionError("forced")
+
+    monkeypatch.setattr(witness, "construct", failing)
+    assert run_main("construct", "--epsilon", "+", "--p", "3", "--m", "1",
+                    "--profile", "1") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "construction failed: forced\n"
+
+
+def test_sweep_reports_failed_certificates(capsys, monkeypatch):
+    monkeypatch.setattr(verifier, "verify", _rejecting_verify)
+    tail = ("checked 8 certificates: A_R4=4 B_R3=4 C_QcongMinusEps=0 "
+            "D_QcongEps=0\n8 certificates FAILED verification\n")
+    assert run_main("sweep", "--p-max", "3", "--m-max", "1") == 1
+    fails = [f"FAIL eps={eps} p=3 m=1 profile={k}: V1 forced\n"
+             for eps in "+-" for k in range(4)]
+    assert capsys.readouterr().out == "".join(fails) + tail
+    assert run_main("sweep", "--p-max", "3", "--m-max", "1", "--quiet") == 1
+    assert capsys.readouterr().out == tail
+
+
+def test_verify_prints_lenient_warnings(tmp_path, capsys, cert_a):
+    # the factor-0 and factor-1 selections, positions (1, 3), now pick two
+    # equal values; the sum and orbit checks fail too
+    path = tmp_path / "cert.json"
+    path.write_text(cli.canonical_json(cli.certificate_to_document(
+        cert_a._replace(exponents=(1, 9, 1, 32)))))
+    warnings = ("V6 warning: slot 0 selects coinciding characteristic "
+                "values\nV6 warning: slot 1 selects coinciding "
+                "characteristic values\n")
+    assert run_main("verify", "--lenient-values", str(path)) == 1
+    printed = capsys.readouterr().out
+    assert "V6 ok\n" in printed and warnings in printed
+    assert run_main("verify", str(path)) == 1
+    printed = capsys.readouterr().out
+    assert "V6 FAIL\n" in printed and "warning" not in printed
 
 
 def test_ppd_output(capsys):

@@ -614,6 +614,32 @@ def test_realize_size_limit():
         ffield.build_field(13, 36)  # build_field refuses it too
 
 
+def test_realize_refuses_huge_m_promptly():
+    cert = witness.construct(params.derive(1, 3, 2), (2, 2))
+    bad = cert._replace(params=cert.params._replace(m=3 * 10**6))
+    start = time.perf_counter()
+    with pytest.raises(RealizationError,
+                       match=r"^field F_3\^36000000 exceeds the size limit$"):
+        ffield.realize(bad)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_realize_rejects_determinant_not_one():
+    cert = witness.construct(params.derive(1, 3, 1), (2,))
+    exps = cert.exponents
+    bad = cert._replace(exponents=(exps[0] + 1,) + exps[1:])
+    with pytest.raises(RealizationError,
+                       match="^diagonal determinant is not 1$"):
+        ffield.realize(bad)
+
+
+def test_pow_refuses_negative_exponents():
+    field = ffield.build_field(3, 2)
+    with pytest.raises(ValueError,
+                       match="^negative exponents are not supported$"):
+        field.pow(field.one, -1)
+
+
 def laplace_det(mat):
     """Reference determinant of a square integer matrix, exact, by
     expansion along the first row."""

@@ -43,6 +43,13 @@ def test_derive_bounds_m_before_power():
     assert params.derive(1, 3, 10).q == 3**10  # 59049 is still in
 
 
+def test_derive_names_the_oversized_power():
+    for p, m in ((41, 3), (3, 11), (3, 10**18)):
+        with pytest.raises(ValueError) as info:
+            params.derive(1, p, m)
+        assert str(info.value) == f"q = {p}^{m} exceeds supported bound 65536"
+
+
 def test_derive_from_q():
     assert params.derive_from_q(-1, 49) == params.derive(-1, 7, 2)
     for bad in (4, 6, 2**16 + 1):

@@ -245,6 +245,17 @@ def test_dump_header_frozen():
     assert lines[1:] == [str(o) for o in OMEGA_PSL4_3]
 
 
+def test_omega_refuses_unknown_flavor():
+    with pytest.raises(ValueError, match="^unknown group flavor 'GL'$"):
+        spectrum.omega(params.derive(1, 3, 1), "GL")
+
+
+def test_parse_dump_refuses_empty_dump():
+    for text in ("", "\n  \n"):
+        with pytest.raises(ValueError, match="^empty spectrum dump$"):
+            spectrum.parse_dump(text)
+
+
 def test_parse_dump_rejects_garbage():
     with pytest.raises(ValueError):
         spectrum.parse_dump("no header\n1\n2\n")

@@ -162,6 +162,28 @@ def test_case_d_tamper(cert_d):
         verifier.verify(bad).failures
 
 
+def test_case_that_does_not_apply(cert_d):
+    # case D at q = 9 needs eps = +1; under eps = -1 it does not apply
+    bad = cert_d._replace(params=params.derive(-1, 3, 2))
+    for verify in (verifier.verify, verifier_reference.verify):
+        assert (("V8", "case D_QcongEps does not apply at q = 9")
+                in verify(bad).failures)
+
+
+@pytest.mark.parametrize("p, m", [(3, 3 * 10**7), (3, 10**18),
+                                  (10**1000, 10**4), (3.0, 2), (0, -1)])
+def test_oversized_or_non_int_params_refused_promptly(cert_a, p, m):
+    # q = 9 stays; p**m is never computed for the huge ones, 3.0**2
+    # equals 9 but is not an integer power, and 0**-1 would divide by zero
+    bad = cert_a._replace(params=cert_a.params._replace(p=p, m=m))
+    for verify in (verifier.verify, verifier_reference.verify):
+        start = time.perf_counter()
+        with pytest.raises(MalformedCertificate) as info:
+            verify(bad)
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == "params: q != p^m"
+
+
 def test_spectrum_cross_check(cert_a):
     psl = spectrum.omega(cert_a.params, group="PSL")
     assert verifier.verify(cert_a, psl_orders=psl).ok

@@ -18,7 +18,6 @@ import witness_reference as ref
 from sl4witness import params, witness
 
 ROOT = Path(__file__).resolve().parents[1]
-GRID_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _outcome(construct, pr, profile):
@@ -33,16 +32,9 @@ def _mismatches(pr, profiles):
             if witness.construct(pr, profile) != ref.construct(pr, profile)]
 
 
-def test_grid_matches_reference():
-    count = 0
-    for eps in (1, -1):
-        for p in GRID_PRIMES:
-            for m in (1, 2, 3):
-                pr = params.derive(eps, p, m)
-                profiles = list(itertools.product((0, 1, 2, 3), repeat=m))
-                assert _mismatches(pr, profiles) == []
-                count += len(profiles)
-    assert count == 1848
+def test_grid_matches_reference(grid_inputs):
+    assert [(pr, profile) for pr, profile in grid_inputs
+            if _mismatches(pr, [profile])] == []
 
 
 def test_wide_pool_matches_reference():

@@ -18,7 +18,7 @@ import math
 from itertools import combinations, product
 
 import witness_reference
-from sl4witness import params as params_mod
+from sl4witness import arith, params as params_mod
 from sl4witness.params import (ALL_CASES, CASE_A, CASE_B, CASE_C, CASE_D,
                                GroupParams)
 from sl4witness.verifier import (CHECK_LABELS, MalformedCertificate,
@@ -72,7 +72,9 @@ def _structural_check(cert):
     pr = cert.params
     if not isinstance(pr, GroupParams):
         raise MalformedCertificate("params must be a GroupParams record")
-    if pr.q != pr.p**pr.m:
+    if (any(not isinstance(x, int) or isinstance(x, bool)
+            for x in (pr.p, pr.m))
+            or arith.power_at_most(pr.p, pr.m, arith.SIZE_LIMIT) != pr.q):
         raise MalformedCertificate("params: q != p^m")
     if not isinstance(cert.profile, (tuple, list)):
         raise MalformedCertificate("profile must be a list or tuple")
