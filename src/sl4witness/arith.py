@@ -1,8 +1,9 @@
 """Exact integer helpers shared by the whole package.
 
 Everything here is pure and deterministic: 2-adic parts, primality (a
-lookup below 2^10, one gcd with the product of those primes below 2^20,
-Miller-Rabin with proven bases above), certified factorization in three
+set lookup below 2^10, one gcd with the product of those primes below
+2^20, Miller-Rabin with proven bases above: 2, 7 and 61 below
+4,759,123,141 by Jaeschke 1993), certified factorization in three
 stages (the primes below 2^10 by one gcd with their product, then each
 composite part below 2^34 by gcds with cached products of runs of the
 primes in [2^10, 2^17), and each larger one by Brent's rho on a fixed
@@ -31,23 +32,23 @@ _LOW_TRIAL_LIMIT = 1 << 10
 # no prime below about 2^38 is refused.
 _RHO_BUDGET = 1 << 21
 
-# Miller-Rabin with the first k primes as bases is a proven-deterministic
+# Miller-Rabin with a fixed set of bases is a proven-deterministic
 # primality test below the smallest strong pseudoprime to all of them, so
-# is_prime uses the shortest prefix of _MR_BASES proven for its input:
+# is_prime uses the first tier proven for its input:
 #
-#   n < 3_215_031_751                      first 4 primes   Jaeschke 1993
+#   n < 4_759_123_141                      bases 2, 7, 61   Jaeschke 1993
 #   n < 3_825_123_056_546_413_051          first 9 primes   Sorenson and
 #   n < 3_317_044_064_679_887_385_961_981  all 13 primes    Webster 2017
 #
-# The primitive prime divisor targets and spectrum supports at
-# q <= params.Q_CAP are below 2^34, so they take the first two tiers.
-# Larger inputs (up to SIZE_LIMIT) add the extended base list; no
-# counterexample is known for that range.
+# 4_759_123_141 = 48781 * 97561 is itself a strong pseudoprime to 2, 7 and
+# 61.  Every primitive prime divisor target at q <= params.Q_CAP is below
+# 2^32, so it takes three bases.  Larger inputs (up to SIZE_LIMIT) add the
+# extended base list; no counterexample is known for that range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BOUND = 3317044064679887385961981
 _MR_EXTRA_BASES = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _MR_TIERS = (
-    (3215031751, _MR_BASES[:4]),
+    (4759123141, (2, 7, 61)),
     (3825123056546413051, _MR_BASES[:9]),
     (_MR_PROVEN_BOUND, _MR_BASES),
 )
@@ -76,6 +77,7 @@ def _primes_below(limit: int) -> tuple[int, ...]:
 
 
 _LOW_PRIMES = _primes_below(_LOW_TRIAL_LIMIT)
+_LOW_PRIME_SET = frozenset(_LOW_PRIMES)
 _LOW_PRODUCT = math.prod(_LOW_PRIMES)
 
 # The mid-range table: the primes in [2^10, 2^17), in runs of _MID_RUN,
@@ -102,7 +104,7 @@ def is_prime(n: int) -> bool:
     proven bases for its size (see _MR_BASES note).
     """
     if n < _LOW_TRIAL_LIMIT:
-        return n in _LOW_PRIMES
+        return n in _LOW_PRIME_SET
     if n < _LOW_TRIAL_LIMIT * _LOW_TRIAL_LIMIT:
         return math.gcd(n, _LOW_PRODUCT) == 1
     if n > SIZE_LIMIT:

@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 a certificate failed to construct or verify,
 """
 
 import json
-import re
 import sys
 from itertools import product
 
@@ -25,7 +24,14 @@ from .witness import (Adjustment, CaseDInternals, Selection,
 
 SCHEMA_VERSION = 1
 
-_INT_STRING = re.compile(r"-?[0-9]+")
+# The fields of each record a document holds; a document may add case_d.
+_DOCUMENT_KEYS = frozenset((
+    "schema_version", "params", "profile", "case", "theta_order",
+    "exponents", "claimed_order", "target_order", "selections"))
+_PARAMS_KEYS = frozenset(("epsilon", "p", "m", "q"))
+_SELECTION_KEYS = frozenset(("factor", "positions"))
+_CASE_D_KEYS = frozenset(("r", "t", "a", "b", "A", "B", "adjustments"))
+_ADJUSTMENT_KEYS = frozenset(("kind", "factor"))
 
 
 class DocumentError(ValueError):
@@ -87,7 +93,8 @@ def canonical_json(doc: dict) -> str:
 
 
 def _dump(value, newline: str) -> str:
-    # newline is "\n" followed by the indentation of value's own line
+    # newline is "\n" followed by the indentation of value's own line; the
+    # str and exact-int leaves of a dict or list are written in place
     if isinstance(value, str):
         return _encode_str(value)
     if type(value) is int:  # bools and other ints go to json.dumps below
@@ -96,13 +103,20 @@ def _dump(value, newline: str) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [_encode_str(key) + ": " + _dump(item, inner)
-                 for key, item in sorted(value.items())]
+        items = []
+        for key, item in sorted(value.items()):
+            kind = type(item)
+            items.append(_encode_str(key) + ": " + (
+                _encode_str(item) if kind is str
+                else int.__repr__(item) if kind is int
+                else _dump(item, inner)))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [_dump(item, inner) for item in value]
+        items = [_encode_str(item) if type(item) is str
+                 else int.__repr__(item) if type(item) is int
+                 else _dump(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     return json.dumps(value)
 
@@ -110,9 +124,9 @@ def _dump(value, newline: str) -> str:
 def _expect_keys(obj, required, optional=(), where="document"):
     if not isinstance(obj, dict):
         raise DocumentError(f"{where} must be a JSON object")
-    diff = obj.keys() ^ required
-    if not diff:
+    if obj.keys() == required:
         return
+    diff = obj.keys() ^ required
     unknown = sorted(k for k in diff if k in obj and k not in optional)
     if unknown:
         raise DocumentError(f"{where} has unknown fields: {unknown}")
@@ -122,19 +136,24 @@ def _expect_keys(obj, required, optional=(), where="document"):
 
 
 def _int_from_string(value, where):
-    # no integer in a valid document comes near SIZE_LIMIT
-    if not isinstance(value, str) or not _INT_STRING.fullmatch(value):
+    # ASCII digits after an optional "-": str.isdigit alone also takes
+    # other scripts' digits and superscripts.  No integer in a valid
+    # document comes near SIZE_LIMIT.
+    if not isinstance(value, str):
         raise DocumentError(f"{where} must be a decimal string")
-    digits = arith.MAX_DIGITS
-    if len(value) > digits and len(value.lstrip("-")) > digits:
-        raise DocumentError(f"{where} has more than {digits} digits")
+    digits = value[1:] if value[:1] == "-" else value
+    if not (digits.isascii() and digits.isdigit()):
+        raise DocumentError(f"{where} must be a decimal string")
+    if len(digits) > arith.MAX_DIGITS:
+        raise DocumentError(
+            f"{where} has more than {arith.MAX_DIGITS} digits")
     return int(value)
 
 
 def _plain_int(value, where):
-    if not is_plain_int(value):
-        raise DocumentError(f"{where} must be an integer")
-    return value
+    if type(value) is int or is_plain_int(value):
+        return value
+    raise DocumentError(f"{where} must be an integer")
 
 
 def _list(value, where):
@@ -144,16 +163,13 @@ def _list(value, where):
 
 
 def certificate_from_document(doc) -> WitnessCertificate:
-    _expect_keys(doc, required=(
-        "schema_version", "params", "profile", "case", "theta_order",
-        "exponents", "claimed_order", "target_order", "selections",
-    ), optional=("case_d",))
+    _expect_keys(doc, _DOCUMENT_KEYS, optional=("case_d",))
     if _plain_int(doc["schema_version"], "schema_version") != SCHEMA_VERSION:
         raise DocumentError(
             f"unsupported schema_version {doc['schema_version']!r}")
 
     block = doc["params"]
-    _expect_keys(block, ("epsilon", "p", "m", "q"), where="params")
+    _expect_keys(block, _PARAMS_KEYS, where="params")
     try:
         eps = sign_from_str(block["epsilon"])
         params = derive(eps, _plain_int(block["p"], "params.p"),
@@ -163,8 +179,8 @@ def certificate_from_document(doc) -> WitnessCertificate:
     if _plain_int(block["q"], "params.q") != params.q:
         raise DocumentError("params.q does not equal p^m")
 
-    profile = tuple(_plain_int(k, "profile entry")
-                    for k in _list(doc["profile"], "profile"))
+    profile = tuple([_plain_int(k, "profile entry")
+                     for k in _list(doc["profile"], "profile")])
 
     case = doc["case"]
     if not isinstance(case, str):
@@ -173,26 +189,25 @@ def certificate_from_document(doc) -> WitnessCertificate:
     exponents = doc["exponents"]
     if not isinstance(exponents, list) or len(exponents) != 4:
         raise DocumentError("exponents must be a list of four strings")
-    exponents = tuple(_int_from_string(e, "exponent") for e in exponents)
+    exponents = tuple([_int_from_string(e, "exponent") for e in exponents])
 
     selections = []
     for entry in _list(doc["selections"], "selections"):
-        _expect_keys(entry, ("factor", "positions"), where="selection")
+        _expect_keys(entry, _SELECTION_KEYS, where="selection")
         positions = _list(entry["positions"], "selection positions")
         selections.append(Selection(
             factor=_plain_int(entry["factor"], "selection factor"),
-            positions=tuple(_plain_int(j, "selection position")
-                            for j in positions),
+            positions=tuple([_plain_int(j, "selection position")
+                             for j in positions]),
         ))
 
     case_d = None
     if "case_d" in doc:
         block = doc["case_d"]
-        _expect_keys(block, ("r", "t", "a", "b", "A", "B", "adjustments"),
-                     where="case_d")
+        _expect_keys(block, _CASE_D_KEYS, where="case_d")
         adjustments = []
         for entry in _list(block["adjustments"], "case_d adjustments"):
-            _expect_keys(entry, ("kind", "factor"), where="adjustment")
+            _expect_keys(entry, _ADJUSTMENT_KEYS, where="adjustment")
             if entry["kind"] not in ("flip", "swap"):
                 raise DocumentError(f"unknown adjustment kind {entry['kind']!r}")
             adjustments.append(Adjustment(
@@ -308,8 +323,8 @@ def cmd_sweep(args) -> int:
     # refuse an oversized grid before scanning for primes, and its largest
     # field (derive's own check) before the first certificate
     if args.p_max > Q_CAP:
-        raise ValueError(f"p-max {args.p_max} with m-max {args.m_max} "
-                         f"exceeds supported bound {Q_CAP}")
+        raise ValueError(
+            f"p-max {args.p_max} exceeds supported bound {Q_CAP}")
     primes = [n for n in range(3, args.p_max + 1) if arith.is_prime(n)]
     derive(1, primes[-1], args.m_max)
     signs = {"both": (1, -1), "+": (1,), "-": (-1,)}[args.epsilon]

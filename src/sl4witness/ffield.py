@@ -44,7 +44,8 @@ from array import array
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import arith
+from . import arith, verifier
+from .params import GroupParams
 
 
 class RealizationError(RuntimeError):
@@ -411,14 +412,22 @@ def realize(cert) -> Matrix4:
     ask for, since each case modulus divides q^12 - 1.  The element order
     is recomputed from the diagonal entries by the prime-divisor test,
     starting from the theta order, and compared with the claim.  Fields
-    past SIZE_LIMIT, which build_field refuses, are not realized.
+    past SIZE_LIMIT, which build_field refuses, are not realized, and a
+    certificate that the verifier's structural check refuses, or whose p
+    is not prime, raises RealizationError before any field arithmetic.
     """
     pr = cert.params
-    k = 12 * pr.m
-    if arith.power_at_most(pr.p, k, arith.SIZE_LIMIT) is None:
+    # an oversized field with int parameters is named as such first
+    if (isinstance(pr, GroupParams) and type(pr.p) is int
+            and type(pr.m) is int and arith.power_at_most(
+                pr.p, 12 * pr.m, arith.SIZE_LIMIT) is None):
         raise RealizationError(
-            f"field F_{pr.p}^{k} exceeds the size limit")
-    field = build_field(pr.p, k)
+            f"field F_{pr.p}^{12 * pr.m} exceeds the size limit")
+    try:
+        verifier._structural_check(cert)
+        field = build_field(pr.p, 12 * pr.m)
+    except ValueError as exc:  # MalformedCertificate, or p not prime
+        raise RealizationError(str(exc)) from None
     theta = element_of_order(field, cert.theta_order)
     entries = tuple(field.pow(theta, e) for e in cert.exponents)
     det = field.one

@@ -74,16 +74,11 @@ def derive(epsilon: int, p: int, m: int) -> GroupParams:
     q = arith.power_at_most(p, m, Q_CAP)
     if q is None:
         raise ValueError(f"q = {p}^{m} exceeds supported bound {Q_CAP}")
-    return GroupParams(
-        epsilon=epsilon,
-        p=p,
-        m=m,
-        q=q,
-        phi3=q * q + epsilon * q + 1,
-        phi4=q * q + 1,
-        two_part_qme=arith.two_part(q - epsilon),
-        two_part_q2m1=arith.two_part(q * q - 1),
-    )
+    # positional, in field order: epsilon, p, m, q, phi3, phi4,
+    # two_part_qme, two_part_q2m1
+    return GroupParams(epsilon, p, m, q, q * q + epsilon * q + 1, q * q + 1,
+                       arith.two_part(q - epsilon),
+                       arith.two_part(q * q - 1))
 
 
 def derive_from_q(epsilon: int, q: int) -> GroupParams:

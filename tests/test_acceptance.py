@@ -8,17 +8,21 @@ functional checks.
 
 import hashlib
 import itertools
+import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 import sympy
 
-from sl4witness import arith, ffield, params, spectrum, verifier, witness
+from sl4witness import (arith, cli, ffield, params, spectrum, verifier,
+                        witness)
 from spectrum_reference import torus_exponents
 from verifier_reference import brute_force_selections, failed_checks
 
+ROOT = Path(__file__).resolve().parents[1]
 GRID_PRIMES = (3, 5, 7, 11, 13)
 GRID_DEGREES = (1, 2, 3)
 
@@ -370,3 +374,30 @@ def test_11_all_profiles_at_q_3_8(report):
            "%.1f us, verify %.1f us per certificate, %.1fs, budget %.0fs"
            % (count, case_c, failures, 1e6 * construct_s / count,
               1e6 * verify_s / count, elapsed, budget))
+
+
+def test_12_wide_pool_wire_round_trip(report):
+    """All 2,048 requests of the recorded wide pool go through the path
+    of `construct --out` then `verify FILE`: construct, the document and
+    its canonical JSON, json.loads, the document reader and verify, each
+    with every certificate passing."""
+    budget = 2.0
+    pool = ROOT / "bench" / "golden" / "wide.txt"
+    requests = [ln.split() for ln in pool.read_text().splitlines()
+                if ln.strip() and not ln.startswith("#")]
+    params.target_orders.cache_clear()
+    start = time.perf_counter()
+    failures = 0
+    for sign, p, m, profile, _digest in requests:
+        pr = params.derive(1 if sign == "+" else -1, int(p), int(m))
+        cert = witness.construct(pr, tuple(map(int, profile.split(","))))
+        text = cli.canonical_json(cli.certificate_to_document(cert))
+        back = cli.certificate_from_document(json.loads(text))
+        failures += back != cert or not verifier.verify(back).ok
+    elapsed = time.perf_counter() - start
+    params.target_orders.cache_clear()
+    ok = len(requests) == 2048 and failures == 0 and elapsed < budget
+    report(12, "wide-pool-wire-round-trip", ok,
+           "%d requests, %d failures, %.1f us per request, %.2fs, budget "
+           "%.0fs" % (len(requests), failures, 1e6 * elapsed / len(requests),
+                      elapsed, budget))

@@ -114,10 +114,14 @@ def test_is_prime_known_values():
 
 
 # the smallest strong pseudoprimes to the first k prime bases (OEIS
-# A014233): those for k = 4, 11, 12 and 13 are the bounds past which each
-# tier's bases stop being enough, and those for k = 3 and 8 lie inside the
-# 4- and 9-base tiers, so a tier one base short would call them prime
-STRONG_PSEUDOPRIMES = (25326001, 3215031751, 341550071728321,
+# A014233) for k = 3, 4, 8, 11, 12 and 13, and 4759123141 = 48781 * 97561,
+# the smallest to the bases 2, 7 and 61 (Jaeschke 1993).  4759123141 and
+# those for k = 11, 12 and 13 are the bounds past which each tier's bases
+# stop being enough; those for k = 3 and 4 lie inside the 3-base tier and
+# the one for k = 8 inside the 9-base tier, so a tier of the first 3, 4 or
+# 8 primes would call them prime.  3215031751 (k = 4) bounded a 4-base
+# first tier before the 3-base one.
+STRONG_PSEUDOPRIMES = (25326001, 3215031751, 4759123141, 341550071728321,
                        3825123056546413051, 318665857834031151167461,
                        3317044064679887385961981)
 
@@ -126,9 +130,10 @@ def test_is_prime_tier_edges():
     for n in STRONG_PSEUDOPRIMES:
         assert not arith.is_prime(n), n
     bounds = [bound for bound, _ in arith._MR_TIERS]
-    assert bounds == [3215031751, 3825123056546413051,
+    assert bounds == [4759123141, 3825123056546413051,
                       arith._MR_PROVEN_BOUND]
-    values = []
+    assert arith._MR_TIERS[0][1] == (2, 7, 61)
+    values = list(range(3215031751 - 300, 3215031751 + 300))
     for bound in bounds:
         values += range(bound - 300, bound + 300)
     rnd = random.Random(4004)

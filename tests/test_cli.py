@@ -409,6 +409,15 @@ def test_sweep_refuses_oversized_grid_promptly(capsys):
     assert "checked 8184 certificates" in capsys.readouterr().out
 
 
+def test_sweep_p_max_refusal_names_p_max_only(capsys):
+    assert run_main("sweep", "--p-max", "100000000000", "--m-max", "1",
+                    "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err == ("error: p-max 100000000000 exceeds supported bound "
+                   "65536\n")
+    assert "m-max" not in err
+
+
 def test_spectrum_at_largest_prime_field(capsys):
     start = time.perf_counter()
     for eps in ("+", "-"):

@@ -633,6 +633,29 @@ def test_realize_rejects_determinant_not_one():
         ffield.realize(bad)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("p", 3.0, "^params: q != p\\^m$"),
+    ("m", 2.0, "^params: q != p\\^m$"),
+    ("p", 9, "^params: q != p\\^m$"),
+])
+def test_realize_refuses_malformed_params(field, value, message):
+    # the verifier's structural check runs before any field arithmetic
+    cert = witness.construct(params.derive(1, 3, 2), (2, 2))
+    bad = cert._replace(params=cert.params._replace(**{field: value}))
+    with pytest.raises(RealizationError, match=message):
+        ffield.realize(bad)
+
+
+def test_realize_refuses_non_prime_p():
+    # p = 9, m = 1 and q = 9 pass the structural check; build_field's
+    # refusal of 9 comes back as RealizationError
+    cert = witness.construct(params.derive(1, 3, 2), (2, 2))
+    bad = cert._replace(params=cert.params._replace(p=9, m=1), profile=(2,),
+                        selections=cert.selections[:1])
+    with pytest.raises(RealizationError, match="^9 is not prime$"):
+        ffield.realize(bad)
+
+
 def test_pow_refuses_negative_exponents():
     field = ffield.build_field(3, 2)
     with pytest.raises(ValueError,
