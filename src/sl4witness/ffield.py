@@ -414,7 +414,8 @@ def realize(cert) -> Matrix4:
     starting from the theta order, and compared with the claim.  Fields
     past SIZE_LIMIT, which build_field refuses, are not realized, and a
     certificate that the verifier's structural check refuses, or whose p
-    is not prime, raises RealizationError before any field arithmetic.
+    is not prime, raises RealizationError before any field arithmetic; so
+    does a theta order that does not divide the field's order minus one.
     """
     pr = cert.params
     # an oversized field with int parameters is named as such first
@@ -428,7 +429,11 @@ def realize(cert) -> Matrix4:
         field = build_field(pr.p, 12 * pr.m)
     except ValueError as exc:  # MalformedCertificate, or p not prime
         raise RealizationError(str(exc)) from None
-    theta = element_of_order(field, cert.theta_order)
+    try:
+        theta = element_of_order(field, cert.theta_order)
+    except ValueError:
+        raise RealizationError(f"theta order {cert.theta_order} does not "
+                               f"divide {pr.p}^{12 * pr.m} - 1") from None
     entries = tuple(field.pow(theta, e) for e in cert.exponents)
     det = field.one
     for v in entries:

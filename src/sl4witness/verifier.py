@@ -6,6 +6,9 @@ which take only the record types from the constructor.  Structural damage
 (wrong sizes or types, out-of-range or unreduced entries) raises
 MalformedCertificate before any check runs; semantic problems are collected
 per check label so a caller can see everything that is wrong at once.
+The structural check is the one pass over the selections: as it
+type-checks them it also gathers what V6, V7 and case D's (A, B) need,
+and verify reads those from it.
 
 Check labels:
 
@@ -35,7 +38,6 @@ Check labels:
 
 import math
 from itertools import combinations
-from operator import attrgetter
 from typing import NamedTuple
 
 from .arith import SIZE_LIMIT, member as in_spectrum, power_at_most
@@ -69,8 +71,6 @@ def _case_d_shape_table() -> dict:
 
 
 _CASE_D_SHAPES = _case_d_shape_table()
-
-_factor = attrgetter("factor")
 
 # The types a profile, the exponents and the selections may have.
 _SEQUENCES = (tuple, list)
@@ -106,9 +106,20 @@ def _check_positions(positions) -> None:
             "selection positions must be strictly increasing")
 
 
-def _structural_check(cert: WitnessCertificate) -> str:
-    """Refuse a structurally unusable certificate; return the case its
-    profile classifies as, which validates the profile on the way."""
+def _structural_check(cert: WitnessCertificate) -> tuple:
+    """Refuse a structurally unusable certificate; on the way, gather what
+    V6, V7 and case D's (A, B) need, so verify walks the selections once.
+
+    Returns (case, fixed, coeffs, slots): the case the profile classifies
+    as, which validates it; V7's sum of p^factor times the selected
+    exponents; case D's (sigma, tau), (A, B) = ((1 + eps*q)*sigma, tau),
+    or None without case-D data or when a selection is not a case-D shape;
+    and None when the selections do not cover exactly the active slots (as
+    many as non-zero entries, factors strictly increasing, each on a
+    non-zero entry), else the list, in selection order, of a (factor,
+    size, want, clash) entry for each slot whose size is not the
+    profile's want or whose selected values coincide.
+    """
     pr = cert.params
     if not isinstance(pr, GroupParams):
         raise MalformedCertificate("params must be a GroupParams record")
@@ -117,10 +128,11 @@ def _structural_check(cert: WitnessCertificate) -> str:
              or (is_plain_int(p) and is_plain_int(m)))
             or power_at_most(p, m, SIZE_LIMIT) != pr.q):
         raise MalformedCertificate("params: q != p^m")
-    if not isinstance(cert.profile, _SEQUENCES):
+    profile = cert.profile
+    if not isinstance(profile, _SEQUENCES):
         raise MalformedCertificate("profile must be a list or tuple")
     try:
-        expected_case = classify_profile(cert.profile, pr)
+        expected_case = classify_profile(profile, pr)
     except ValueError as exc:
         raise MalformedCertificate(str(exc)) from None
     if cert.case not in ALL_CASES:
@@ -146,9 +158,18 @@ def _structural_check(cert: WitnessCertificate) -> str:
         raise MalformedCertificate("orders must be integers")
     if claimed < 1 or target < 1:
         raise MalformedCertificate("orders must be positive")
-    if not isinstance(cert.selections, _SEQUENCES):
+    selections = cert.selections
+    if not isinstance(selections, _SEQUENCES):
         raise MalformedCertificate("selections must be a list or tuple")
-    for sel in cert.selections:
+    cd = cert.case_d
+    covered = len(selections) == m - profile.count(0)
+    # distinct positions pick distinct values unless exponents coincide
+    distinct = len({e1, e2, e3, e4}) == 4
+    slots = []
+    fixed = sigma = tau = 0
+    shaped = cd is not None
+    last = -1
+    for sel in selections:
         try:
             factor, positions = sel.factor, sel.positions
         except AttributeError:  # a plain tuple, say
@@ -159,17 +180,41 @@ def _structural_check(cert: WitnessCertificate) -> str:
         if not 0 <= factor < m:
             raise MalformedCertificate(
                 f"selection factor {factor} out of range")
+        # (1.0, 3.0) and (True, 3) are found in _SHAPES too, so each
+        # position's type is tested before it indexes the exponents
         try:
             known = positions in _SHAPES
         except TypeError:  # unhashable positions, a list say
             known = False
-        if known:  # (1.0, 3.0) is found too
+        part = 0
+        if known:
             for j in positions:
                 if type(j) is not int:
                     known = False
+                    break
+                part += exps[j - 1]
         if not known:
-            _check_positions(positions)
-    cd = cert.case_d
+            _check_positions(positions)  # returns for int subclasses only
+            part = sum(exps[j - 1] for j in positions)
+        weight = p**factor
+        fixed += weight * part
+        if shaped:
+            coeffs = _CASE_D_SHAPES.get(positions)
+            if coeffs is None:
+                shaped = False
+            else:
+                sigma += coeffs[0] * weight
+                tau += coeffs[1] * weight
+        if covered:
+            want = profile[factor]
+            if factor <= last or not want:
+                covered = False
+            last = factor
+            size = len(positions)
+            clash = (not distinct
+                     and len({exps[j - 1] for j in positions}) != size)
+            if clash or size != want:
+                slots.append((factor, size, want, clash))
     if (cert.case == CASE_D) != (cd is not None):
         raise MalformedCertificate(
             "case_d data must be present exactly for case D_QcongEps")
@@ -182,151 +227,131 @@ def _structural_check(cert: WitnessCertificate) -> str:
         for x in values:
             if type(x) is not int and not is_plain_int(x):
                 raise MalformedCertificate("case_d values must be integers")
-    return expected_case
+    return (expected_case, fixed, (sigma, tau) if shaped else None,
+            slots if covered else None)
 
 
 def _check_case_d(cert: WitnessCertificate, n_ord: int | None, coeffs,
                   fail) -> None:
-    """The case-D checks; n_ord is the case-D modulus at cert.params, and
-    coeffs the (A, B) with weighted selected exponents a*A + r*b*B, or None
-    when a selection is not a case-D shape."""
+    """The case-D checks; n_ord is the case-D modulus at cert.params,
+    coeffs the (sigma, tau) of _structural_check, and fail appends a
+    failure."""
     pr = cert.params
     cd = cert.case_d
     r, t = cd.r, cd.t
     s2 = pr.two_part_qme
     if n_ord is None or r != n_ord // s2:
-        fail("V8", "case-D odd prime r does not match the parameters")
+        fail(("V8", "case-D odd prime r does not match the parameters"))
         return
     if t != n_ord or t != cert.theta_order:
-        fail("V8", f"case-D modulus t = {t} is inconsistent")
+        fail(("V8", f"case-D modulus t = {t} is inconsistent"))
         return
     if coeffs is None:
-        fail("V8", "selections do not have case-D shapes")
+        fail(("V8", "selections do not have case-D shapes"))
         return
-    A, B = coeffs
+    eps, q = pr.epsilon, pr.q
+    A, B = (1 + eps * q) * coeffs[0], coeffs[1]
     a, b = cd.a, cd.b
-    if (cd.coeff_a, cd.coeff_rb) != coeffs:
-        fail("V8", "case-D coefficients do not reproduce from the selections")
-    if (_case_d_exponents(a, b, r, t, pr.epsilon, pr.q)
-            != tuple(cert.exponents)):
-        fail("V8", "case-D exponents do not reproduce from (a, b)")
+    if cd.coeff_a != A or cd.coeff_rb != B:
+        fail(("V8", "case-D coefficients do not reproduce from the "
+                    "selections"))
+    if _case_d_exponents(a, b, r, t, eps, q) != tuple(cert.exponents):
+        fail(("V8", "case-D exponents do not reproduce from (a, b)"))
     if (a * A + r * b * B) % s2 != 0:
-        fail("V8", "case-D congruence a*A + r*b*B != 0 mod (q-eps)_2")
+        fail(("V8", "case-D congruence a*A + r*b*B != 0 mod (q-eps)_2"))
     if (a + b) % 2 != 1:
-        fail("V8", "case-D parity: a + b must be odd")
+        fail(("V8", "case-D parity: a + b must be odd"))
     if math.gcd(a, r) != 1:
-        fail("V8", "case-D: a must be coprime to r")
+        fail(("V8", "case-D: a must be coprime to r"))
+
+
+# The report of every certificate that passes with no warning, built once:
+# a NamedTuple and its two tuples are a measurable share of a passing verify.
+_PASSED = VerificationReport(True, (), ())
 
 
 def verify(cert: WitnessCertificate, *, strict_values: bool = True,
            psl_orders=None) -> VerificationReport:
     """Run all checks; psl_orders optionally adds the spectrum cross-check."""
-    expected_case = _structural_check(cert)
+    expected_case, fixed, coeffs, slots = _structural_check(cert)
     pr = cert.params
-    eps, p, q = pr.epsilon, pr.p, pr.q
+    p, q = pr.p, pr.q
     N = cert.theta_order
     exps = cert.exponents
     e1, e2, e3, e4 = exps
     claimed = cert.claimed_order
     failures: list[tuple[str, str]] = []
+    fail = failures.append
     warnings: list[tuple[str, str]] = []
-
-    def fail(label: str, msg: str) -> None:
-        failures.append((label, msg))
 
     total = e1 + e2 + e3 + e4
     if total % N != 0:
-        fail("V1", f"exponent sum {total} is not 0 mod {N}")
+        fail(("V1", f"exponent sum {total} is not 0 mod {N}"))
 
-    twist = eps * q
+    twist = pr.epsilon * q
     if (sorted([twist * e1 % N, twist * e2 % N, twist * e3 % N,
                 twist * e4 % N]) != sorted(exps)):
-        fail("V2", "exponent multiset is not stable under e -> eps*q*e")
+        fail(("V2", "exponent multiset is not stable under e -> eps*q*e"))
 
     if math.gcd(N, p) != 1:
-        fail("V3", f"theta order {N} shares a factor with p = {p}")
+        fail(("V3", f"theta order {N} shares a factor with p = {p}"))
 
     order = N // math.gcd(N, e1, e2, e3, e4)
     if order != claimed:
-        fail("V4", f"element order is {order}, certificate claims "
-                   f"{claimed}")
+        fail(("V4", f"element order is {order}, certificate claims "
+                    f"{claimed}"))
 
     k_s = N // math.gcd(N, e2 - e1, e3 - e1, e4 - e1)
     if claimed % k_s == 0 and claimed != k_s:
-        fail("V5", f"g^{k_s} is scalar and {k_s} properly divides the "
-                   "claimed order, so the projective order is smaller")
+        fail(("V5", f"g^{k_s} is scalar and {k_s} properly divides the "
+                    "claimed order, so the projective order is smaller"))
 
-    # V6, V7 and case D's (A, B) in one pass over the selections.  V6
-    # checks slot by slot only when the selections cover exactly the
-    # active profile slots, and reports sizes before coinciding values.
-    profile = cert.profile
-    selections = cert.selections
-    covered = (list(map(_factor, selections))
-               == [i for i, k in enumerate(profile) if k > 0])
-    distinct = len({e1, e2, e3, e4}) == 4
-    clashes = []
-    fixed = sigma = tau = 0
-    case_d_shapes = cert.case_d is not None
-    for sel in selections:
-        factor, positions = sel.factor, sel.positions
-        weight = p**factor
-        part = 0
-        for j in positions:
-            part += exps[j - 1]
-        fixed += weight * part
-        if case_d_shapes:
-            coeffs = _CASE_D_SHAPES.get(positions)
-            if coeffs is None:
-                case_d_shapes = False
-            else:
-                sigma += coeffs[0] * weight
-                tau += coeffs[1] * weight
-        if covered:
-            want = profile[factor]
-            if len(positions) != want:
-                fail("V6", f"slot {factor} selects {len(positions)} "
-                           f"positions, profile wants {want}")
-            # distinct positions pick distinct values unless exponents coincide
-            if not distinct:
-                vals = [exps[j - 1] for j in positions]
-                if len(set(vals)) != len(vals):
-                    clashes.append(f"slot {factor} selects coinciding "
-                                   "characteristic values")
-    if not covered:
-        fail("V6", "selections do not cover exactly the active profile slots")
-    for msg in clashes:
-        if strict_values:
-            fail("V6", msg)
-        else:
-            warnings.append(("V6", msg))
+    # V6 checks slot by slot only when the selections cover exactly the
+    # active profile slots, and reports sizes before coinciding values
+    if slots is None:
+        fail(("V6", "selections do not cover exactly the active profile "
+                    "slots"))
+    else:
+        for factor, size, want, _ in slots:
+            if size != want:
+                fail(("V6", f"slot {factor} selects {size} positions, "
+                            f"profile wants {want}"))
+        for factor, _, _, clash in slots:
+            if clash:
+                msg = ("V6", f"slot {factor} selects coinciding "
+                             "characteristic values")
+                if strict_values:
+                    fail(msg)
+                else:
+                    warnings.append(msg)
 
     if fixed % N != 0:
-        fail("V7", "weighted fixed-point exponent does not vanish mod N")
+        fail(("V7", "weighted fixed-point exponent does not vanish mod N"))
 
     case = cert.case
     if expected_case != case:
-        fail("V8", f"profile classifies as {expected_case}, certificate "
-                   f"says {case}")
+        fail(("V8", f"profile classifies as {expected_case}, certificate "
+                    f"says {case}"))
     n_ord = target_orders(pr, case)
     if n_ord is None:
-        fail("V8", f"case {case} does not apply at q = {q}")
+        fail(("V8", f"case {case} does not apply at q = {q}"))
     else:
         if N != n_ord:
-            fail("V8", f"theta order {N} != case modulus {n_ord}")
+            fail(("V8", f"theta order {N} != case modulus {n_ord}"))
         if claimed != n_ord:
-            fail("V8", f"claimed order {claimed} != case order {n_ord}")
+            fail(("V8", f"claimed order {claimed} != case order {n_ord}"))
     if cert.target_order != p * claimed:
-        fail("V8", "target order is not p * claimed order")
+        fail(("V8", "target order is not p * claimed order"))
     if cert.case_d is not None:
-        _check_case_d(cert, n_ord,
-                      ((1 + eps * q) * sigma, tau) if case_d_shapes else None,
-                      fail)
+        _check_case_d(cert, n_ord, coeffs, fail)
     if psl_orders is not None:
         if not in_spectrum(psl_orders, claimed):
-            fail("V8", f"claimed order {claimed} is not an order of the "
-                       "projective group")
+            fail(("V8", f"claimed order {claimed} is not an order of the "
+                        "projective group"))
         if in_spectrum(psl_orders, cert.target_order):
-            fail("V8", f"target order {cert.target_order} is already an "
-                       "order of the projective group")
+            fail(("V8", f"target order {cert.target_order} is already an "
+                        "order of the projective group"))
 
+    if not failures and not warnings:
+        return _PASSED
     return VerificationReport(not failures, tuple(failures), tuple(warnings))

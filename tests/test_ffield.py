@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from sl4witness import arith, cli, ffield, params, spectrum, witness
+from sl4witness import (arith, cli, ffield, params, spectrum, verifier,
+                        witness)
 from sl4witness.ffield import RealizationError
 
 
@@ -622,6 +623,18 @@ def test_realize_refuses_huge_m_promptly():
                        match=r"^field F_3\^36000000 exceeds the size limit$"):
         ffield.realize(bad)
     assert time.perf_counter() - start < 0.1
+
+
+def test_realize_refuses_a_theta_order_the_field_lacks():
+    # the structural check passes (V8 would reject the certificate), but
+    # 23 does not divide 3^24 - 1, so no element of F_{3^24} has order 23
+    cert = witness.construct(params.derive(1, 3, 2), (2, 2))
+    bad = cert._replace(theta_order=23, exponents=(1, 3, 9, 10),
+                        claimed_order=23, target_order=69)
+    verifier._structural_check(bad)
+    with pytest.raises(RealizationError,
+                       match=r"^theta order 23 does not divide 3\^24 - 1$"):
+        ffield.realize(bad)
 
 
 def test_realize_rejects_determinant_not_one():

@@ -7,8 +7,10 @@ import time
 import pytest
 
 import verifier_reference
-from sl4witness import arith, cli, params, spectrum, verifier, witness
+from sl4witness import (arith, cli, ffield, params, spectrum, verifier,
+                        witness)
 from verifier_reference import brute_force_selections, failed_checks
+from sl4witness.ffield import RealizationError
 from sl4witness.verifier import MalformedCertificate
 from sl4witness.witness import Selection
 
@@ -138,6 +140,37 @@ def test_selection_value_collision_strict_vs_lenient(cert_a):
 def test_selection_coverage_mismatch(cert_a):
     bad = cert_a._replace(selections=(cert_a.selections[0],))
     assert "V6" in failed(bad)
+
+
+_NOT_COVERED = ("V6", "selections do not cover exactly the active profile "
+                      "slots")
+
+
+@pytest.mark.parametrize("eps, p, profile", [(1, 3, (2, 0, 2)),
+                                             (1, 5, (2, 0, 1))])
+def test_coverage_edges_match_reference(eps, p, profile):
+    # V6 asks for as many selections as active slots, with strictly
+    # increasing factors on non-zero entries; (2, 0, 1) at q = 125 is
+    # case D, so its (A, B) are gathered in the same pass
+    cert = witness.construct(params.derive(eps, p, 3), profile)
+    first, last = cert.selections
+    assert (first.factor, last.factor) == (0, 2)
+    edges = {
+        "swapped": cert._replace(selections=(last, first)),
+        "duplicate": cert._replace(selections=(first, first)),
+        "zero_slot": cert._replace(
+            selections=(first, Selection(1, last.positions))),
+        "too_few": cert._replace(selections=(first,)),
+        "too_many": cert._replace(selections=(first, last, last)),
+        "list_profile": cert._replace(profile=list(profile),
+                                      selections=(last,)),
+    }
+    for kind, bad in edges.items():
+        for strict in (True, False):
+            got = verifier.verify(bad, strict_values=strict)
+            assert _NOT_COVERED in got.failures, kind
+            assert got == verifier_reference.verify(bad,
+                                                    strict_values=strict)
 
 
 def test_fixed_point_check_catches_swapped_selection(cert_a):
@@ -278,6 +311,37 @@ def test_wrong_typed_fields_are_malformed(cert_a, cert_d125, kind):
             with pytest.raises(MalformedCertificate) as info:
                 verify(bad)
             assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind", _WRONG_TYPES)
+def test_realize_refuses_what_verify_refuses(cert_a, cert_d125, kind):
+    # realize runs the verifier's structural check, so each refusal comes
+    # back with verify's wording
+    tamper, message = _WRONG_TYPES[kind]
+    certs = (cert_d125,) if kind.startswith("case_d") else (cert_a, cert_d125)
+    for cert in certs:
+        bad = tamper(cert)
+        with pytest.raises(MalformedCertificate) as info:
+            verifier.verify(bad)
+        with pytest.raises(RealizationError) as realized:
+            ffield.realize(bad)
+        assert str(realized.value) == str(info.value) == message
+
+
+def test_one_structural_pass_per_certificate(grid_inputs, monkeypatch):
+    # verify reads V6, V7 and case D's (A, B) from the structural pass,
+    # and the profile is classified once, inside it
+    certs = [witness.construct(pr, profile) for pr, profile in grid_inputs]
+    assert verifier.classify_profile is params.classify_profile
+    calls = {"_structural_check": 0, "classify_profile": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(verifier, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(verifier, name, counting)
+    reports = [verifier.verify(cert) for cert in certs]
+    assert calls == {"_structural_check": 1848, "classify_profile": 1848}
+    assert all(report == (True, (), ()) for report in reports)
 
 
 def test_list_fields_verify_like_tuples(cert_a, cert_d125):
