@@ -45,6 +45,7 @@ _RHO_BUDGET = 1 << 21
 # 2^32, so it takes three bases.  Larger inputs (up to SIZE_LIMIT) add the
 # extended base list; no counterexample is known for that range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BASE_PRODUCT = math.prod(_MR_BASES)
 _MR_PROVEN_BOUND = 3317044064679887385961981
 _MR_EXTRA_BASES = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _MR_TIERS = (
@@ -109,9 +110,8 @@ def is_prime(n: int) -> bool:
         return math.gcd(n, _LOW_PRODUCT) == 1
     if n > SIZE_LIMIT:
         raise ValueError(f"{n} exceeds supported size {SIZE_LIMIT}")
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
+    if math.gcd(n, _MR_BASE_PRODUCT) != 1:  # n >= 2^20 is no base
+        return False
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -293,8 +293,9 @@ def primitive_prime_divisor(a: int, n: int, eps: int) -> int | None:
     Dividing out every prime shared with an earlier term leaves exactly the
     primitive primes, as a primitive prime divides no earlier term, so the
     answer is the least prime factor of what is left: one gcd finds it
-    below 2^10, factorize's stages above, so a value left below 2^34 never
-    reaches rho (ValueError past rho's budget).
+    below 2^10; above, what is left is the answer when it is prime, a
+    composite below 2^34 gives its least prime to the mid-range table, and
+    only a larger one is factorized (ValueError past rho's budget).
     """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
@@ -315,6 +316,10 @@ def primitive_prime_divisor(a: int, n: int, eps: int) -> int | None:
     g = math.gcd(target, _LOW_PRODUCT)
     if g > 1:
         return next(p for p in _LOW_PRIMES if g % p == 0)
+    if is_prime(target):
+        return target
+    if target < _MID_SPLIT_LIMIT:
+        return _least_mid_prime(target)
     return min(_prime_exponents(target))
 
 

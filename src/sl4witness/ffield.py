@@ -352,10 +352,19 @@ def _order_dividing(field: Field, entries, bound: int):
     return order
 
 
+@lru_cache(maxsize=64, typed=True)
 def element_of_order(field: Field, n: int):
     """Deterministic element of exact multiplicative order n: the first
     index whose element, raised to the cofactor (order - 1) / n, has
-    order n."""
+    order n.
+
+    The result depends only on (field, n), and build_field hands out one
+    Field per (p, k), so it is memoized by (field, n) in a bounded LRU
+    cache of 64 entries, keyed by type as well as value: realize pays the
+    cofactor power once per field and theta order (the 712 grid
+    certificates that realize ask for 60 pairs).  A refused n raises each
+    time and is not cached.
+    """
     if n < 1 or (field.order - 1) % n != 0:
         raise ValueError(f"F_{field.order} has no element of order {n}")
     cofactor = (field.order - 1) // n

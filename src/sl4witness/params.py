@@ -64,11 +64,20 @@ class GroupParams(NamedTuple):
 
 
 def derive(epsilon: int, p: int, m: int) -> GroupParams:
-    """Validate (epsilon, p, m) and compute the derived constants."""
-    if epsilon not in (PLUS, MINUS):
+    """Validate (epsilon, p, m) and compute the derived constants.
+
+    Each must be an int and not a bool: True and 1.0 would pass the range
+    tests and hash like 1, and a float p or m fails inside the arithmetic.
+    """
+    if (type(epsilon) is not int and not is_plain_int(epsilon)
+            or epsilon not in (PLUS, MINUS)):
         raise ValueError("epsilon must be +1 or -1")
+    if type(p) is not int and not is_plain_int(p):
+        raise ValueError(f"p must be an odd prime, got {p!r}")
     if p < 3 or p % 2 == 0 or not arith.is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
+    if type(m) is not int and not is_plain_int(m):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     q = arith.power_at_most(p, m, Q_CAP)
@@ -85,8 +94,11 @@ def derive_from_q(epsilon: int, q: int) -> GroupParams:
     """derive() for a field given by its order q = p^m.
 
     q is bounded before it is factorized, so an oversized q is refused at
-    once rather than after a long factorization.
+    once rather than after a long factorization.  q must be an int and not
+    a bool, as derive's arguments must.
     """
+    if type(q) is not int and not is_plain_int(q):
+        raise ValueError(f"q must be an odd prime power, got {q!r}")
     if q < 3:
         raise ValueError(f"q must be an odd prime power, got {q}")
     if q > Q_CAP:

@@ -10,6 +10,19 @@ The structural check is the one pass over the selections: as it
 type-checks them it also gathers what V6, V7 and case D's (A, B) need,
 and verify reads those from it.
 
+V1-V5 read only eight integers, (N, e1, e2, e3, e4, eps*q, p, claimed),
+which a sweep repeats: every profile of a field shares N, and in cases
+A-C the four exponents too.  So _order_checks, which returns their
+failures, is memoized by that tuple in a bounded LRU cache of 64 entries,
+keyed by type as well as value; verify builds the key only once the
+structural check has refused every non-integer among them, and starts its
+failure list from the cached tuple, so every report, message and message
+order is what the uncached checks give.  64 entries keep every key a grid
+sweep revisits (a field has a few, all 4^8 profiles at q = 3^8 have 34);
+a larger bound buys no hits and lengthens the garbage collector's young
+pass wherever no key repeats, since each cached key is one more tuple to
+traverse there.
+
 Check labels:
 
   V1  exponent sum vanishes mod N, so the diagonal has determinant one
@@ -37,6 +50,7 @@ Check labels:
 """
 
 import math
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -265,6 +279,44 @@ def _check_case_d(cert: WitnessCertificate, n_ord: int | None, coeffs,
         fail(("V8", "case-D: a must be coprime to r"))
 
 
+@lru_cache(maxsize=64, typed=True)
+def _order_checks(N: int, e1: int, e2: int, e3: int, e4: int, twist: int,
+                  p: int, claimed: int) -> tuple[tuple[str, str], ...]:
+    """The failures of V1-V5, in that order, for theta order N, exponents
+    e1..e4, twist = eps*q, characteristic p and the claimed order."""
+    # a tuple that grows only on a failure: a pass builds no list to copy
+    failures = ()
+
+    total = e1 + e2 + e3 + e4
+    if total % N != 0:
+        failures += (("V1", f"exponent sum {total} is not 0 mod {N}"),)
+
+    # sorted in place: sorted() would copy each list first
+    twisted = [twist * e1 % N, twist * e2 % N, twist * e3 % N, twist * e4 % N]
+    twisted.sort()
+    exps = [e1, e2, e3, e4]
+    exps.sort()
+    if twisted != exps:
+        failures += (("V2", "exponent multiset is not stable under "
+                            "e -> eps*q*e"),)
+
+    if math.gcd(N, p) != 1:
+        failures += (("V3", f"theta order {N} shares a factor with "
+                            f"p = {p}"),)
+
+    order = N // math.gcd(N, e1, e2, e3, e4)
+    if order != claimed:
+        failures += (("V4", f"element order is {order}, certificate claims "
+                            f"{claimed}"),)
+
+    k_s = N // math.gcd(N, e2 - e1, e3 - e1, e4 - e1)
+    if claimed % k_s == 0 and claimed != k_s:
+        failures += (("V5", f"g^{k_s} is scalar and {k_s} properly divides "
+                            "the claimed order, so the projective order is "
+                            "smaller"),)
+    return failures
+
+
 # The report of every certificate that passes with no warning, built once:
 # a NamedTuple and its two tuples are a measurable share of a passing verify.
 _PASSED = VerificationReport(True, (), ())
@@ -277,34 +329,12 @@ def verify(cert: WitnessCertificate, *, strict_values: bool = True,
     pr = cert.params
     p, q = pr.p, pr.q
     N = cert.theta_order
-    exps = cert.exponents
-    e1, e2, e3, e4 = exps
+    e1, e2, e3, e4 = cert.exponents
     claimed = cert.claimed_order
-    failures: list[tuple[str, str]] = []
+    failures = list(_order_checks(N, e1, e2, e3, e4, pr.epsilon * q, p,
+                                  claimed))
     fail = failures.append
     warnings: list[tuple[str, str]] = []
-
-    total = e1 + e2 + e3 + e4
-    if total % N != 0:
-        fail(("V1", f"exponent sum {total} is not 0 mod {N}"))
-
-    twist = pr.epsilon * q
-    if (sorted([twist * e1 % N, twist * e2 % N, twist * e3 % N,
-                twist * e4 % N]) != sorted(exps)):
-        fail(("V2", "exponent multiset is not stable under e -> eps*q*e"))
-
-    if math.gcd(N, p) != 1:
-        fail(("V3", f"theta order {N} shares a factor with p = {p}"))
-
-    order = N // math.gcd(N, e1, e2, e3, e4)
-    if order != claimed:
-        fail(("V4", f"element order is {order}, certificate claims "
-                    f"{claimed}"))
-
-    k_s = N // math.gcd(N, e2 - e1, e3 - e1, e4 - e1)
-    if claimed % k_s == 0 and claimed != k_s:
-        fail(("V5", f"g^{k_s} is scalar and {k_s} properly divides the "
-                    "claimed order, so the projective order is smaller"))
 
     # V6 checks slot by slot only when the selections cover exactly the
     # active profile slots, and reports sizes before coinciding values

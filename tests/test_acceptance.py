@@ -229,6 +229,7 @@ def test_07_matrix_realization(sweep, report):
     budget = 120.0
     small = [c for c in sweep[0]
              if c.params.p ** (12 * c.params.m) <= arith.SIZE_LIMIT]
+    ffield.element_of_order.cache_clear()
     start = time.perf_counter()
     problems = 0
     for cert in small:
@@ -386,6 +387,7 @@ def test_12_wide_pool_wire_round_trip(report):
     requests = [ln.split() for ln in pool.read_text().splitlines()
                 if ln.strip() and not ln.startswith("#")]
     params.target_orders.cache_clear()
+    verifier._order_checks.cache_clear()
     start = time.perf_counter()
     failures = 0
     for sign, p, m, profile, _digest in requests:
@@ -396,6 +398,7 @@ def test_12_wide_pool_wire_round_trip(report):
         failures += back != cert or not verifier.verify(back).ok
     elapsed = time.perf_counter() - start
     params.target_orders.cache_clear()
+    verifier._order_checks.cache_clear()
     ok = len(requests) == 2048 and failures == 0 and elapsed < budget
     report(12, "wide-pool-wire-round-trip", ok,
            "%d requests, %d failures, %.1f us per request, %.2fs, budget "

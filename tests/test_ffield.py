@@ -497,6 +497,48 @@ def test_element_of_order_can_be_a_constant():
     assert ffield.element_of_order(field, 3) == (2, 0)
 
 
+def test_element_of_order_cache_returns_the_cold_result():
+    # memoized by (field, n): a warm lookup returns what the scan found,
+    # and a refused n raises every time
+    field = ffield.build_field(5, 2)
+    ns = [n for n in range(1, field.order) if (field.order - 1) % n == 0]
+    ffield.element_of_order.cache_clear()
+    cold = [ffield.element_of_order(field, n) for n in ns]
+    assert ffield.element_of_order.cache_info().hits == 0
+    warm = [ffield.element_of_order(field, n) for n in ns]
+    assert ffield.element_of_order.cache_info().hits == len(ns)
+    assert warm == cold == [full_scan_element_of_order(field, n) for n in ns]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            ffield.element_of_order(field, 7)  # 7 does not divide 24
+    assert ffield.element_of_order.cache_info().currsize == len(ns)
+
+
+def test_realize_is_the_same_from_a_cold_and_a_warm_cache():
+    cert = witness.construct(params.derive(1, 3, 1), (2,))
+    ffield.element_of_order.cache_clear()
+    cold = ffield.realize(cert)
+    warm = ffield.realize(cert)
+    assert ffield.element_of_order.cache_info().hits == 1
+    assert warm == cold
+
+
+def test_element_of_order_cache_stays_bounded():
+    # every divisor n of p - 1 for the odd primes p < 200: more (field, n)
+    # pairs than the cache holds, asked twice so evicted ones come back
+    pairs = [(ffield.build_field(p, 1), n)
+             for p in range(3, 200, 2) if arith.is_prime(p)
+             for n in range(1, p) if (p - 1) % n == 0]
+    maxsize = ffield.element_of_order.cache_info().maxsize
+    assert maxsize == 64 and len(pairs) > 2 * maxsize
+    ffield.element_of_order.cache_clear()
+    for _ in range(2):
+        for field, n in pairs:
+            y = ffield.element_of_order(field, n)
+            assert y == full_scan_element_of_order(field, n)
+        assert ffield.element_of_order.cache_info().currsize <= maxsize
+
+
 def test_element_index_validation():
     field = ffield.build_field(3, 2)
     with pytest.raises(ValueError):

@@ -122,3 +122,38 @@ def test_check_profile_accepts_int_subclasses():
     params.check_profile((Entry(2), Entry(0)), 2)
     assert (params.classify_profile((Entry(2), 1), params.derive(1, 3, 2))
             == params.CASE_D)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1, 3, True), "m must be an integer, got True"),
+    ((1, 3, 1.0), "m must be an integer, got 1.0"),
+    ((True, 5, 1), "epsilon must be +1 or -1"),
+    ((1.0, 3, 1), "epsilon must be +1 or -1"),
+    ((-1.0, 3, 1), "epsilon must be +1 or -1"),
+    ((1, 3.0, 1), "p must be an odd prime, got 3.0"),
+    ((1, True, 1), "p must be an odd prime, got True"),
+    ((1, "3", 1), "p must be an odd prime, got '3'"),
+])
+def test_derive_refuses_arguments_that_are_not_plain_ints(args, message):
+    # True and 1.0 compare and hash like 1, so derive(1, 3, True) once
+    # built GroupParams(m=True), and a cache keyed by params would take
+    # it for m = 1; a float p or m failed inside the arithmetic
+    with pytest.raises(ValueError) as info:
+        params.derive(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("q", [9.0, True, "9", None])
+def test_derive_from_q_refuses_q_that_is_not_a_plain_int(q):
+    with pytest.raises(ValueError) as info:
+        params.derive_from_q(1, q)
+    assert str(info.value) == f"q must be an odd prime power, got {q!r}"
+
+
+def test_derive_accepts_int_subclasses():
+    # as check_profile does: bool is the one subclass of int it refuses
+    class Arg(int):
+        pass
+
+    assert params.derive(Arg(-1), Arg(7), Arg(2)) == params.derive(-1, 7, 2)
+    assert params.derive_from_q(Arg(1), Arg(49)) == params.derive(1, 7, 2)

@@ -458,3 +458,118 @@ def test_brute_force_selections_size_guard():
     with pytest.raises(ValueError):
         brute_force_selections(
             pr, (1,) * 7, (1, 3, 4, 2), 5)
+
+
+# V1-V5 are memoized by (N, exponents, eps*q, p, claimed); a warm entry
+# must answer only for the certificate it fits, and never let a wrong type
+# through.
+
+def _outcome(verify, cert, **kwargs):
+    try:
+        return verify(cert, **kwargs)
+    except MalformedCertificate as exc:
+        return ("malformed", str(exc))
+
+
+def _twins(cert):
+    """Twins of cert with every field's type kept: changed exponents,
+    claimed order (target p * claimed, and once not) and theta order."""
+    p, N, exps = cert.params.p, cert.theta_order, tuple(cert.exponents)
+    c = cert.claimed_order
+    twins = [cert._replace(exponents=tuple((e + 1) % N for e in exps)),
+             cert._replace(exponents=exps[::-1]),
+             cert._replace(exponents=(exps[1], exps[0]) + exps[2:]),
+             cert._replace(exponents=tuple(2 * e % N for e in exps)),
+             cert._replace(exponents=(0, 0, 0, 0)),
+             cert._replace(target_order=p * c + 1)]
+    twins += [cert._replace(claimed_order=k, target_order=p * k)
+              for k in (c + 1, 2 * c, max(1, c // 2), 1)]
+    twins += [cert._replace(theta_order=n) for n in (N + 1, 2 * N, p * N)]
+    return twins
+
+
+@pytest.fixture(scope="module")
+def one_per_case(cert_a, cert_d, cert_d125):
+    certs = [cert_a, cert_d, cert_d125,
+             witness.construct(params.derive(-1, 7, 2), (1, 2)),
+             witness.construct(params.derive(1, 3, 3), (2, 0, 2)),
+             witness.construct(params.derive(1, 11, 1), (1,))]
+    assert {c.case for c in certs} == set(params.ALL_CASES)
+    return certs
+
+
+def test_warm_order_checks_answer_twins_like_the_reference(one_per_case):
+    for cert in one_per_case:
+        verifier._order_checks.cache_clear()
+        assert verifier.verify(cert).ok
+        for twin in _twins(cert):
+            for strict in (True, False):
+                want = _outcome(verifier_reference.verify, twin,
+                                strict_values=strict)
+                # once as the cache first sees the twin, once warm
+                for _ in range(2):
+                    assert _outcome(verifier.verify, twin,
+                                    strict_values=strict) == want
+        assert verifier._order_checks.cache_info().hits > 0
+        assert verifier.verify(cert) == (True, (), ())
+
+
+def test_warm_order_checks_still_refuse_wrong_types(cert_a):
+    # 1.0 and True equal cert_a's first exponent, 1, and hash like it; a
+    # float theta order or claimed order equals the int one too
+    assert cert_a.exponents[0] == 1
+    verifier._order_checks.cache_clear()
+    assert verifier.verify(cert_a).ok
+    rest = cert_a.exponents[1:]
+    for bad, message in (
+            (cert_a._replace(exponents=(1.0,) + rest),
+             "exponents must be integers reduced mod theta_order"),
+            (cert_a._replace(exponents=(True,) + rest),
+             "exponents must be integers reduced mod theta_order"),
+            (cert_a._replace(theta_order=float(cert_a.theta_order)),
+             "theta_order must be an integer >= 2"),
+            (cert_a._replace(claimed_order=float(cert_a.claimed_order)),
+             "orders must be integers")):
+        for verify in (verifier.verify, verifier_reference.verify):
+            with pytest.raises(MalformedCertificate) as info:
+                verify(bad)
+            assert str(info.value) == message
+
+
+def test_int_subclass_twins_miss_the_order_cache(cert_a):
+    class Int(int):
+        pass
+
+    twins = (cert_a._replace(exponents=tuple(map(Int, cert_a.exponents))),
+             cert_a._replace(theta_order=Int(cert_a.theta_order)),
+             cert_a._replace(claimed_order=Int(cert_a.claimed_order)))
+    verifier._order_checks.cache_clear()
+    assert verifier.verify(cert_a).ok
+    for twin in twins:
+        before = verifier._order_checks.cache_info()
+        assert verifier.verify(twin) == verifier_reference.verify(twin)
+        assert verifier.verify(twin).ok
+        after = verifier._order_checks.cache_info()
+        # typed: the first verify misses, the second hits its own entry
+        assert (after.misses, after.hits) == (before.misses + 1,
+                                              before.hits + 1)
+
+
+def test_order_checks_cache_stays_bounded():
+    # 2 signs x 2 profiles of F_p for every odd prime p < 300: more
+    # entries than the cache holds, verified twice so the first ones come
+    # back after eviction, each with a tampered twin
+    certs = [witness.construct(params.derive(eps, p, 1), profile)
+             for p in range(3, 300, 2) if arith.is_prime(p)
+             for eps in (1, -1) for profile in ((1,), (2,))]
+    maxsize = verifier._order_checks.cache_info().maxsize
+    assert maxsize == 64 and len(certs) > 2 * maxsize
+    verifier._order_checks.cache_clear()
+    for _ in range(2):
+        for cert in certs:
+            assert verifier.verify(cert) == (True, (), ())
+            twin = cert._replace(claimed_order=cert.claimed_order + 1,
+                                 target_order=cert.target_order + cert.params.p)
+            assert verifier.verify(twin) == verifier_reference.verify(twin)
+        assert verifier._order_checks.cache_info().currsize <= maxsize
+    assert verifier._order_checks.cache_info().misses > 2 * maxsize
