@@ -10,6 +10,14 @@ Subcommands:
 
 Exit codes: 0 success, 1 a certificate failed to construct or verify,
 2 usage errors and malformed inputs.
+
+The wire format is canonical JSON (json.dumps with sort_keys and indent
+2), written by canonical_json into one list of parts that is joined
+once.  certificate_from_document takes each record that is exactly what
+the writer writes on a fast path, and hands anything else to the helper
+that names what is wrong, so its DocumentError messages, and the order in
+which they are raised, are those of the plain helper-per-field reader in
+tests/cli_reference.py.
 """
 
 import json
@@ -32,6 +40,7 @@ _PARAMS_KEYS = frozenset(("epsilon", "p", "m", "q"))
 _SELECTION_KEYS = frozenset(("factor", "positions"))
 _CASE_D_KEYS = frozenset(("r", "t", "a", "b", "A", "B", "adjustments"))
 _ADJUSTMENT_KEYS = frozenset(("kind", "factor"))
+_CASE_D_DOCUMENT_KEYS = _DOCUMENT_KEYS | {"case_d"}
 
 
 class DocumentError(ValueError):
@@ -86,46 +95,89 @@ def canonical_json(doc: dict) -> str:
     """json.dumps(doc, sort_keys=True, indent=2) + "\n", byte for byte.
 
     Written directly: json.dumps takes its pure-Python encoder whenever
-    indent is set.  Strings and keys use the stdlib's C string encoder;
-    tuples are written as lists, and a non-str key raises TypeError.
+    indent is set.  Every piece of text is appended to one list of parts,
+    joined once, with line breaks and the schema's field names encoded in
+    advance.  Strings and keys use the stdlib's C string encoder; tuples
+    are written as lists, and a non-str key raises TypeError.
     """
-    return _dump(doc, "\n") + "\n"
+    parts = []
+    _dump(doc, 0, parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _dump(value, newline: str) -> str:
-    # newline is "\n" followed by the indentation of value's own line; the
-    # str and exact-int leaves of a dict or list are written in place
+def _breaks(depth: int, brackets: str) -> tuple:
+    """(opening, separator, closing) of a container written between the
+    two brackets, whose own line is indented to depth."""
+    line = "\n" + "  " * (depth + 1)
+    return (brackets[0] + line, "," + line,
+            "\n" + "  " * depth + brackets[1])
+
+
+# A document nests four deep; _dump builds deeper breaks on demand.
+_OBJECT_BREAKS = tuple(_breaks(depth, "{}") for depth in range(8))
+_ARRAY_BREAKS = tuple(_breaks(depth, "[]") for depth in range(8))
+_KEY_TEXTS = {key: _encode_str(key) + ": " for key in (
+    _CASE_D_DOCUMENT_KEYS | _PARAMS_KEYS | _SELECTION_KEYS | _CASE_D_KEYS
+    | _ADJUSTMENT_KEYS)}
+
+
+def _dump(value, depth: int, parts: list) -> None:
+    # depth is the indentation of value's own line; the str and exact-int
+    # leaves of a dict or list are written in place
     if isinstance(value, str):
-        return _encode_str(value)
-    if type(value) is int:  # bools and other ints go to json.dumps below
-        return int.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
+        parts.append(_encode_str(value))
+    elif type(value) is int:  # bools and other ints go to json.dumps below
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
-        items = []
-        for key, item in sorted(value.items()):
+            parts.append("{}")
+            return
+        separator, comma, closing = (
+            _OBJECT_BREAKS[depth] if depth < len(_OBJECT_BREAKS)
+            else _breaks(depth, "{}"))
+        append = parts.append
+        inner = depth + 1
+        for key in sorted(value):
+            append(separator)
+            append(_KEY_TEXTS.get(key) or _encode_str(key) + ": ")
+            item = value[key]
             kind = type(item)
-            items.append(_encode_str(key) + ": " + (
-                _encode_str(item) if kind is str
-                else int.__repr__(item) if kind is int
-                else _dump(item, inner)))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
+            if kind is str:
+                append(_encode_str(item))
+            elif kind is int:
+                append(int.__repr__(item))
+            else:
+                _dump(item, inner, parts)
+            separator = comma
+        append(closing)
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
-        items = [_encode_str(item) if type(item) is str
-                 else int.__repr__(item) if type(item) is int
-                 else _dump(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    return json.dumps(value)
+            parts.append("[]")
+            return
+        separator, comma, closing = (
+            _ARRAY_BREAKS[depth] if depth < len(_ARRAY_BREAKS)
+            else _breaks(depth, "[]"))
+        append = parts.append
+        inner = depth + 1
+        for item in value:
+            append(separator)
+            kind = type(item)
+            if kind is str:
+                append(_encode_str(item))
+            elif kind is int:
+                append(int.__repr__(item))
+            else:
+                _dump(item, inner, parts)
+            separator = comma
+        append(closing)
+    else:
+        parts.append(json.dumps(value))
 
 
 def _expect_keys(obj, required, optional=(), where="document"):
     if not isinstance(obj, dict):
         raise DocumentError(f"{where} must be a JSON object")
-    if obj.keys() == required:
-        return
     diff = obj.keys() ^ required
     unknown = sorted(k for k in diff if k in obj and k not in optional)
     if unknown:
@@ -150,8 +202,29 @@ def _int_from_string(value, where):
     return int(value)
 
 
+# (key, name in messages) of each decimal-string field of a record
+_EXPONENT_FIELDS = tuple((i, "exponent") for i in range(4))
+_CASE_D_FIELDS = tuple((key, "case_d." + key)
+                       for key in ("r", "t", "a", "b", "A", "B"))
+_ORDER_FIELDS = tuple((key, key) for key in (
+    "theta_order", "claimed_order", "target_order"))
+
+
+def _decimals(record, fields) -> list:
+    """The ints that record's decimal strings at fields spell, in order."""
+    values = []
+    for key, where in fields:
+        text = record[key]
+        digits = text.removeprefix("-") if type(text) is str else ""
+        values.append(
+            int(text) if digits.isascii() and digits.isdigit()
+            and len(digits) <= arith.MAX_DIGITS
+            else _int_from_string(text, where))
+    return values
+
+
 def _plain_int(value, where):
-    if type(value) is int or is_plain_int(value):
+    if is_plain_int(value):
         return value
     raise DocumentError(f"{where} must be an integer")
 
@@ -163,24 +236,49 @@ def _list(value, where):
 
 
 def certificate_from_document(doc) -> WitnessCertificate:
-    _expect_keys(doc, _DOCUMENT_KEYS, optional=("case_d",))
-    if _plain_int(doc["schema_version"], "schema_version") != SCHEMA_VERSION:
-        raise DocumentError(
-            f"unsupported schema_version {doc['schema_version']!r}")
+    """The certificate a wire document holds, or DocumentError.
+
+    Each value is first tested for the form the writer gives it: a dict
+    with exactly its record's keys, an exact int, a decimal string of at
+    most MAX_DIGITS ASCII digits after an optional "-".  Anything else
+    goes to the helper that refuses it or, for a dict, list or int
+    subclass, accepts it, so every message, and the order of the tests, is
+    the helpers' own.
+    """
+    if not (type(doc) is dict and (doc.keys() == _DOCUMENT_KEYS
+                                   or doc.keys() == _CASE_D_DOCUMENT_KEYS)):
+        _expect_keys(doc, _DOCUMENT_KEYS, optional=("case_d",))
+    version = doc["schema_version"]
+    if type(version) is not int:
+        _plain_int(version, "schema_version")
+    if version != SCHEMA_VERSION:
+        raise DocumentError(f"unsupported schema_version {version!r}")
 
     block = doc["params"]
-    _expect_keys(block, _PARAMS_KEYS, where="params")
+    if not (type(block) is dict and block.keys() == _PARAMS_KEYS):
+        _expect_keys(block, _PARAMS_KEYS, where="params")
+    p, m, q = block["p"], block["m"], block["q"]
     try:
         eps = sign_from_str(block["epsilon"])
-        params = derive(eps, _plain_int(block["p"], "params.p"),
-                        _plain_int(block["m"], "params.m"))
+        if type(p) is not int:
+            _plain_int(p, "params.p")
+        if type(m) is not int:
+            _plain_int(m, "params.m")
+        params = derive(eps, p, m)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-    if _plain_int(block["q"], "params.q") != params.q:
+    if type(q) is not int:
+        _plain_int(q, "params.q")
+    if q != params.q:
         raise DocumentError("params.q does not equal p^m")
 
-    profile = tuple([_plain_int(k, "profile entry")
-                     for k in _list(doc["profile"], "profile")])
+    profile = doc["profile"]
+    if type(profile) is not list:
+        _list(profile, "profile")
+    for k in profile:
+        if type(k) is not int:
+            _plain_int(k, "profile entry")
+    profile = tuple(profile)
 
     case = doc["case"]
     if not isinstance(case, str):
@@ -189,52 +287,52 @@ def certificate_from_document(doc) -> WitnessCertificate:
     exponents = doc["exponents"]
     if not isinstance(exponents, list) or len(exponents) != 4:
         raise DocumentError("exponents must be a list of four strings")
-    exponents = tuple([_int_from_string(e, "exponent") for e in exponents])
+    exponents = tuple(_decimals(exponents, _EXPONENT_FIELDS))
 
     selections = []
-    for entry in _list(doc["selections"], "selections"):
-        _expect_keys(entry, _SELECTION_KEYS, where="selection")
-        positions = _list(entry["positions"], "selection positions")
-        selections.append(Selection(
-            factor=_plain_int(entry["factor"], "selection factor"),
-            positions=tuple([_plain_int(j, "selection position")
-                             for j in positions]),
-        ))
+    entries = doc["selections"]
+    if type(entries) is not list:
+        _list(entries, "selections")
+    for entry in entries:
+        if not (type(entry) is dict and entry.keys() == _SELECTION_KEYS):
+            _expect_keys(entry, _SELECTION_KEYS, where="selection")
+        positions = entry["positions"]
+        if type(positions) is not list:
+            _list(positions, "selection positions")
+        factor = entry["factor"]
+        if type(factor) is not int:
+            _plain_int(factor, "selection factor")
+        for j in positions:
+            if type(j) is not int:
+                _plain_int(j, "selection position")
+        selections.append(Selection(factor, tuple(positions)))
 
     case_d = None
     if "case_d" in doc:
         block = doc["case_d"]
-        _expect_keys(block, _CASE_D_KEYS, where="case_d")
+        if not (type(block) is dict and block.keys() == _CASE_D_KEYS):
+            _expect_keys(block, _CASE_D_KEYS, where="case_d")
         adjustments = []
-        for entry in _list(block["adjustments"], "case_d adjustments"):
-            _expect_keys(entry, _ADJUSTMENT_KEYS, where="adjustment")
-            if entry["kind"] not in ("flip", "swap"):
-                raise DocumentError(f"unknown adjustment kind {entry['kind']!r}")
-            adjustments.append(Adjustment(
-                kind=entry["kind"],
-                factor=_plain_int(entry["factor"], "adjustment factor"),
-            ))
-        case_d = CaseDInternals(
-            r=_int_from_string(block["r"], "case_d.r"),
-            t=_int_from_string(block["t"], "case_d.t"),
-            a=_int_from_string(block["a"], "case_d.a"),
-            b=_int_from_string(block["b"], "case_d.b"),
-            coeff_a=_int_from_string(block["A"], "case_d.A"),
-            coeff_rb=_int_from_string(block["B"], "case_d.B"),
-            adjustments=tuple(adjustments),
-        )
+        entries = block["adjustments"]
+        if type(entries) is not list:
+            _list(entries, "case_d adjustments")
+        for entry in entries:
+            if not (type(entry) is dict
+                    and entry.keys() == _ADJUSTMENT_KEYS):
+                _expect_keys(entry, _ADJUSTMENT_KEYS, where="adjustment")
+            kind, factor = entry["kind"], entry["factor"]
+            if kind not in ("flip", "swap"):
+                raise DocumentError(f"unknown adjustment kind {kind!r}")
+            if type(factor) is not int:
+                _plain_int(factor, "adjustment factor")
+            adjustments.append(Adjustment(kind, factor))
+        case_d = CaseDInternals(*_decimals(block, _CASE_D_FIELDS),
+                                tuple(adjustments))
 
-    return WitnessCertificate(
-        params=params,
-        profile=profile,
-        case=case,
-        theta_order=_int_from_string(doc["theta_order"], "theta_order"),
-        exponents=exponents,
-        selections=tuple(selections),
-        claimed_order=_int_from_string(doc["claimed_order"], "claimed_order"),
-        target_order=_int_from_string(doc["target_order"], "target_order"),
-        case_d=case_d,
-    )
+    theta_order, claimed_order, target_order = _decimals(doc, _ORDER_FIELDS)
+    return WitnessCertificate(params, profile, case, theta_order,
+                              exponents, tuple(selections), claimed_order,
+                              target_order, case_d)
 
 
 # ---------------------------------------------------------------------------

@@ -63,11 +63,20 @@ class GroupParams(NamedTuple):
     two_part_q2m1: int  # (q^2 - 1)_2
 
 
+@lru_cache(maxsize=8, typed=True)
 def derive(epsilon: int, p: int, m: int) -> GroupParams:
     """Validate (epsilon, p, m) and compute the derived constants.
 
     Each must be an int and not a bool: True and 1.0 would pass the range
     tests and hash like 1, and a float p or m fails inside the arithmetic.
+
+    Memoized by (epsilon, p, m) in an LRU cache of 8 entries, so that a
+    process which derives one field twice (a CLI round trip: construct,
+    then the document reader) pays for it once.  typed=True keys each
+    argument by its type as well as its value, so an int subclass gets an
+    entry of its own; a refused input raises, and lru_cache never caches
+    a raise, so True, 1.0 or 3.0 is refused on every call.  An unhashable
+    argument raises TypeError from the cache lookup.
     """
     if (type(epsilon) is not int and not is_plain_int(epsilon)
             or epsilon not in (PLUS, MINUS)):
@@ -144,9 +153,16 @@ def classify_profile(profile: tuple[int, ...], params: GroupParams) -> str:
     return CASE_D
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def target_orders(params: GroupParams, case: str) -> int | None:
     """The witness order N of this case at these parameters.
+
+    Memoized in an LRU cache of 64 entries.  A field has at most four
+    entries and a sweep asks for them while it visits that field, so the
+    bound loses no hit there, while a process that sees one field after
+    another frees the old ones.  The key is not typed: its two arguments
+    are always a GroupParams and a str, and a typed key cost each lookup
+    ~30 ns.
 
     A: the least primitive prime divisor r4 of q^4 - 1; B: r3, primitive
     for q^3 - eps; C: (q^2 - 1)_2; D: r2 * (q - eps)_2 with r2 primitive

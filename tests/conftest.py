@@ -1,6 +1,7 @@
 """Fixtures shared across test modules."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -17,4 +18,19 @@ def grid_inputs():
               for eps in (1, -1) for p in GRID_PRIMES for m in (1, 2, 3)
               for profile in itertools.product((0, 1, 2, 3), repeat=m)]
     assert len(inputs) == 1848
+    return inputs
+
+
+@pytest.fixture(scope="session")
+def wide_inputs():
+    """Every (params, profile) of the benchmark's recorded wide pool: 2,048
+    requests over the fields with q <= Q_CAP, most of them distinct."""
+    root = Path(__file__).resolve().parents[1]
+    pool = root / "bench" / "golden" / "wide.txt"
+    inputs = [(params.derive(1 if sign == "+" else -1, int(p), int(m)),
+               tuple(map(int, profile.split(","))))
+              for sign, p, m, profile, _digest in (
+                  ln.split() for ln in pool.read_text().splitlines()
+                  if ln.strip() and not ln.startswith("#"))]
+    assert len(inputs) == 2048
     return inputs

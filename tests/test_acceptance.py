@@ -297,6 +297,7 @@ def test_09_full_range_target_orders(report):
     the recorded witness orders."""
     budget = 30.0
     fields = _full_range_fields()
+    params.derive.cache_clear()
     params.target_orders.cache_clear()
     start = time.perf_counter()
     lines = []
@@ -308,6 +309,7 @@ def test_09_full_range_target_orders(report):
                 lines.append("%d %d %d %s %s %d" % (
                     eps, p, m, kind, order, order is not None))
     elapsed = time.perf_counter() - start
+    params.derive.cache_clear()
     params.target_orders.cache_clear()
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     groups = 2 * len(fields)
@@ -325,6 +327,7 @@ def test_10_full_range_torus_exponents(report):
     spectrum_reference on every group with q <= Q_CAP, both signs."""
     budget = 30.0
     fields = _full_range_fields()
+    params.derive.cache_clear()
     start = time.perf_counter()
     groups = 0
     mismatches = []
@@ -335,6 +338,7 @@ def test_10_full_range_torus_exponents(report):
             if spectrum._torus_exponents(pr) != torus_exponents(pr):
                 mismatches.append((eps, p, m))
     elapsed = time.perf_counter() - start
+    params.derive.cache_clear()
     ok = groups == 13238 and not mismatches and elapsed < budget
     report(10, "full-range-torus-exponents", ok,
             "%d groups x %d types, %d mismatches, %.1fs, budget %.0fs"
@@ -386,6 +390,7 @@ def test_12_wide_pool_wire_round_trip(report):
     pool = ROOT / "bench" / "golden" / "wide.txt"
     requests = [ln.split() for ln in pool.read_text().splitlines()
                 if ln.strip() and not ln.startswith("#")]
+    params.derive.cache_clear()
     params.target_orders.cache_clear()
     verifier._order_checks.cache_clear()
     start = time.perf_counter()
@@ -397,6 +402,7 @@ def test_12_wide_pool_wire_round_trip(report):
         back = cli.certificate_from_document(json.loads(text))
         failures += back != cert or not verifier.verify(back).ok
     elapsed = time.perf_counter() - start
+    params.derive.cache_clear()
     params.target_orders.cache_clear()
     verifier._order_checks.cache_clear()
     ok = len(requests) == 2048 and failures == 0 and elapsed < budget

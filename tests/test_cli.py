@@ -78,17 +78,38 @@ def test_canonical_json_matches_json_dumps(value):
     assert cli.canonical_json(value) == reference_json(value)
 
 
+class Obj(dict):
+    pass
+
+
+def _nested(depth, leaf):
+    """leaf inside depth alternating dicts and lists."""
+    for level in range(depth):
+        leaf = {"k": leaf, "a": [1]} if level % 2 else [leaf, "x"]
+    return leaf
+
+
 def test_canonical_json_edges():
     for value in ({}, [], (), {"a": {}, "b": [[], {}, ()]}, [[[]]],
-                  {"\x00\u00e9\ud800": "\n\u2028"}, -0.0, float("nan")):
+                  {"\x00\u00e9\ud800": "\n\u2028"}, -0.0, float("nan"),
+                  Obj(), Obj({"b": Obj({"c": 1}), "a": [Obj()]}),
+                  ("x", (1, ()), [{}]), True, False, None, 1.5,
+                  {"t": True, "n": None, "f": -2.5, "i": 10**40},
+                  [False, None, 0.1, {"e": [], "d": {}}],
+                  # deeper than the line breaks _dump builds in advance
+                  _nested(20, {}), _nested(21, [[True]]),
+                  [[[[[[[[[[1]]]]]]]]]]):
         assert cli.canonical_json(value) == reference_json(value)
-    for value in ({1: "a"}, {"a": 1, 2: 3}, [{"x": {None: 1}}]):
+    for value in ({1: "a"}, {"a": 1, 2: 3}, [{"x": {None: 1}}],
+                  {True: 1}, {(1, 2): 0}, Obj({1.5: []}),
+                  _nested(20, {3: "deep"})):
         with pytest.raises(TypeError):
             cli.canonical_json(value)
 
 
-def test_canonical_json_matches_json_dumps_on_grid(grid_inputs):
-    for pr, profile in grid_inputs:
+def test_canonical_json_matches_json_dumps_on_grid(grid_inputs,
+                                                  wide_inputs):
+    for pr, profile in grid_inputs + wide_inputs:
         doc = cli.certificate_to_document(witness.construct(pr, profile))
         assert cli.canonical_json(doc) == reference_json(doc)
 

@@ -10,14 +10,12 @@ same exception type with the same message.
 import copy
 import json
 import random
-from pathlib import Path
 
 import pytest
 
 import cli_reference as ref
-from sl4witness import cli, params, witness
+from sl4witness import arith, cli, witness
 
-ROOT = Path(__file__).resolve().parents[1]
 TAMPERS = 6000
 
 
@@ -49,15 +47,8 @@ def _document(pr, profile):
 
 
 @pytest.fixture(scope="module")
-def wide_documents():
-    pool = ROOT / "bench" / "golden" / "wide.txt"
-    lines = [ln.split() for ln in pool.read_text().splitlines()
-             if ln.strip() and not ln.startswith("#")]
-    assert len(lines) == 2048
-    return [_document(params.derive(1 if sign == "+" else -1, int(p),
-                                    int(m)),
-                      tuple(map(int, profile.split(","))))
-            for sign, p, m, profile, _digest in lines]
+def wide_documents(wide_inputs):
+    return [_document(pr, profile) for pr, profile in wide_inputs]
 
 
 @pytest.fixture(scope="module")
@@ -185,3 +176,93 @@ def test_decimal_string_edges_match_reference(grid_documents):
         bad = copy.deepcopy(doc)
         bad["exponents"][2] = value
         _assert_same(bad)
+
+
+# The values that leave the reader's fast paths: a signed or padded
+# decimal string, other scripts' digits, one digit too many, and a bool
+# where an int belongs.
+DECIMAL_FALLBACKS = ("-5", "+5", " 5", "٥", "⁵",
+                     "9" * (arith.MAX_DIGITS + 1))
+DECIMAL_FIELDS = ("theta_order", "claimed_order", "target_order")
+
+
+def _records(doc):
+    """Every record of doc, the document first."""
+    return [doc, doc["params"], *doc["selections"],
+            *([doc["case_d"], *doc["case_d"]["adjustments"]]
+              if "case_d" in doc else [])]
+
+
+def _fallback_tampers(doc):
+    """Copies of doc that each take one of the reader's fallbacks."""
+    def edited(edit):
+        bad = copy.deepcopy(doc)
+        edit(bad)
+        return bad
+
+    def put(path, value):
+        def edit(bad):
+            *head, last = path
+            for key in head:
+                bad = bad[key]
+            bad[last] = value
+        return edit
+
+    decimal_paths = [(f,) for f in DECIMAL_FIELDS]
+    decimal_paths += [("exponents", i) for i in range(4)]
+    int_paths = [("schema_version",), ("params", "p"), ("params", "m"),
+                 ("params", "q"), ("profile", 0)]
+    for i, _ in enumerate(doc["selections"]):
+        int_paths += [("selections", i, "factor"),
+                      ("selections", i, "positions", 0)]
+    if "case_d" in doc:
+        decimal_paths += [("case_d", k) for k in "rtabAB"]
+        for i, _ in enumerate(doc["case_d"]["adjustments"]):
+            int_paths.append(("case_d", "adjustments", i, "factor"))
+    for path in decimal_paths:
+        for value in DECIMAL_FALLBACKS:
+            yield edited(put(path, value))
+    for path in int_paths:
+        yield edited(put(path, True))
+    # an extra key and each missing key, at every level
+    for index, record in enumerate(_records(doc)):
+        def add(bad, index=index):
+            _records(bad)[index]["extra"] = 1
+        yield edited(add)
+        for key in record:
+            def drop(bad, index=index, key=key):
+                del _records(bad)[index][key]
+            yield edited(drop)
+
+
+@pytest.fixture
+def helper_calls(monkeypatch):
+    """Counts of the calls the reader makes to each fallback helper."""
+    calls = {}
+    for name in ("_expect_keys", "_plain_int", "_int_from_string", "_list"):
+        def counting(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counting)
+    return calls
+
+
+def test_documents_as_written_take_no_fallback(grid_documents,
+                                               wide_documents, helper_calls):
+    for doc in grid_documents + wide_documents:
+        cli.certificate_from_document(doc)
+    assert helper_calls == {}
+
+
+def test_fallbacks_match_reference(grid_documents, helper_calls):
+    # a case-D document with adjustments and two selections has a record
+    # of every kind
+    doc = next(d for d in grid_documents if "case_d" in d
+               and d["case_d"]["adjustments"] and len(d["selections"]) > 1)
+    count = 0
+    for bad in _fallback_tampers(doc):
+        _assert_same(bad)
+        count += 1
+    assert count > 100
+    assert set(helper_calls) == {"_expect_keys", "_plain_int",
+                                 "_int_from_string"}

@@ -1,8 +1,9 @@
 import time
+from functools import lru_cache
 
 import pytest
 
-from sl4witness import params
+from sl4witness import arith, params, verifier, witness
 
 
 def test_derive_linear_nine():
@@ -157,3 +158,85 @@ def test_derive_accepts_int_subclasses():
 
     assert params.derive(Arg(-1), Arg(7), Arg(2)) == params.derive(-1, 7, 2)
     assert params.derive_from_q(Arg(1), Arg(49)) == params.derive(1, 7, 2)
+
+
+@pytest.fixture
+def cold_derive():
+    params.derive.cache_clear()
+    yield params.derive
+    params.derive.cache_clear()
+
+
+def test_derive_memo_returns_what_a_cold_call_builds(cold_derive):
+    cold = cold_derive(-1, 7, 2)
+    warm = cold_derive(-1, 7, 2)
+    assert warm is cold and warm == params.GroupParams(
+        -1, 7, 2, 49, 2353, 2402, 2, 32)
+    info = cold_derive.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (1, 1, 8)
+
+
+@pytest.mark.parametrize("args", [(True, 3, 1), (1, 3, True), (1.0, 3, 1),
+                                  (1, 3.0, 1), (1, 3, 1.0)])
+def test_derive_memo_never_keeps_a_refused_input(cold_derive, args):
+    # True, 1.0 and 3.0 hash like 1 and 3; a valid call for that field
+    # first must not let them through either
+    cold_derive(1, 3, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            cold_derive(*args)
+    assert cold_derive.cache_info().currsize == 1
+
+
+def test_derive_memo_keys_int_subclasses_apart(cold_derive):
+    class Arg(int):
+        pass
+
+    plain = cold_derive(-1, 7, 2)
+    sub = cold_derive(Arg(-1), Arg(7), Arg(2))
+    assert sub == plain and type(sub.p) is Arg
+    assert cold_derive.cache_info().currsize == 2
+
+
+def test_derive_memo_stays_bounded(cold_derive):
+    maxsize = cold_derive.cache_info().maxsize
+    primes = [p for p in range(3, 200, 2) if arith.is_prime(p)]
+    assert len(primes) > 2 * maxsize
+    for p in primes:
+        assert cold_derive(1, p, 1).q == p
+        assert cold_derive.cache_info().currsize <= maxsize
+    assert cold_derive(1, 3, 1) == params.GroupParams(1, 3, 1, 3, 13, 10,
+                                                      2, 8)
+
+
+def test_target_orders_stays_bounded():
+    params.target_orders.cache_clear()
+    maxsize = params.target_orders.cache_info().maxsize
+    fields = [params.derive(eps, p, 1) for p in range(3, 200, 2)
+              if arith.is_prime(p) for eps in (1, -1)]
+    assert maxsize == 64 and len(fields) > maxsize
+    for pr in fields:
+        params.target_orders(pr, params.CASE_A)
+        assert params.target_orders.cache_info().currsize <= maxsize
+    params.target_orders.cache_clear()
+
+
+def test_target_orders_bound_keeps_every_grid_hit(grid_inputs,
+                                                  monkeypatch):
+    # construct then verify over the 1,848 grid certificates, field after
+    # field: the 64-entry cache hits as often as an unbounded one would
+    def sweep():
+        for pr, profile in grid_inputs:
+            assert verifier.verify(witness.construct(pr, profile)).ok
+
+    params.target_orders.cache_clear()
+    sweep()
+    bounded = params.target_orders.cache_info()
+    params.target_orders.cache_clear()
+    unbounded = lru_cache(maxsize=None)(params.target_orders.__wrapped__)
+    monkeypatch.setattr(params, "target_orders", unbounded)
+    monkeypatch.setattr(verifier, "target_orders", unbounded)
+    sweep()
+    assert unbounded.cache_info().currsize > bounded.maxsize
+    assert (bounded.hits, bounded.misses) == (unbounded.cache_info().hits,
+                                              unbounded.cache_info().misses)

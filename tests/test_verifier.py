@@ -289,6 +289,22 @@ _WRONG_TYPES = {
                      "case_d must be a CaseDInternals record"),
     "params_none": (lambda c: c._replace(params=None),
                     "params must be a GroupParams record"),
+    # epsilon and the type of q, which once verified ok (1.0, True, 9.0),
+    # failed V2 and V8 (0, 2) or raised TypeError ('x'); q is tested first
+    "q_float": (lambda c: c._replace(params=c.params._replace(
+        q=float(c.params.q))), "params: q != p^m"),
+    "epsilon_float": (lambda c: c._replace(params=c.params._replace(
+        epsilon=1.0)), "params: epsilon must be +1 or -1"),
+    "epsilon_bool": (lambda c: c._replace(params=c.params._replace(
+        epsilon=True)), "params: epsilon must be +1 or -1"),
+    "epsilon_zero": (lambda c: c._replace(params=c.params._replace(
+        epsilon=0)), "params: epsilon must be +1 or -1"),
+    "epsilon_two": (lambda c: c._replace(params=c.params._replace(
+        epsilon=2)), "params: epsilon must be +1 or -1"),
+    "epsilon_str": (lambda c: c._replace(params=c.params._replace(
+        epsilon="x")), "params: epsilon must be +1 or -1"),
+    "epsilon_str_q_float": (lambda c: c._replace(params=c.params._replace(
+        epsilon="x", q=float(c.params.q))), "params: q != p^m"),
     "profile_none": (lambda c: c._replace(profile=None),
                      "profile must be a list or tuple"),
     "exponents_none": (lambda c: c._replace(exponents=None),
@@ -573,3 +589,15 @@ def test_order_checks_cache_stays_bounded():
             assert verifier.verify(twin) == verifier_reference.verify(twin)
         assert verifier._order_checks.cache_info().currsize <= maxsize
     assert verifier._order_checks.cache_info().misses > 2 * maxsize
+
+
+def test_int_subclass_epsilon_and_q_verify(cert_d):
+    # bool is the one subclass of int the structural check refuses
+    class Int(int):
+        pass
+
+    pr = cert_d.params
+    twin = cert_d._replace(params=pr._replace(epsilon=Int(pr.epsilon),
+                                              q=Int(pr.q)))
+    assert verifier.verify(twin) == verifier_reference.verify(twin)
+    assert verifier.verify(twin).ok

@@ -73,9 +73,12 @@ def _structural_check(cert):
     if not isinstance(pr, GroupParams):
         raise MalformedCertificate("params must be a GroupParams record")
     if (any(not isinstance(x, int) or isinstance(x, bool)
-            for x in (pr.p, pr.m))
+            for x in (pr.p, pr.m, pr.q))
             or arith.power_at_most(pr.p, pr.m, arith.SIZE_LIMIT) != pr.q):
         raise MalformedCertificate("params: q != p^m")
+    if (not isinstance(pr.epsilon, int) or isinstance(pr.epsilon, bool)
+            or pr.epsilon not in (1, -1)):
+        raise MalformedCertificate("params: epsilon must be +1 or -1")
     if not isinstance(cert.profile, (tuple, list)):
         raise MalformedCertificate("profile must be a list or tuple")
     try:
