@@ -36,7 +36,7 @@ _EXPORTS = {
     "cli": ("canonical_json", "certificate_from_document",
             "certificate_to_document", "main"),
     "spectrum": ("OrbitRep", "enumerate_orbits", "format_dump", "omega",
-                 "parse_dump"),
+                 "omega_maxima", "parse_dump"),
     "ffield": ("Field", "Matrix4", "RealizationError", "build_field",
                "element_of_order", "realize", "sample_orders"),
 }

@@ -14,7 +14,6 @@ repeated runs factor the same input the same way.
 """
 
 import math
-from bisect import bisect_left
 from itertools import compress, count
 from typing import NamedTuple
 
@@ -324,16 +323,9 @@ def primitive_prime_divisor(a: int, n: int, eps: int) -> int | None:
 
 
 def member(orders, x: int) -> bool:
-    """Membership in a divisor-closed order set given by its attained
-    orders: x divides some attained order.
-
-    orders must be positive and ascending, as omega and parse_dump give
-    them: a positive multiple of x is at least x, so the scan starts at
-    the first order >= x.
-    """
+    """Membership in a divisor-closed order set: x divides one of orders,
+    any positive orders whose divisors make up the set, in any order (all
+    of them, as omega gives them, or the maximal ones, as omega_maxima)."""
     if x < 1:
         raise ValueError("order must be positive")
-    for o in orders[bisect_left(orders, x):]:
-        if o % x == 0:
-            return True
-    return False
+    return any(o % x == 0 for o in orders)

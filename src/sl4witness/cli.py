@@ -370,10 +370,10 @@ def cmd_construct(args) -> int:
 def _load_psl_orders(source: str, cert: WitnessCertificate):
     # Imported here, as in cmd_spectrum, so that construct, verify without
     # a spectrum and sweep leave the spectrum module unloaded.
-    from .spectrum import GROUP_PROJECTIVE, omega, parse_dump
+    from .spectrum import GROUP_PROJECTIVE, omega_maxima, parse_dump
 
     if source == "compute":
-        return omega(cert.params, GROUP_PROJECTIVE)
+        return omega_maxima(cert.params, GROUP_PROJECTIVE)
     with open(source, "r", encoding="utf-8") as fh:
         dump_params, group, orders = parse_dump(fh.read())
     if (group != GROUP_PROJECTIVE

@@ -10,7 +10,7 @@ eigenvalue exponents: an orbit of size d lives in the cyclic group of
 order q^d - eps^d, and the eigenvalue multiset splits into orbits of
 degrees d_i with multiplicities mu_i, sum d_i * mu_i = 4.  The unipotent
 part commutes with it, so its largest Jordan block is any b up to
-max(mu_i).
+max(mu_i), and p_part(b) divides p_part(max mu_i).
 
 omega() works type by type, a type being the multiset of pairs (d, mu); the
 eleven types correspond to the maximal tori of the group (Carter, Finite
@@ -23,23 +23,27 @@ where n_j = q^d_j - eps^d_j and N_d is the norm down to the base field.
 The orders K attains are exactly the divisors of exp K, and those of
 K S / S (S the scalars) the divisors of exp(K S / S).  Hence
 
-    omega(SL)  = union over types, b <= max mu, of p_part(b) * Div(exp K)
+    omega(SL)  = union over types of Div(p_part(max mu) * exp K)
     omega(PSL) = the same with exp(K S / S)
 
 which is how Buturlakis, "Spectra of finite linear and unitary groups",
-Algebra and Logic 47 (2008), describes these spectra.  A degenerate element
-of K (orbits that collide or shrink) is a regular element of a coarser type
-whose multiplicities are at least as large, so nothing outside the spectrum
-is added.  In exponents det = sum +-mu_j x_j mod c, c = q - eps, so
+Algebra and Logic 47 (2008), describes these spectra: the divisor closure
+of at most eleven maximal orders, one per type, which omega_maxima() lists,
+so membership takes at most eleven divisibility tests.  A degenerate
+element of K (orbits that collide or shrink) is a regular element of a
+coarser type whose multiplicities are at least as large, so nothing
+outside the spectrum is added.  In exponents det = sum +-mu_j x_j
+mod c, c = q - eps, so
 
     exp K        = lcm_j n_j * gcd(g_j, mu_j) / g_j
     exp(K S / S) = exp K / 2^delta
 
 with g_j = gcd(c, mu_l : l != j), which is c for one block.  K n S is the
-center, of order gcd(4, c); the comment at _TWO_DROPS argues delta per type.  test_10 checks that table for
-every q <= Q_CAP, and must run again if Q_CAP is raised.  The cost does not
-depend on q apart from factoring q - eps, q + eps, q^2 + eps*q + 1 and
-q^2 + 1: both tables at q = 65521 take ~1.8 ms in a fresh process (2 vCPUs).
+center, of order gcd(4, c); the comment at _TWO_DROPS argues delta per
+type.  test_10 checks that table for every q <= Q_CAP, and must run again
+if Q_CAP is raised.  The cost does not depend on q apart from factoring
+q - eps, q + eps, q^2 + eps*q + 1 and q^2 + 1: both tables at q = 65521
+take ~3.9 ms (eps = +), ~1.5 ms (eps = -) in a fresh process (2 vCPUs).
 """
 
 import math
@@ -197,34 +201,35 @@ def _divisors(n: int, primes) -> list[int]:
 
 
 @lru_cache(maxsize=8)  # one request needs one group's tables
-def _omega_sets(params: GroupParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Closed form: p_part(b) * Div(exponent) over the torus types."""
-    full_gens: set[tuple[int, int]] = set()
-    proj_gens: set[tuple[int, int]] = set()
-    for blocks, (exp_full, exp_proj) in zip(_TYPES, _torus_exponents(params)):
-        max_mu = max(mu for _, mu in blocks)
-        for b in range(1, max_mu + 1):
-            up = _p_part(params.p, b)
-            full_gens.add((up, exp_full))
-            proj_gens.add((up, exp_proj))
+def _omega_sets(params: GroupParams):
+    """(maxima, closure) for SL, then for PSL: the maximal orders and all
+    their divisors, each ascending."""
+    primes = _prime_support(params) | {params.p}
+    sets = []
+    for exps in zip(*_torus_exponents(params)):
+        tops = {_p_part(params.p, max(mu for _, mu in blocks)) * e
+                for blocks, e in zip(_TYPES, exps)}
+        maxima = tuple(sorted(m for m in tops
+                              if all(o % m or o == m for o in tops)))
+        closure = {v for m in maxima for v in _divisors(m, primes)}
+        sets.append((maxima, tuple(sorted(closure))))
+    return tuple(sets)
 
-    primes = _prime_support(params)
 
-    def orders(gens):
-        return tuple(sorted({up * v for up, e in gens
-                             for v in _divisors(e, primes)}))
-
-    return orders(full_gens), orders(proj_gens)
+def _flavor(params: GroupParams, group: str):
+    if group not in (GROUP_FULL, GROUP_PROJECTIVE):
+        raise ValueError(f"unknown group flavor {group!r}")
+    return _omega_sets(params)[group == GROUP_PROJECTIVE]  # SL, then PSL
 
 
 def omega(params: GroupParams, group: str = GROUP_FULL) -> tuple[int, ...]:
     """All element orders of the chosen flavor, ascending."""
-    full, proj = _omega_sets(params)
-    if group == GROUP_FULL:
-        return full
-    if group == GROUP_PROJECTIVE:
-        return proj
-    raise ValueError(f"unknown group flavor {group!r}")
+    return _flavor(params, group)[1]
+
+
+def omega_maxima(params: GroupParams, group: str = GROUP_FULL) -> tuple[int, ...]:
+    """The at most eleven maximal orders of omega(params, group), ascending."""
+    return _flavor(params, group)[0]
 
 
 _DUMP_HEADER = re.compile(r"^# epsilon=([+-]) q=([0-9]+) group=(SL|PSL)$")

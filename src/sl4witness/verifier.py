@@ -330,7 +330,9 @@ _PASSED = VerificationReport(True, (), ())
 
 def verify(cert: WitnessCertificate, *, strict_values: bool = True,
            psl_orders=None) -> VerificationReport:
-    """Run all checks; psl_orders optionally adds the spectrum cross-check."""
+    """Run all checks; psl_orders optionally adds the spectrum cross-check:
+    any positive orders whose divisors make up the projective group's
+    spectrum, in any order (omega, omega_maxima or a parsed dump)."""
     expected_case, fixed, coeffs, slots = _structural_check(cert)
     pr = cert.params
     p, q = pr.p, pr.q

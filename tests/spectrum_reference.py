@@ -1,4 +1,4 @@
-"""References for the closed-form spectrum of spectrum._omega_sets.
+"""References for the closed-form spectrum of spectrum.omega.
 
 The brute-force enumeration is the reference the closed form is tested
 against: enumerated_omega_sets() walks every determinant-one orbit
@@ -111,7 +111,7 @@ def _orders_for_blocks(params: GroupParams, blocks) -> tuple[int, int]:
 
 
 def enumerated_omega_sets(params: GroupParams):
-    """Reference for spectrum._omega_sets: every determinant-one orbit
+    """Reference for spectrum.omega, (SL, PSL): every determinant-one orbit
     assignment with exact orbit sizes and every Jordan partition of each
     multiplicity, walked one by one."""
     if params.q > SPECTRUM_Q_CAP:

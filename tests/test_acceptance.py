@@ -70,33 +70,31 @@ def test_01_construction_grid(sweep, report):
 
 
 def test_02_spectrum_desk_check(report):
-    """For every odd prime power q < 1000, every applicable claimed order
-    sits inside the projective spectrum while p times it does not."""
+    """For every odd prime power q <= Q_CAP, both signs, every applicable
+    claimed order divides a maximal order of the projective group while p
+    times it divides none."""
     budget = 300.0
     start = time.perf_counter()
     checked = 0
     groups = 0
     bad = []
-    for q in range(3, 1000, 2):
-        pp = arith.factorize(q)
-        if len(pp) != 1:
-            continue
-        p, m = pp[0].prime, pp[0].exponent
+    for p, m in _full_range_fields():
         for eps in (1, -1):
             groups += 1
             pr = params.derive(eps, p, m)
-            psl = spectrum.omega(pr, group="PSL")
+            maxima = spectrum.omega_maxima(pr, group="PSL")
             for case in params.ALL_CASES:
                 order = params.target_orders(pr, case)
                 if order is None:
                     continue
                 checked += 1
-                if not arith.member(psl, order):
-                    bad.append((eps, q, case, "order missing"))
-                if arith.member(psl, p * order):
-                    bad.append((eps, q, case, "target present"))
+                if not arith.member(maxima, order):
+                    bad.append((eps, pr.q, case, "order missing"))
+                if arith.member(maxima, p * order):
+                    bad.append((eps, pr.q, case, "target present"))
     elapsed = time.perf_counter() - start
-    ok = not bad and elapsed < budget
+    ok = (not bad and groups == 13238 and checked == 46332
+          and elapsed < budget)
     report(2, "spectrum-desk-check", ok,
             "%d case orders over %d groups, %d anomalies, %.1fs, budget %.0fs"
             % (checked, groups, len(bad), elapsed, budget))

@@ -4,6 +4,7 @@ Exit code contract: 0 success, 1 a certificate failed verification or
 construction, 2 malformed input or usage error.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -446,6 +447,57 @@ def test_spectrum_at_largest_prime_field(capsys):
         pr, group, orders = spectrum.parse_dump(capsys.readouterr().out)
         assert (pr.q, group, orders[0]) == (65521, "PSL", 1)
     assert time.perf_counter() - start < 2.0
+
+
+def _verify_both_ways(capsys, cert, dump):
+    """(stdout, exit code) of verify against the computed spectrum and
+    against the dump; the dump's run names its path on the source line."""
+    runs = []
+    for source in ("compute", str(dump)):
+        code = run_main("verify", "--spectrum", source, str(cert))
+        out = capsys.readouterr().out
+        assert f"V8 spectrum: {source}\n" in out
+        runs.append((out.replace(f"V8 spectrum: {source}\n", ""), code))
+    return runs
+
+
+@pytest.mark.parametrize("p,m", [(3, 10), (65521, 1)])
+def test_verify_maxima_matches_dump(tmp_path, capsys, p, m):
+    # --spectrum compute checks against the maxima of the projective
+    # spectrum, a dump against all of its orders: every line but the one
+    # naming the source, and the exit code, must agree, on each case's
+    # certificate and on a tampered copy of it
+    cert, dump = tmp_path / "cert.json", tmp_path / "psl.txt"
+    for sign in ("+", "-"):
+        pr = params.derive(1 if sign == "+" else -1, p, m)
+        cases = {}
+        for profile in itertools.islice(
+                itertools.product((0, 1, 2, 3), repeat=m), 64):
+            cases.setdefault(params.classify_profile(profile, pr), profile)
+        want = {params.CASE_A, params.CASE_B}
+        if m > 1:
+            want.add(params.CASE_D if params.target_orders(pr, params.CASE_D)
+                     else params.CASE_C)
+        assert set(cases) == want, (sign, cases)
+        assert run_main("spectrum", "--epsilon", sign, "--q", str(pr.q),
+                        "--group", "PSL", "--out", str(dump)) == 0
+        for profile in cases.values():
+            assert run_main("construct", "--epsilon", sign, "--p", str(p),
+                            "--m", str(m), "--profile",
+                            ",".join(map(str, profile)),
+                            "--out", str(cert)) == 0
+            capsys.readouterr()
+            (out, code), (dump_out, dump_code) = \
+                _verify_both_ways(capsys, cert, dump)
+            assert (code, out.splitlines()[-1]) == (0, "certificate OK")
+            assert (out, code) == (dump_out, dump_code), (sign, profile)
+            doc = json.loads(cert.read_text())
+            doc["claimed_order"] = str(int(doc["claimed_order"]) * p)
+            cert.write_text(cli.canonical_json(doc))
+            (out, code), (dump_out, dump_code) = \
+                _verify_both_ways(capsys, cert, dump)
+            assert (code, out.splitlines()[-1]) == (1, "certificate REJECTED")
+            assert (out, code) == (dump_out, dump_code), (sign, profile)
 
 
 def test_sweep_exit_codes(capsys):

@@ -10,9 +10,11 @@ one digest over all dumps.
 """
 
 import hashlib
+import random
 import time
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from sl4witness import arith, params, spectrum, verifier
@@ -103,12 +105,42 @@ def test_member():
 @given(st.lists(st.integers(1, 10**6), max_size=40),
        st.integers(1, 60) | st.integers(1, 2 * 10**6))
 def test_member_matches_full_scan(raw, x):
-    # the scan from the first order >= x finds what a scan of all finds
-    orders = tuple(sorted(set(raw)))
-    want = any(o % x == 0 for o in orders)
-    assert arith.member(orders, x) == want
-    for o in orders[:3]:
-        assert arith.member(orders, o)
+    # any positive orders, unsorted and repeated, stand for the set of all
+    # their divisors: a scan of that set, which sympy lists independently
+    closure = set().union(*(sympy.divisors(o) for o in raw))
+    assert arith.member(raw, x) == (x in closure)
+    for o in raw[:3]:
+        assert arith.member(raw, o)
+
+
+def test_member_accepts_unsorted_orders():
+    shuffled = list(OMEGA_PSL4_3)
+    random.Random(7).shuffle(shuffled)
+    assert shuffled != sorted(shuffled)
+    for table in (shuffled, OMEGA_PSL4_3[::-1]):
+        for x in range(1, 300):
+            assert arith.member(table, x) == (x in OMEGA_PSL4_3), x
+
+
+def test_member_on_maxima():
+    pr = params.derive(1, 3, 1)
+    maxima = spectrum.omega_maxima(pr, "PSL")
+    assert maxima == (8, 9, 12, 13, 20)
+    for x in range(1, 300):
+        assert arith.member(maxima, x) == (x in OMEGA_PSL4_3), x
+    # the same maxima listed in another order, or with a divisor among
+    # them, give the same answers
+    for table in (maxima[::-1], (4, *maxima, 6)):
+        for x in range(1, 300):
+            assert arith.member(table, x) == (x in OMEGA_PSL4_3), x
+
+
+def test_member_refuses_non_positive_order():
+    for table in (OMEGA_PSL4_3, (20, 8, 13), (), spectrum.omega_maxima(
+            params.derive(-1, 3, 1), "PSL")):
+        for x in (0, -1, -20):
+            with pytest.raises(ValueError, match="^order must be positive$"):
+                arith.member(table, x)
 
 
 def test_q_cap_enforced():
@@ -128,14 +160,53 @@ def _small_fields(limit):
             yield powers[0].prime, powers[0].exponent
 
 
+def _maximal(orders):
+    return tuple(o for o in orders if all(v % o or v == o for v in orders))
+
+
 def test_closed_form_matches_enumeration():
     # the closed form takes a shortcut on unipotent parts (only the largest
     # Jordan block b <= max mu matters); the reference walks every partition
     for p, m in _small_fields(17):
         for eps in (1, -1):
             pr = params.derive(eps, p, m)
-            assert spectrum._omega_sets(pr) == \
-                enumerated_omega_sets(pr), (eps, p**m)
+            for group, want in zip(("SL", "PSL"), enumerated_omega_sets(pr)):
+                assert spectrum.omega(pr, group) == want, (eps, p**m, group)
+                assert spectrum.omega_maxima(pr, group) == _maximal(want), \
+                    (eps, p**m, group)
+
+
+def _divisors_of(n):
+    out = [1]
+    for pp in arith.factorize(n):
+        out = [d * pp.prime**k for d in out for k in range(pp.exponent + 1)]
+    return out
+
+
+def _check_maxima_membership(pr, rng):
+    for group in ("SL", "PSL"):
+        maxima = spectrum.omega_maxima(pr, group)
+        table = spectrum.omega(pr, group)
+        xs = {d for top in maxima for d in _divisors_of(pr.p * top)}
+        xs.update(rng.randrange(1, pr.p * max(maxima) + 1) for _ in range(50))
+        for x in xs:
+            assert arith.member(maxima, x) == arith.member(table, x), \
+                (pr.epsilon, pr.q, group, x)
+
+
+def test_maxima_membership_matches_omega():
+    # x runs over every divisor of p * M for each maximum M, so over every
+    # order and p times every order, and over a seeded sample of others;
+    # every group with q < 1000, then 200 seeded groups above
+    rng = random.Random(20261020)
+    for p, m in _small_fields(999):
+        for eps in (1, -1):
+            _check_maxima_membership(params.derive(eps, p, m), rng)
+    above = [(eps, p, m) for p in sympy.primerange(3, params.Q_CAP + 1)
+             for m in range(1, params.Q_CAP.bit_length())
+             if 1000 < p**m <= params.Q_CAP for eps in (1, -1)]
+    for eps, p, m in rng.sample(above, 200):
+        _check_maxima_membership(params.derive(eps, p, m), rng)
 
 
 # sha256 of format_dump for the fields the enumeration is slow on, as the
