@@ -1,16 +1,16 @@
 """Exact integer helpers shared by the whole package.
 
 Everything here is pure and deterministic: 2-adic parts, primality (a
-set lookup below 2^10, one gcd with the product of those primes below
-2^20, Miller-Rabin with proven bases above: 2, 7 and 61 below
-4,759,123,141 by Jaeschke 1993), certified factorization in three
-stages (the primes below 2^10 by one gcd with their product, then each
-composite part below 2^34 by gcds with cached products of runs of the
-primes in [2^10, 2^17), and each larger one by Brent's rho on a fixed
-parameter schedule and work budget), powers refused past a size bound
-before they are computed, primitive prime divisors of a^n - (eps*1)^n,
-and membership in a divisor-closed order set.  No randomness, so
-repeated runs factor the same input the same way.
+set lookup below 2^10, one gcd with the product of the primes below 2^8
+up to 2^16 and of those below 2^10 up to 2^20, Miller-Rabin with proven
+bases above: 2, 7 and 61 below 4,759,123,141 by Jaeschke 1993),
+certified factorization in three stages (the primes below 2^10 by one
+gcd with their product, then each composite part below 2^34 by gcds with
+cached products of runs of the primes in [2^10, 2^17), and each larger
+one by Brent's rho on a fixed parameter schedule and work budget), powers
+refused past a size bound before they are computed, primitive prime
+divisors of a^n - (eps*1)^n, and membership in a divisor-closed order
+set.  No randomness, so repeated runs factor the same input the same way.
 """
 
 import math
@@ -79,6 +79,7 @@ def _primes_below(limit: int) -> tuple[int, ...]:
 _LOW_PRIMES = _primes_below(_LOW_TRIAL_LIMIT)
 _LOW_PRIME_SET = frozenset(_LOW_PRIMES)
 _LOW_PRODUCT = math.prod(_LOW_PRIMES)
+_SMALL_PRODUCT = math.prod(p for p in _LOW_PRIMES if p < 1 << 8)
 
 # The mid-range table: the primes in [2^10, 2^17), in runs of _MID_RUN,
 # with each run's least prime and product.  Nothing is built at import: a
@@ -98,24 +99,24 @@ _mid_blocks = 0
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    Below 2^10 n is looked up among the primes there; below 2^20 it is
-    prime exactly when one gcd with their product is 1, as a composite
-    has a prime factor below its square root; above, Miller-Rabin with the
-    proven bases for its size (see _MR_BASES note).
+    Below 2^10 n is looked up among the primes there; below 2^16 it is
+    prime exactly when its gcd with the product of the primes below 2^8
+    is 1, and below 2^20 with that of the primes below 2^10, as a
+    composite has a prime factor below its square root; above,
+    Miller-Rabin with the proven bases for its size (see _MR_BASES note).
     """
     if n < _LOW_TRIAL_LIMIT:
         return n in _LOW_PRIME_SET
+    if n < 1 << 16:
+        return math.gcd(n, _SMALL_PRODUCT) == 1
     if n < _LOW_TRIAL_LIMIT * _LOW_TRIAL_LIMIT:
         return math.gcd(n, _LOW_PRODUCT) == 1
     if n > SIZE_LIMIT:
         raise ValueError(f"{n} exceeds supported size {SIZE_LIMIT}")
     if math.gcd(n, _MR_BASE_PRODUCT) != 1:  # n >= 2^20 is no base
         return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = two_part(n - 1).bit_length() - 1
+    d = (n - 1) >> s
     for bound, bases in _MR_TIERS:
         if n < bound:
             break

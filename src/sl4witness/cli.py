@@ -52,14 +52,10 @@ class DocumentError(ValueError):
 
 def certificate_to_document(cert: WitnessCertificate) -> dict:
     """Big integers travel as decimal strings so nothing overflows a reader."""
+    eps, p, m, q = cert.params
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "params": {
-            "epsilon": sign_to_str(cert.params.epsilon),
-            "p": cert.params.p,
-            "m": cert.params.m,
-            "q": cert.params.q,
-        },
+        "params": {"epsilon": sign_to_str(eps), "p": p, "m": m, "q": q},
         "profile": list(cert.profile),
         "case": cert.case,
         "theta_order": str(cert.theta_order),
@@ -376,9 +372,7 @@ def _load_psl_orders(source: str, cert: WitnessCertificate):
         return omega_maxima(cert.params, GROUP_PROJECTIVE)
     with open(source, "r", encoding="utf-8") as fh:
         dump_params, group, orders = parse_dump(fh.read())
-    if (group != GROUP_PROJECTIVE
-            or dump_params.epsilon != cert.params.epsilon
-            or dump_params.q != cert.params.q):
+    if group != GROUP_PROJECTIVE or dump_params != cert.params:
         raise DocumentError(
             "spectrum dump does not match the certificate parameters")
     return orders

@@ -422,9 +422,10 @@ def realize(cert) -> Matrix4:
     is recomputed from the diagonal entries by the prime-divisor test,
     starting from the theta order, and compared with the claim.  Fields
     past SIZE_LIMIT, which build_field refuses, are not realized, and a
-    certificate that the verifier's structural check refuses, or whose p
-    is not prime, raises RealizationError before any field arithmetic; so
-    does a theta order that does not divide the field's order minus one.
+    certificate that the verifier's structural check refuses (a p that is
+    not an odd prime among them) raises RealizationError before any field
+    arithmetic; so does a theta order that does not divide the field's
+    order minus one.
     """
     pr = cert.params
     # an oversized field with int parameters is named as such first
@@ -436,7 +437,7 @@ def realize(cert) -> Matrix4:
     try:
         verifier._structural_check(cert)
         field = build_field(pr.p, 12 * pr.m)
-    except ValueError as exc:  # MalformedCertificate, or p not prime
+    except ValueError as exc:  # MalformedCertificate, or a field too large
         raise RealizationError(str(exc)) from None
     try:
         theta = element_of_order(field, cert.theta_order)

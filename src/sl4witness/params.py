@@ -1,8 +1,9 @@
-"""Derived constants for the groups SL4^eps(q) and the case table.
+"""The groups SL4^eps(q) and the case table.
 
 eps = +1 selects the linear family, eps = -1 the unitary one; q = p^m is an
-odd prime power.  All downstream modules consume a GroupParams value rather
-than recomputing these quantities.
+odd prime power.  A GroupParams value is the four integers that name the
+group, as a document's params block carries them; every other constant is
+computed where it is read, so none can disagree with the record.
 
 The case table is the one specification that the constructor and the
 verifier share: the four case tags, which case a profile falls in, and each
@@ -57,15 +58,11 @@ class GroupParams(NamedTuple):
     p: int
     m: int
     q: int
-    phi3: int  # q^2 + eps*q + 1
-    phi4: int  # q^2 + 1
-    two_part_qme: int  # (q - eps)_2
-    two_part_q2m1: int  # (q^2 - 1)_2
 
 
 @lru_cache(maxsize=8, typed=True)
 def derive(epsilon: int, p: int, m: int) -> GroupParams:
-    """Validate (epsilon, p, m) and compute the derived constants.
+    """Validate (epsilon, p, m) and compute q = p^m.
 
     Each must be an int and not a bool: True and 1.0 would pass the range
     tests and hash like 1, and a float p or m fails inside the arithmetic.
@@ -92,11 +89,7 @@ def derive(epsilon: int, p: int, m: int) -> GroupParams:
     q = arith.power_at_most(p, m, Q_CAP)
     if q is None:
         raise ValueError(f"q = {p}^{m} exceeds supported bound {Q_CAP}")
-    # positional, in field order: epsilon, p, m, q, phi3, phi4,
-    # two_part_qme, two_part_q2m1
-    return GroupParams(epsilon, p, m, q, q * q + epsilon * q + 1, q * q + 1,
-                       arith.two_part(q - epsilon),
-                       arith.two_part(q * q - 1))
+    return GroupParams(epsilon, p, m, q)
 
 
 def derive_from_q(epsilon: int, q: int) -> GroupParams:
@@ -174,10 +167,10 @@ def target_orders(params: GroupParams, case: str) -> int | None:
     """
     eps, q = params.epsilon, params.q
     if case == CASE_C:
-        return params.two_part_q2m1
+        return arith.two_part(q * q - 1)
     if case == CASE_D and not (q > 3 and q % 4 == eps % 4):
         return None
     r = arith.primitive_prime_divisor(q, _PPD_DEGREE[case], eps)
     if r is None:
         raise ArithmeticError("primitive divisor existence guarantee violated")
-    return r * params.two_part_qme if case == CASE_D else r
+    return r * arith.two_part(q - eps) if case == CASE_D else r

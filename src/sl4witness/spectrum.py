@@ -41,9 +41,9 @@ mod c, c = q - eps, so
 with g_j = gcd(c, mu_l : l != j), which is c for one block.  K n S is the
 center, of order gcd(4, c); the comment at _TWO_DROPS argues delta per
 type.  test_10 checks that table for every q <= Q_CAP, and must run again
-if Q_CAP is raised.  The cost does not depend on q apart from factoring
-q - eps, q + eps, q^2 + eps*q + 1 and q^2 + 1: both tables at q = 65521
-take ~3.9 ms (eps = +), ~1.5 ms (eps = -) in a fresh process (2 vCPUs).
+if Q_CAP is raised.  The maxima factor nothing: ~0.12 ms at q = 65521 in
+a fresh process (2 vCPUs).  The divisors need q - 1, q + 1, q^2 + eps*q + 1
+and q^2 + 1 factored: both dumps take ~5 ms (eps = +), ~2 ms (eps = -).
 """
 
 import math
@@ -179,11 +179,9 @@ def _torus_exponents(params: GroupParams) -> list[tuple[int, int]]:
 def _prime_support(params: GroupParams) -> set[int]:
     """Primes dividing q^d - eps^d for some d <= 4: these values factor
     into q - 1, q + 1, q^2 + eps*q + 1 and q^2 + 1."""
-    q = params.q
-    found = set()
-    for n in (q - 1, q + 1, params.phi3, params.phi4):
-        found.update(arith.prime_divisors(n))
-    return found
+    eps, q = params.epsilon, params.q
+    return {r for n in (q - 1, q + 1, q * q + eps * q + 1, q * q + 1)
+            for r in arith.prime_divisors(n)}
 
 
 def _divisors(n: int, primes) -> list[int]:
@@ -201,35 +199,42 @@ def _divisors(n: int, primes) -> list[int]:
 
 
 @lru_cache(maxsize=8)  # one request needs one group's tables
-def _omega_sets(params: GroupParams):
-    """(maxima, closure) for SL, then for PSL: the maximal orders and all
-    their divisors, each ascending."""
-    primes = _prime_support(params) | {params.p}
-    sets = []
+def _omega_sets(params: GroupParams) -> list:
+    """[maxima, closures]: the maximal orders of SL, then of PSL, each
+    ascending, and None until omega() first asks for the divisor closures,
+    when it builds both from one prime support.  So the maxima cost the
+    torus exponents alone, and each closure is built at most once."""
+    maxima = []
     for exps in zip(*_torus_exponents(params)):
         tops = {_p_part(params.p, max(mu for _, mu in blocks)) * e
                 for blocks, e in zip(_TYPES, exps)}
-        maxima = tuple(sorted(m for m in tops
-                              if all(o % m or o == m for o in tops)))
-        closure = {v for m in maxima for v in _divisors(m, primes)}
-        sets.append((maxima, tuple(sorted(closure))))
-    return tuple(sets)
+        maxima.append(tuple(sorted(m for m in tops
+                                   if all(o % m or o == m for o in tops))))
+    return [maxima, None]
 
 
-def _flavor(params: GroupParams, group: str):
+def _tables(params: GroupParams, group: str):
+    """_omega_sets(params) and the index of group in its pairs."""
     if group not in (GROUP_FULL, GROUP_PROJECTIVE):
         raise ValueError(f"unknown group flavor {group!r}")
-    return _omega_sets(params)[group == GROUP_PROJECTIVE]  # SL, then PSL
+    return _omega_sets(params), group == GROUP_PROJECTIVE  # SL, then PSL
 
 
 def omega(params: GroupParams, group: str = GROUP_FULL) -> tuple[int, ...]:
     """All element orders of the chosen flavor, ascending."""
-    return _flavor(params, group)[1]
+    sets, flavor = _tables(params, group)
+    if sets[1] is None:
+        primes = _prime_support(params) | {params.p}
+        sets[1] = [tuple(sorted({v for m in tops
+                                 for v in _divisors(m, primes)}))
+                   for tops in sets[0]]
+    return sets[1][flavor]
 
 
 def omega_maxima(params: GroupParams, group: str = GROUP_FULL) -> tuple[int, ...]:
     """The at most eleven maximal orders of omega(params, group), ascending."""
-    return _flavor(params, group)[0]
+    sets, flavor = _tables(params, group)
+    return sets[0][flavor]
 
 
 _DUMP_HEADER = re.compile(r"^# epsilon=([+-]) q=([0-9]+) group=(SL|PSL)$")

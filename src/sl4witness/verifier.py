@@ -1,11 +1,13 @@
 """Independent re-checking of witness certificates.
 
-verify() trusts nothing but the group parameters: every property is
-re-derived with plain integer arithmetic by this module's own helpers,
-which take only the record types from the constructor.  Structural damage
-(wrong sizes or types, out-of-range or unreduced entries) raises
-MalformedCertificate before any check runs; semantic problems are collected
-per check label so a caller can see everything that is wrong at once.
+verify() trusts nothing: it checks all four group parameters (q = p^m,
+eps = +-1, m >= 1, p an odd prime) and re-derives every other property
+with plain integer arithmetic by this module's own helpers, which take
+only the record types from the constructor.  Structural damage (wrong
+sizes or types, out-of-range or unreduced entries, parameters that name
+no group) raises MalformedCertificate before any check runs; semantic
+problems are collected per check label so a caller can see everything
+that is wrong at once.
 The structural check is the one pass over the selections: as it
 type-checks them it also gathers what V6, V7 and case D's (A, B) need,
 and verify reads those from it.
@@ -54,7 +56,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .arith import SIZE_LIMIT, member as in_spectrum, power_at_most
+from .arith import (SIZE_LIMIT, is_prime, member as in_spectrum,
+                    power_at_most, two_part)
 from .params import (ALL_CASES, CASE_D, GroupParams, classify_profile,
                      is_plain_int, target_orders)
 from .witness import WitnessCertificate
@@ -137,9 +140,7 @@ def _structural_check(cert: WitnessCertificate) -> tuple:
     pr = cert.params
     if not isinstance(pr, GroupParams):
         raise MalformedCertificate("params must be a GroupParams record")
-    # one slice reads the fields in GroupParams order, faster than four
-    # attribute loads
-    eps, p, m, q = pr[:4]
+    eps, p, m, q = pr  # faster than four attribute loads
     if (not ((type(p) is int and type(m) is int and type(q) is int)
              or (is_plain_int(p) and is_plain_int(m) and is_plain_int(q)))
             or power_at_most(p, m, SIZE_LIMIT) != q):
@@ -148,6 +149,13 @@ def _structural_check(cert: WitnessCertificate) -> tuple:
     if (type(eps) is not int and not is_plain_int(eps)
             or eps != 1 and eps != -1):
         raise MalformedCertificate("params: epsilon must be +1 or -1")
+    # m first, as q = p^0 bounds no p; a non-prime p in build_field's words
+    if m < 1:
+        raise MalformedCertificate("params: m must be >= 1")
+    if p % 2 == 0:
+        raise MalformedCertificate("params: p must be odd")
+    if not is_prime(p):
+        raise MalformedCertificate(f"{p} is not prime")
     profile = cert.profile
     if not isinstance(profile, _SEQUENCES):
         raise MalformedCertificate("profile must be a list or tuple")
@@ -256,10 +264,10 @@ def _check_case_d(cert: WitnessCertificate, n_ord: int | None, coeffs,
     """The case-D checks; n_ord is the case-D modulus at cert.params,
     coeffs the (sigma, tau) of _structural_check, and fail appends a
     failure."""
-    pr = cert.params
     cd = cert.case_d
     r, t = cd.r, cd.t
-    s2 = pr.two_part_qme
+    eps, q = cert.params.epsilon, cert.params.q
+    s2 = two_part(q - eps)
     if n_ord is None or r != n_ord // s2:
         fail(("V8", "case-D odd prime r does not match the parameters"))
         return
@@ -269,7 +277,6 @@ def _check_case_d(cert: WitnessCertificate, n_ord: int | None, coeffs,
     if coeffs is None:
         fail(("V8", "selections do not have case-D shapes"))
         return
-    eps, q = pr.epsilon, pr.q
     A, B = (1 + eps * q) * coeffs[0], coeffs[1]
     a, b = cd.a, cd.b
     if cd.coeff_a != A or cd.coeff_rb != B:

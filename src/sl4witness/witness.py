@@ -196,7 +196,7 @@ def solve_ab(A: int, B: int, params: GroupParams, r: int) -> tuple[int, int]:
     va, vb = arith.two_part(A), arith.two_part(B)
     if va == vb:
         raise ValueError("2-parts of A and B must differ (balance first)")
-    s2 = params.two_part_qme
+    s2 = arith.two_part(params.q - params.epsilon)
     if va < vb:
         b = 1
         rhs = (-r * (B // va)) % s2
@@ -293,21 +293,19 @@ def construct(params: GroupParams, profile) -> WitnessCertificate:
                     "no k in {1,3} slot available in case C")
 
     else:  # CASE_D
-        s2 = params.two_part_qme
-        t = n_ord
-        r = t // s2
+        r = n_ord // arith.two_part(q - eps)
         A, B, adjustments = balance_two_parts(profile, params, selections,
                                               shapes, weights, moved)
         a, b = solve_ab(A, B, params, r)
-        # The selected values are pairwise distinct mod t = r * s2.  r
-        # divides q + eps, so mod r the exponents are (a, -a, 0, 0), and
+        # The selected values are pairwise distinct mod N = r * (q - eps)_2.
+        # r divides q + eps, so mod r the exponents are (a, -a, 0, 0), and
         # every pair a case-D shape selects, except positions 3 and 4,
         # differs by a, -a or 2a, a unit since gcd(a, r) = 1 and r is odd.
         # Exponents 3 and 4 differ by 2*r*b + a*(1 + eps*q); (1 + eps*q)_2
         # is 2 as q = eps (mod 4), and a + b is odd, so the difference has
-        # 2-part exactly 2 and is nonzero mod s2 >= 4.
-        exponents = case_d_exponents(a, b, r, t, eps, q)
-        case_d = CaseDInternals(r, t, a, b, A, B, adjustments)
+        # 2-part exactly 2 and is nonzero mod (q - eps)_2 >= 4.
+        exponents = case_d_exponents(a, b, r, n_ord, eps, q)
+        case_d = CaseDInternals(r, n_ord, a, b, A, B, adjustments)
 
     if fixed_point_exponent(exponents, shapes, weights, moved, p) % n_ord != 0:
         raise ConstructionError("fixed-point exponent does not vanish")

@@ -702,8 +702,8 @@ def test_realize_refuses_malformed_params(field, value, message):
 
 
 def test_realize_refuses_non_prime_p():
-    # p = 9, m = 1 and q = 9 pass the structural check; build_field's
-    # refusal of 9 comes back as RealizationError
+    # p = 9, m = 1 and q = 9: the structural check refuses 9 in
+    # build_field's words, which come back as RealizationError
     cert = witness.construct(params.derive(1, 3, 2), (2, 2))
     bad = cert._replace(params=cert.params._replace(p=9, m=1), profile=(2,),
                         selections=cert.selections[:1])

@@ -3,21 +3,38 @@ from functools import lru_cache
 
 import pytest
 
-from sl4witness import arith, params, verifier, witness
+from sl4witness import arith, params, spectrum, verifier, witness
 
 
 def test_derive_linear_nine():
+    # case C's N is (q^2 - 1)_2 = 16 and case D's 5 * (q - 1)_2 = 40; the
+    # prime support covers q -+ 1, 91 = 7 * 13 and 82 = 2 * 41
     pr = params.derive(1, 3, 2)
-    assert pr.q == 9
-    assert (pr.phi3, pr.phi4) == (91, 82)
-    assert (pr.two_part_qme, pr.two_part_q2m1) == (8, 16)
+    assert pr == (1, 3, 2, 9)
+    assert params.target_orders(pr, params.CASE_C) == 16
+    assert params.target_orders(pr, params.CASE_D) == 40
+    assert spectrum._prime_support(pr) == {2, 5, 7, 13, 41}
 
 
 def test_derive_unitary_fortynine():
+    # (q^2 - 1)_2 = 32, (q + 1)_2 = 2; 2353 = 13 * 181 and 2402 = 2 * 1201
     pr = params.derive(-1, 7, 2)
-    assert pr.q == 49
-    assert (pr.phi3, pr.phi4) == (2353, 2402)
-    assert (pr.two_part_qme, pr.two_part_q2m1) == (2, 32)
+    assert pr == (-1, 7, 2, 49)
+    assert params.target_orders(pr, params.CASE_C) == 32
+    assert params.target_orders(pr, params.CASE_D) is None
+    assert spectrum._prime_support(pr) == {2, 3, 5, 13, 181, 1201}
+
+
+def test_group_params_holds_only_the_four_integers():
+    # a stored (q - eps)_2 of 4 at q = 9 made construct emit case D at
+    # theta order 20 and verify pass it; no field is left to set apart
+    # from the four that name the group
+    pr = params.derive(1, 3, 2)
+    with pytest.raises(ValueError):
+        pr._replace(two_part_qme=4)
+    cert = witness.construct(pr, (1, 2))
+    assert (cert.case, cert.theta_order) == (params.CASE_D, 40)
+    assert verifier.verify(cert).ok
 
 
 def test_derive_validation():
@@ -170,8 +187,7 @@ def cold_derive():
 def test_derive_memo_returns_what_a_cold_call_builds(cold_derive):
     cold = cold_derive(-1, 7, 2)
     warm = cold_derive(-1, 7, 2)
-    assert warm is cold and warm == params.GroupParams(
-        -1, 7, 2, 49, 2353, 2402, 2, 32)
+    assert warm is cold and warm == params.GroupParams(-1, 7, 2, 49)
     info = cold_derive.cache_info()
     assert (info.hits, info.misses, info.maxsize) == (1, 1, 8)
 
@@ -205,8 +221,7 @@ def test_derive_memo_stays_bounded(cold_derive):
     for p in primes:
         assert cold_derive(1, p, 1).q == p
         assert cold_derive.cache_info().currsize <= maxsize
-    assert cold_derive(1, 3, 1) == params.GroupParams(1, 3, 1, 3, 13, 10,
-                                                      2, 8)
+    assert cold_derive(1, 3, 1) == params.GroupParams(1, 3, 1, 3)
 
 
 def test_target_orders_stays_bounded():

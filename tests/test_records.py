@@ -11,8 +11,7 @@ from sl4witness.witness import Selection
 
 FIELDS = {
     "PrimePower": ("prime", "exponent"),
-    "GroupParams": ("epsilon", "p", "m", "q", "phi3", "phi4", "two_part_qme",
-                    "two_part_q2m1"),
+    "GroupParams": ("epsilon", "p", "m", "q"),
     "Selection": ("factor", "positions"),
     "Adjustment": ("kind", "factor"),
     "CaseDInternals": ("r", "t", "a", "b", "coeff_a", "coeff_rb",
@@ -64,9 +63,8 @@ def test_record_contract(record):
 def test_record_reprs():
     assert repr(Selection(0, (1, 3))) == \
         "Selection(factor=0, positions=(1, 3))"
-    assert repr(params.derive(1, 3, 1)) == (
-        "GroupParams(epsilon=1, p=3, m=1, q=3, phi3=13, phi4=10, "
-        "two_part_qme=2, two_part_q2m1=8)")
+    assert repr(params.derive(1, 3, 1)) == \
+        "GroupParams(epsilon=1, p=3, m=1, q=3)"
     assert repr(witness.Adjustment("flip", 1)) == \
         "Adjustment(kind='flip', factor=1)"
 

@@ -17,7 +17,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from sl4witness import arith, params, spectrum, verifier
+from sl4witness import arith, cli, params, spectrum, verifier
 from spectrum_reference import enumerated_omega_sets
 
 # published spectra for the two linear groups of dimension 4 over F_3 and
@@ -275,6 +275,52 @@ def test_omega_cache_stays_bounded():
     misses = spectrum._omega_sets.cache_info().misses
     assert spectrum.omega(params.derive(1, *fields[0]), "PSL") == first
     assert spectrum._omega_sets.cache_info().misses == misses + 1
+
+
+def test_maxima_need_no_divisor_closure(monkeypatch, tmp_path, capsys):
+    # omega_maxima, and verify --spectrum compute through it, read the
+    # torus exponents alone: no divisor closure, no prime support
+    def refuse(*args):
+        raise AssertionError("the maxima path built a closure")
+
+    monkeypatch.setattr(spectrum, "_divisors", refuse)
+    monkeypatch.setattr(spectrum, "_prime_support", refuse)
+    spectrum._omega_sets.cache_clear()
+    out = tmp_path / "cert.json"
+    for eps, sign in ((1, "+"), (-1, "-")):
+        pr = params.derive(eps, 65521, 1)
+        assert spectrum.omega_maxima(pr, "SL")
+        assert cli.main(["construct", "--epsilon", sign, "--p", "65521",
+                         "--m", "1", "--profile", "2", "--out",
+                         str(out)]) == 0
+        assert cli.main(["verify", "--spectrum", "compute", str(out)]) == 0
+    assert capsys.readouterr().out.count("certificate OK") == 2
+    spectrum._omega_sets.cache_clear()
+
+
+def test_omega_builds_each_closure_once(monkeypatch):
+    # omega and the dumps of both flavors, twice over, factor the prime
+    # support once and expand each maximum once
+    calls = {"support": 0, "divisors": 0}
+    support, divisors = spectrum._prime_support, spectrum._divisors
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(spectrum, "_prime_support",
+                        counted("support", support))
+    monkeypatch.setattr(spectrum, "_divisors", counted("divisors", divisors))
+    spectrum._omega_sets.cache_clear()
+    pr = params.derive(-1, 3, 3)
+    maxima = [spectrum.omega_maxima(pr, group) for group in ("SL", "PSL")]
+    for _ in range(2):
+        for group in ("SL", "PSL"):
+            assert spectrum.parse_dump(spectrum.format_dump(pr, group))[2] \
+                == spectrum.omega(pr, group)
+    assert calls == {"support": 1, "divisors": sum(map(len, maxima))}
 
 
 def test_omega_at_q_cap_scale():

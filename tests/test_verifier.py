@@ -217,6 +217,35 @@ def test_oversized_or_non_int_params_refused_promptly(cert_a, p, m):
         assert str(info.value) == "params: q != p^m"
 
 
+@pytest.mark.parametrize("eps, p, m, q, message", [
+    (1, 9, 1, 9, "9 is not prime"),
+    (1, 1, 10**18, 1, "1 is not prime"),
+    (1, -3, 1, -3, "-3 is not prime"),
+    (1, 2, 1, 2, "params: p must be odd"),
+    (1, 3, 0, 1, "params: m must be >= 1"),
+    (1, 10**1000, 0, 1, "params: m must be >= 1"),
+    (0, 9, 1, 9, "params: epsilon must be +1 or -1"),
+    (1, 9, 2, 9, "params: q != p^m"),
+])
+def test_params_that_name_no_group_refused(cert_a, eps, p, m, q, message):
+    # p = 9 passed case A at q = 9 (theta order 41, target 369), and m = 0
+    # raised a bare ValueError from the primitive prime search; m is tested
+    # before p, so is_prime never reads a p that q = p^0 leaves unbounded,
+    # and both come after the q and epsilon tests
+    bad = cert_a._replace(params=params.GroupParams(eps, p, m, q),
+                          profile=(2,), selections=cert_a.selections[:1],
+                          target_order=9 * cert_a.claimed_order)
+    for verify in (verifier.verify, verifier_reference.verify):
+        start = time.perf_counter()
+        with pytest.raises(MalformedCertificate) as info:
+            verify(bad)
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == message
+    with pytest.raises(RealizationError) as realized:
+        ffield.realize(bad)
+    assert str(realized.value) == message
+
+
 def test_spectrum_cross_check(cert_a):
     psl = spectrum.omega(cert_a.params, group="PSL")
     assert verifier.verify(cert_a, psl_orders=psl).ok

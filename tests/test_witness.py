@@ -144,7 +144,7 @@ def test_solve_ab_invariants_random_inputs():
     import random
     rnd = random.Random(4004)
     pr = params.derive(1, 3, 2)
-    s2 = pr.two_part_qme
+    s2 = arith.two_part(pr.q - pr.epsilon)
     for _ in range(500):
         A = rnd.randint(-500, 500)
         B = rnd.randint(-500, 500)
@@ -229,11 +229,12 @@ def test_grid_invariants():
                     if cert.case == params.CASE_D:
                         cd = cert.case_d
                         assert len(cd.adjustments) <= 2
+                        s2 = arith.two_part(pr.q - eps)
                         assert (cd.a * cd.coeff_a
-                                + cd.r * cd.b * cd.coeff_rb) % pr.two_part_qme == 0
+                                + cd.r * cd.b * cd.coeff_rb) % s2 == 0
                         assert (cd.a + cd.b) % 2 == 1
                         assert math.gcd(cd.a, cd.r) == 1
-                        assert cert.theta_order == cd.r * pr.two_part_qme
+                        assert cert.theta_order == cd.r * s2
                     if cert.case == witness.CASE_C:
                         for sel in cert.selections:
                             assert sel.positions in c_shapes

@@ -79,6 +79,12 @@ def _structural_check(cert):
     if (not isinstance(pr.epsilon, int) or isinstance(pr.epsilon, bool)
             or pr.epsilon not in (1, -1)):
         raise MalformedCertificate("params: epsilon must be +1 or -1")
+    if pr.m < 1:
+        raise MalformedCertificate("params: m must be >= 1")
+    if pr.p % 2 == 0:
+        raise MalformedCertificate("params: p must be odd")
+    if not arith.is_prime(pr.p):
+        raise MalformedCertificate(f"{pr.p} is not prime")
     if not isinstance(cert.profile, (tuple, list)):
         raise MalformedCertificate("profile must be a list or tuple")
     try:
@@ -140,7 +146,7 @@ def _check_case_d(cert, fail):
     pr = cert.params
     eps, q = pr.epsilon, pr.q
     cd = cert.case_d
-    s2 = pr.two_part_qme
+    s2 = arith.two_part(q - eps)
     n_ord = params_mod.target_orders(pr, CASE_D)
     if n_ord is None or cd.r != n_ord // s2:
         fail("V8", "case-D odd prime r does not match the parameters")

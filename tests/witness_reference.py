@@ -118,7 +118,7 @@ def solve_ab(A: int, B: int, params: GroupParams, r: int) -> tuple[int, int]:
     va, vb = arith.two_part(A), arith.two_part(B)
     if va == vb:
         raise ValueError("2-parts of A and B must differ (balance first)")
-    s2 = params.two_part_qme
+    s2 = arith.two_part(params.q - params.epsilon)
     if va < vb:
         b = 1
         rhs = (-r * (B // va)) % s2
@@ -188,7 +188,7 @@ def construct(params: GroupParams, profile) -> WitnessCertificate:
             selections = tuple(sels)
 
     else:  # CASE_D
-        s2 = params.two_part_qme
+        s2 = arith.two_part(params.q - params.epsilon)
         t = n_ord
         r = t // s2
         base = {1: (3,), 2: (1, 2), 3: (1, 2, 4)}
