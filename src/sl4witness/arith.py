@@ -9,8 +9,10 @@ gcd with their product, then each composite part below 2^34 by gcds with
 cached products of runs of the primes in [2^10, 2^17), and each larger
 one by Brent's rho on a fixed parameter schedule and work budget), powers
 refused past a size bound before they are computed, primitive prime
-divisors of a^n - (eps*1)^n, and membership in a divisor-closed order
-set.  No randomness, so repeated runs factor the same input the same way.
+divisors of a^n - (eps*1)^n (found after one gcd strip per prime l
+dividing n, against a^(n/l) - (eps*1)^(n/l)), and membership in a
+divisor-closed order set.  No randomness, so repeated runs factor the
+same input the same way.
 """
 
 import math
@@ -84,11 +86,15 @@ _SMALL_PRODUCT = math.prod(p for p in _LOW_PRIMES if p < 1 << 8)
 # The mid-range table: the primes in [2^10, 2^17), in runs of _MID_RUN,
 # with each run's least prime and product.  Nothing is built at import: a
 # scan that runs past the table adds the next block between two of
-# _MID_BOUNDS.  On a 2-vCPU host the first block takes ~0.3 ms and the
-# second ~2.3 ms, so a process whose least primes stay below 2^14 never
-# builds the second, and at most two splits per process pay for the
-# table.  Its products take ~32 kB.
-_MID_BOUNDS = (_LOW_TRIAL_LIMIT, 1 << 14, 1 << 17)
+# _MID_BOUNDS.  On a 2-vCPU host the blocks take ~0.4, ~1.0 and ~1.4 ms,
+# so a process whose least primes stay below 2^14 builds only the first,
+# and at most three splits per process pay for the table.  The last block
+# is only reached by a least prime of 2^16 or more, which no composite
+# below (2^16 + 1)^2 has: none that a search at q <= params.Q_CAP leaves,
+# where q^2 + 1 and q^2 + eps*q + 1 bound the parts, so only factorize or
+# primitive_prime_divisor on larger inputs build it.  The products take
+# ~32 kB.
+_MID_BOUNDS = (_LOW_TRIAL_LIMIT, 1 << 14, 1 << 16, 1 << 17)
 _MID_SPLIT_LIMIT = _MID_BOUNDS[-1] ** 2
 _MID_RUN = 64
 _mid_starts: list[int] = []
@@ -291,11 +297,16 @@ def primitive_prime_divisor(a: int, n: int, eps: int) -> int | None:
 
     None when there is none (the Bang/Zsigmondy exceptions); eps is +1/-1.
     Dividing out every prime shared with an earlier term leaves exactly the
-    primitive primes, as a primitive prime divides no earlier term, so the
+    primitive primes, as a primitive prime divides no earlier term.  The
+    terms a^(n/l) - eps^(n/l), one per prime l dividing n, share the same
+    primes: a prime r that divides a^i - eps^i and a^n - eps^n has
+    (eps*a)^i = (eps*a)^n = 1 mod r, so the order of eps*a mod r divides
+    gcd(i, n), a proper divisor of n and so a divisor of some n/l.  The
     answer is the least prime factor of what is left: one gcd finds it
-    below 2^10; above, what is left is the answer when it is prime, a
-    composite below 2^34 gives its least prime to the mid-range table, and
-    only a larger one is factorized (ValueError past rho's budget).
+    below 2^10, and is it when that gcd is itself prime; above, what is
+    left is the answer when it is prime, a composite below 2^34 gives its
+    least prime to the mid-range table, and only a larger one is
+    factorized (ValueError past rho's budget).
     """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
@@ -305,8 +316,12 @@ def primitive_prime_divisor(a: int, n: int, eps: int) -> int | None:
     if power is None:
         raise ValueError("a**n exceeds supported size")
     target = power - eps**n
-    for i in range(1, n):
-        earlier = a**i - eps**i
+    for ell in _LOW_PRIMES:
+        if ell > n:
+            break
+        if n % ell:
+            continue
+        earlier = a ** (n // ell) - eps ** (n // ell)
         g = math.gcd(target, earlier)
         while g > 1:
             target //= g
@@ -314,6 +329,8 @@ def primitive_prime_divisor(a: int, n: int, eps: int) -> int | None:
     if target == 1:
         return None
     g = math.gcd(target, _LOW_PRODUCT)
+    if g in _LOW_PRIME_SET:
+        return g
     if g > 1:
         return next(p for p in _LOW_PRIMES if g % p == 0)
     if is_prime(target):

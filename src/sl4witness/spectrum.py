@@ -43,7 +43,8 @@ center, of order gcd(4, c); the comment at _TWO_DROPS argues delta per
 type.  test_10 checks that table for every q <= Q_CAP, and must run again
 if Q_CAP is raised.  The maxima factor nothing: ~0.12 ms at q = 65521 in
 a fresh process (2 vCPUs).  The divisors need q - 1, q + 1, q^2 + eps*q + 1
-and q^2 + 1 factored: both dumps take ~5 ms (eps = +), ~2 ms (eps = -).
+and q^2 + 1 factored, once for both flavors: the PSL dump alone takes
+~2.2 ms (eps = +), ~1.1 ms (eps = -), both dumps ~3.8 ms and ~1.8 ms.
 """
 
 import math
@@ -200,17 +201,19 @@ def _divisors(n: int, primes) -> list[int]:
 
 @lru_cache(maxsize=8)  # one request needs one group's tables
 def _omega_sets(params: GroupParams) -> list:
-    """[maxima, closures]: the maximal orders of SL, then of PSL, each
-    ascending, and None until omega() first asks for the divisor closures,
-    when it builds both from one prime support.  So the maxima cost the
-    torus exponents alone, and each closure is built at most once."""
+    """[maxima, support, closures]: the maximal orders of SL, then of PSL,
+    each ascending; the prime support, None until omega() first needs it;
+    and the divisor closures of SL and PSL, each None until omega() first
+    asks for that flavor.  So the maxima cost the torus exponents alone,
+    the support is factored at most once, and each closure is built at
+    most once and only for a flavor that is asked for."""
     maxima = []
     for exps in zip(*_torus_exponents(params)):
         tops = {_p_part(params.p, max(mu for _, mu in blocks)) * e
                 for blocks, e in zip(_TYPES, exps)}
         maxima.append(tuple(sorted(m for m in tops
                                    if all(o % m or o == m for o in tops))))
-    return [maxima, None]
+    return [maxima, None, [None, None]]
 
 
 def _tables(params: GroupParams, group: str):
@@ -223,12 +226,13 @@ def _tables(params: GroupParams, group: str):
 def omega(params: GroupParams, group: str = GROUP_FULL) -> tuple[int, ...]:
     """All element orders of the chosen flavor, ascending."""
     sets, flavor = _tables(params, group)
-    if sets[1] is None:
-        primes = _prime_support(params) | {params.p}
-        sets[1] = [tuple(sorted({v for m in tops
-                                 for v in _divisors(m, primes)}))
-                   for tops in sets[0]]
-    return sets[1][flavor]
+    closures = sets[2]
+    if closures[flavor] is None:
+        if sets[1] is None:
+            sets[1] = _prime_support(params) | {params.p}
+        closures[flavor] = tuple(sorted({v for m in sets[0][flavor]
+                                         for v in _divisors(m, sets[1])}))
+    return closures[flavor]
 
 
 def omega_maxima(params: GroupParams, group: str = GROUP_FULL) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from sl4witness import arith
+from sl4witness import arith, params, spectrum
 
 
 def naive_two_part(n):
@@ -375,6 +375,47 @@ def test_primitive_prime_divisor_matches_oracle_small():
             for n in range(2, 9):
                 assert arith.primitive_prime_divisor(a, n, eps) == \
                     gcd_strip_ppd(a, n, eps), (a, n, eps)
+
+
+def test_primitive_prime_divisor_strip_by_prime_divisors_of_n(wide_inputs):
+    # the search strips only a^(n/l) - eps^(n/l) for each prime l | n; the
+    # oracle strips every earlier term.  n with two or three distinct
+    # primes, seeded a up to 2^16 with a^n <= SIZE_LIMIT, and every search
+    # that a wide pool's field can ask for (n = 4, 3, 2 for cases A, B, D)
+    rnd = random.Random(3303)
+    cases = set()
+    for n in (6, 10, 12, 15, 30):
+        top = min(1 << 16, math.floor(arith.SIZE_LIMIT ** (1 / n)))
+        while arith.power_at_most(top, n, arith.SIZE_LIMIT) is None:
+            top -= 1
+        for a in rnd.sample(range(2, top + 1), min(40, top - 1)) + [top]:
+            cases.update((a, n, eps) for eps in (1, -1))
+    cases.update((pr.q, n, pr.epsilon)
+                 for pr, _ in wide_inputs for n in (2, 3, 4))
+    for a, n, eps in sorted(cases):
+        assert arith.primitive_prime_divisor(a, n, eps) == \
+            gcd_strip_ppd(a, n, eps), (a, n, eps)
+
+
+def test_searches_up_to_q_cap_stop_below_the_last_table_block(
+        monkeypatch, wide_inputs):
+    # a composite left at q <= Q_CAP is below (2^16 + 1)^2, so its least
+    # prime is below 2^16 and the block [2^16, 2^17) is never sieved
+    monkeypatch.setattr(arith, "_mid_starts", [])
+    monkeypatch.setattr(arith, "_mid_products", [])
+    monkeypatch.setattr(arith, "_mid_blocks", 0)
+    assert arith._MID_BOUNDS[2] == 1 << 16
+    for pr, profile in wide_inputs:
+        params.target_orders.__wrapped__(
+            pr, params.classify_profile(profile, pr))
+    spectrum._omega_sets.cache_clear()
+    for q in (65521, 65519):
+        for eps in (1, -1):
+            pr = params.derive_from_q(eps, q)
+            for group in ("SL", "PSL"):
+                assert spectrum.omega(pr, group)
+    spectrum._omega_sets.cache_clear()
+    assert 1 <= arith._mid_blocks <= 2
 
 
 def test_primitive_prime_divisor_at_low_prime_edge():

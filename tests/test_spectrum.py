@@ -299,8 +299,9 @@ def test_maxima_need_no_divisor_closure(monkeypatch, tmp_path, capsys):
 
 
 def test_omega_builds_each_closure_once(monkeypatch):
-    # omega and the dumps of both flavors, twice over, factor the prime
-    # support once and expand each maximum once
+    # one flavor's dump leaves the other flavor's closure unbuilt; omega
+    # and the dumps of both flavors, twice over, factor the prime support
+    # once and expand each maximum once
     calls = {"support": 0, "divisors": 0}
     support, divisors = spectrum._prime_support, spectrum._divisors
 
@@ -316,6 +317,9 @@ def test_omega_builds_each_closure_once(monkeypatch):
     spectrum._omega_sets.cache_clear()
     pr = params.derive(-1, 3, 3)
     maxima = [spectrum.omega_maxima(pr, group) for group in ("SL", "PSL")]
+    spectrum.format_dump(pr, "PSL")
+    assert spectrum._omega_sets(pr)[2][0] is None
+    assert calls == {"support": 1, "divisors": len(maxima[1])}
     for _ in range(2):
         for group in ("SL", "PSL"):
             assert spectrum.parse_dump(spectrum.format_dump(pr, group))[2] \
