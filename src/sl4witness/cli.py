@@ -25,8 +25,8 @@ import sys
 from itertools import product
 
 from . import arith, verifier, witness
-from .params import (ALL_CASES, Q_CAP, derive, derive_from_q, is_plain_int,
-                     sign_from_str, sign_to_str)
+from .params import (ALL_CASES, Q_CAP, derive, derive_from_q, sign_from_str,
+                     sign_to_str)
 from .witness import (Adjustment, CaseDInternals, Selection,
                       WitnessCertificate)
 
@@ -220,13 +220,13 @@ def _decimals(record, fields) -> list:
 
 
 def _plain_int(value, where):
-    if is_plain_int(value):
+    if type(value) is int:
         return value
     raise DocumentError(f"{where} must be an integer")
 
 
 def _list(value, where):
-    if not isinstance(value, list):
+    if type(value) is not list:
         raise DocumentError(f"{where} must be a list")
     return value
 
@@ -237,9 +237,10 @@ def certificate_from_document(doc) -> WitnessCertificate:
     Each value is first tested for the form the writer gives it: a dict
     with exactly its record's keys, an exact int, a decimal string of at
     most MAX_DIGITS ASCII digits after an optional "-".  Anything else
-    goes to the helper that refuses it or, for a dict, list or int
-    subclass, accepts it, so every message, and the order of the tests, is
-    the helpers' own.
+    goes to the helper that refuses it or, for a dict or str subclass,
+    accepts it, so every message, and the order of the tests, is the
+    helpers' own.  An integer is exactly an int and a list exactly a
+    list, as the verifier requires; json.loads makes no other kind.
     """
     if not (type(doc) is dict and (doc.keys() == _DOCUMENT_KEYS
                                    or doc.keys() == _CASE_D_DOCUMENT_KEYS)):
@@ -281,7 +282,7 @@ def certificate_from_document(doc) -> WitnessCertificate:
         raise DocumentError("case must be a string")
 
     exponents = doc["exponents"]
-    if not isinstance(exponents, list) or len(exponents) != 4:
+    if type(exponents) is not list or len(exponents) != 4:
         raise DocumentError("exponents must be a list of four strings")
     exponents = tuple(_decimals(exponents, _EXPONENT_FIELDS))
 

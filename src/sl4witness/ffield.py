@@ -46,6 +46,7 @@ from typing import NamedTuple
 
 from . import arith, verifier
 from .params import GroupParams
+from .witness import WitnessCertificate
 
 
 class RealizationError(RuntimeError):
@@ -360,10 +361,11 @@ def element_of_order(field: Field, n: int):
 
     The result depends only on (field, n), and build_field hands out one
     Field per (p, k), so it is memoized by (field, n) in a bounded LRU
-    cache of 64 entries, keyed by type as well as value: realize pays the
-    cofactor power once per field and theta order (the 712 grid
-    certificates that realize ask for 60 pairs).  A refused n raises each
-    time and is not cached.
+    cache of 64 entries: realize pays the cofactor power once per field
+    and theta order (the 712 grid certificates that realize ask for 60
+    pairs).  The key is typed, as True and 1.0 hash like 1: an untyped
+    key would hand them n = 1's entry without running the checks.  A
+    refused n raises each time and is not cached.
     """
     if n < 1 or (field.order - 1) % n != 0:
         raise ValueError(f"F_{field.order} has no element of order {n}")
@@ -427,9 +429,9 @@ def realize(cert) -> Matrix4:
     arithmetic; so does a theta order that does not divide the field's
     order minus one.
     """
-    pr = cert.params
+    pr = cert.params if type(cert) is WitnessCertificate else None
     # an oversized field with int parameters is named as such first
-    if (isinstance(pr, GroupParams) and type(pr.p) is int
+    if (type(pr) is GroupParams and type(pr.p) is int
             and type(pr.m) is int and arith.power_at_most(
                 pr.p, 12 * pr.m, arith.SIZE_LIMIT) is None):
         raise RealizationError(

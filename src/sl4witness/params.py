@@ -64,25 +64,26 @@ class GroupParams(NamedTuple):
 def derive(epsilon: int, p: int, m: int) -> GroupParams:
     """Validate (epsilon, p, m) and compute q = p^m.
 
-    Each must be an int and not a bool: True and 1.0 would pass the range
-    tests and hash like 1, and a float p or m fails inside the arithmetic.
+    Each must be exactly an int: True and 1.0 would pass the range tests
+    and hash like 1, a float p or m fails inside the arithmetic, and an
+    int subclass may redefine the comparisons the range tests make.
 
     Memoized by (epsilon, p, m) in an LRU cache of 8 entries, so that a
     process which derives one field twice (a CLI round trip: construct,
     then the document reader) pays for it once.  typed=True keys each
-    argument by its type as well as its value, so an int subclass gets an
-    entry of its own; a refused input raises, and lru_cache never caches
-    a raise, so True, 1.0 or 3.0 is refused on every call.  An unhashable
+    argument by its type as well as its value: True, 1.0 and 3.0 hash
+    like 1 and 3, so an untyped key would let them hit a valid call's
+    entry and skip the checks.  A refused input raises, and lru_cache
+    never caches a raise, so it is refused on every call.  An unhashable
     argument raises TypeError from the cache lookup.
     """
-    if (type(epsilon) is not int and not is_plain_int(epsilon)
-            or epsilon not in (PLUS, MINUS)):
+    if type(epsilon) is not int or epsilon not in (PLUS, MINUS):
         raise ValueError("epsilon must be +1 or -1")
-    if type(p) is not int and not is_plain_int(p):
+    if type(p) is not int:
         raise ValueError(f"p must be an odd prime, got {p!r}")
     if p < 3 or p % 2 == 0 or not arith.is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    if type(m) is not int and not is_plain_int(m):
+    if type(m) is not int:
         raise ValueError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -96,10 +97,10 @@ def derive_from_q(epsilon: int, q: int) -> GroupParams:
     """derive() for a field given by its order q = p^m.
 
     q is bounded before it is factorized, so an oversized q is refused at
-    once rather than after a long factorization.  q must be an int and not
-    a bool, as derive's arguments must.
+    once rather than after a long factorization.  q must be exactly an
+    int, as derive's arguments must.
     """
-    if type(q) is not int and not is_plain_int(q):
+    if type(q) is not int:
         raise ValueError(f"q must be an odd prime power, got {q!r}")
     if q < 3:
         raise ValueError(f"q must be an odd prime power, got {q}")
@@ -111,26 +112,15 @@ def derive_from_q(epsilon: int, q: int) -> GroupParams:
     return derive(epsilon, powers[0].prime, powers[0].exponent)
 
 
-def is_plain_int(x) -> bool:
-    """x is an int but not a bool, as the document format requires: a
-    float or a bool would pass range and shape tests by comparing or
-    hashing like an int."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def check_profile(profile: tuple[int, ...], m: int) -> None:
-    """Refuse a profile of the wrong length or with an entry that is not an
-    int in 0..3, as the document format does: a bool or a float equal to
-    one of them (True, 1.0) is refused too."""
+    """Refuse a profile of the wrong length or with an entry that is not
+    exactly an int in 0..3, as the document format does: a bool or a
+    float equal to one of them (True, 1.0) is refused too."""
     if len(profile) != m:
         raise ValueError(f"profile length {len(profile)} != m = {m}")
     for k in profile:
-        if type(k) is int:  # the fast path
-            if 0 <= k <= 3:
-                continue
-        elif is_plain_int(k) and k in (0, 1, 2, 3):
-            continue
-        raise ValueError("profile entries must lie in {0, 1, 2, 3}")
+        if type(k) is not int or not 0 <= k <= 3:
+            raise ValueError("profile entries must lie in {0, 1, 2, 3}")
 
 
 def classify_profile(profile: tuple[int, ...], params: GroupParams) -> str:

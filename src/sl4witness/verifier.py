@@ -1,13 +1,15 @@
 """Independent re-checking of witness certificates.
 
 verify() trusts nothing: it checks all four group parameters (q = p^m,
-eps = +-1, m >= 1, p an odd prime) and re-derives every other property
-with plain integer arithmetic by this module's own helpers, which take
-only the record types from the constructor.  Structural damage (wrong
-sizes or types, out-of-range or unreduced entries, parameters that name
-no group) raises MalformedCertificate before any check runs; semantic
-problems are collected per check label so a caller can see everything
-that is wrong at once.
+eps = +-1, q <= Q_CAP, m >= 1, p an odd prime) and re-derives every other
+property with integer arithmetic by this module's own helpers, which take
+only the record types from the constructor.  Each value must be exactly
+the type its record declares, an int, a str, a tuple or list, or the
+record type: a subclass may redefine the reads and comparisons the checks
+make.  Structural damage (wrong sizes or types, out-of-range or unreduced
+entries, parameters that name no group) raises MalformedCertificate
+before any check runs; semantic problems are collected per check label so
+a caller can see everything that is wrong at once.
 The structural check is the one pass over the selections: as it
 type-checks them it also gathers what V6, V7 and case D's (A, B) need,
 and verify reads those from it.
@@ -15,14 +17,14 @@ and verify reads those from it.
 V1-V5 read only eight integers, (N, e1, e2, e3, e4, eps*q, p, claimed),
 which a sweep repeats: every profile of a field shares N, and in cases
 A-C the four exponents too.  So _order_checks, which returns their
-failures, is memoized by that tuple in a bounded LRU cache of 64 entries,
-keyed by type as well as value; verify builds the key only once the
-structural check has refused every non-integer among them, and starts its
-failure list from the cached tuple, so every report, message and message
-order is what the uncached checks give.  64 entries keep every key a grid
-sweep revisits (a field has a few, all 4^8 profiles at q = 3^8 have 34);
-a larger bound buys no hits and lengthens the garbage collector's young
-pass wherever no key repeats, since each cached key is one more tuple to
+failures, is memoized by that tuple in a bounded LRU cache of 64 entries;
+verify builds the key only once the structural check has refused every
+value among them that is not exactly an int, and starts its failure list
+from the cached tuple, so every report, message and message order is what
+the uncached checks give.  64 entries keep every key a grid sweep
+revisits (a field has a few, all 4^8 profiles at q = 3^8 have 34); a
+larger bound buys no hits and lengthens the garbage collector's young pass
+wherever no key repeats, since each cached key is one more tuple to
 traverse there.
 
 Check labels:
@@ -54,13 +56,13 @@ Check labels:
 import math
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .arith import (SIZE_LIMIT, is_prime, member as in_spectrum,
                     power_at_most, two_part)
-from .params import (ALL_CASES, CASE_D, GroupParams, classify_profile,
-                     is_plain_int, target_orders)
-from .witness import WitnessCertificate
+from .params import (ALL_CASES, CASE_D, Q_CAP, GroupParams,
+                     classify_profile, target_orders)
+from .witness import CaseDInternals, Selection, WitnessCertificate
 
 CHECK_LABELS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8")
 
@@ -89,9 +91,6 @@ def _case_d_shape_table() -> dict:
 
 _CASE_D_SHAPES = _case_d_shape_table()
 
-# The types a profile, the exponents and the selections may have.
-_SEQUENCES = (tuple, list)
-
 
 class MalformedCertificate(ValueError):
     """The certificate is structurally unusable; no checks were run."""
@@ -111,16 +110,18 @@ def _case_d_exponents(a: int, b: int, r: int, t: int, eps: int,
             (x3 * u + y3 * v + z3 * w) % t, (x4 * u + y4 * v + z4 * w) % t)
 
 
-def _check_positions(positions) -> None:
-    """The shape rules, one by one, for positions not found in _SHAPES as
-    a tuple of ints."""
-    if not positions or any(not is_plain_int(j) or j not in (1, 2, 3, 4)
-                            for j in positions):
+def _refuse_positions(positions) -> NoReturn:
+    """Raise the shape rule that positions not found in _SHAPES as a tuple
+    of ints break: every strictly increasing nonempty tuple of ints in
+    1..4 is a shape, so the rest are lists or out of order."""
+    if (type(positions) is not tuple and type(positions) is not list
+            or not positions
+            or any(type(j) is not int or j not in (1, 2, 3, 4)
+                   for j in positions)):
         raise MalformedCertificate(
             "selection positions must be integers in 1..4")
-    if tuple(sorted(set(positions))) != positions:
-        raise MalformedCertificate(
-            "selection positions must be strictly increasing")
+    raise MalformedCertificate(
+        "selection positions must be strictly increasing")
 
 
 def _structural_check(cert: WitnessCertificate) -> tuple:
@@ -137,18 +138,23 @@ def _structural_check(cert: WitnessCertificate) -> tuple:
     size, want, clash) entry for each slot whose size is not the
     profile's want or whose selected values coincide.
     """
+    if type(cert) is not WitnessCertificate:
+        raise MalformedCertificate(
+            "certificate must be a WitnessCertificate record")
     pr = cert.params
-    if not isinstance(pr, GroupParams):
+    if type(pr) is not GroupParams:
         raise MalformedCertificate("params must be a GroupParams record")
     eps, p, m, q = pr  # faster than four attribute loads
-    if (not ((type(p) is int and type(m) is int and type(q) is int)
-             or (is_plain_int(p) and is_plain_int(m) and is_plain_int(q)))
+    if (type(p) is not int or type(m) is not int or type(q) is not int
             or power_at_most(p, m, SIZE_LIMIT) != q):
         raise MalformedCertificate("params: q != p^m")
     # True and 1.0 compare like 1; a str would reach V2's eps*q*e
-    if (type(eps) is not int and not is_plain_int(eps)
-            or eps != 1 and eps != -1):
+    if type(eps) is not int or eps != 1 and eps != -1:
         raise MalformedCertificate("params: epsilon must be +1 or -1")
+    # derive's bound: target_orders cannot search q^4 - 1 past it
+    if q > Q_CAP:
+        raise MalformedCertificate(
+            f"params: q = {q} exceeds supported bound {Q_CAP}")
     # m first, as q = p^0 bounds no p; a non-prime p in build_field's words
     if m < 1:
         raise MalformedCertificate("params: m must be >= 1")
@@ -157,37 +163,36 @@ def _structural_check(cert: WitnessCertificate) -> tuple:
     if not is_prime(p):
         raise MalformedCertificate(f"{p} is not prime")
     profile = cert.profile
-    if not isinstance(profile, _SEQUENCES):
+    if type(profile) is not tuple and type(profile) is not list:
         raise MalformedCertificate("profile must be a list or tuple")
     try:
         expected_case = classify_profile(profile, pr)
     except ValueError as exc:
         raise MalformedCertificate(str(exc)) from None
-    if cert.case not in ALL_CASES:
-        raise MalformedCertificate(f"unknown case tag {cert.case!r}")
+    case = cert.case
+    if type(case) is not str or case not in ALL_CASES:
+        raise MalformedCertificate(f"unknown case tag {case!r}")
     N = cert.theta_order
-    if not isinstance(N, int) or N < 2:
+    if type(N) is not int or N < 2:
         raise MalformedCertificate("theta_order must be an integer >= 2")
     exps = cert.exponents
-    if not isinstance(exps, _SEQUENCES):
+    if type(exps) is not tuple and type(exps) is not list:
         raise MalformedCertificate("exponents must be a list or tuple")
     if len(exps) != 4:
         raise MalformedCertificate("exactly four exponents are required")
     e1, e2, e3, e4 = exps
-    plain = (type(e1) is int and type(e2) is int and type(e3) is int
-             and type(e4) is int) or all(map(is_plain_int, exps))
-    if not (plain and 0 <= e1 < N and 0 <= e2 < N and 0 <= e3 < N
-            and 0 <= e4 < N):
+    if not (type(e1) is int and type(e2) is int and type(e3) is int
+            and type(e4) is int and 0 <= e1 < N and 0 <= e2 < N
+            and 0 <= e3 < N and 0 <= e4 < N):
         raise MalformedCertificate(
             "exponents must be integers reduced mod theta_order")
     claimed, target = cert.claimed_order, cert.target_order
-    if not ((type(claimed) is int and type(target) is int)
-            or (is_plain_int(claimed) and is_plain_int(target))):
+    if type(claimed) is not int or type(target) is not int:
         raise MalformedCertificate("orders must be integers")
     if claimed < 1 or target < 1:
         raise MalformedCertificate("orders must be positive")
     selections = cert.selections
-    if not isinstance(selections, _SEQUENCES):
+    if type(selections) is not tuple and type(selections) is not list:
         raise MalformedCertificate("selections must be a list or tuple")
     cd = cert.case_d
     covered = len(selections) == m - profile.count(0)
@@ -198,12 +203,10 @@ def _structural_check(cert: WitnessCertificate) -> tuple:
     shaped = cd is not None
     last = -1
     for sel in selections:
-        try:
-            factor, positions = sel.factor, sel.positions
-        except AttributeError:  # a plain tuple, say
-            raise MalformedCertificate(
-                "selections must be Selection records") from None
-        if type(factor) is not int and not is_plain_int(factor):
+        if type(sel) is not Selection:
+            raise MalformedCertificate("selections must be Selection records")
+        factor, positions = sel
+        if type(factor) is not int:
             raise MalformedCertificate("selection factor must be an integer")
         if not 0 <= factor < m:
             raise MalformedCertificate(
@@ -211,19 +214,16 @@ def _structural_check(cert: WitnessCertificate) -> tuple:
         # (1.0, 3.0) and (True, 3) are found in _SHAPES too, so each
         # position's type is tested before it indexes the exponents
         try:
-            known = positions in _SHAPES
-        except TypeError:  # unhashable positions, a list say
+            known = type(positions) is tuple and positions in _SHAPES
+        except TypeError:  # an unhashable position, a list say
             known = False
-        part = 0
-        if known:
-            for j in positions:
-                if type(j) is not int:
-                    known = False
-                    break
-                part += exps[j - 1]
         if not known:
-            _check_positions(positions)  # returns for int subclasses only
-            part = sum(exps[j - 1] for j in positions)
+            _refuse_positions(positions)
+        part = 0
+        for j in positions:
+            if type(j) is not int:
+                _refuse_positions(positions)
+            part += exps[j - 1]
         weight = p**factor
         fixed += weight * part
         if shaped:
@@ -243,17 +243,15 @@ def _structural_check(cert: WitnessCertificate) -> tuple:
                      and len({exps[j - 1] for j in positions}) != size)
             if clash or size != want:
                 slots.append((factor, size, want, clash))
-    if (cert.case == CASE_D) != (cd is not None):
+    if (case == CASE_D) != (cd is not None):
         raise MalformedCertificate(
             "case_d data must be present exactly for case D_QcongEps")
     if cd is not None:
-        try:
-            values = (cd.r, cd.t, cd.a, cd.b, cd.coeff_a, cd.coeff_rb)
-        except AttributeError:
+        if type(cd) is not CaseDInternals:
             raise MalformedCertificate(
-                "case_d must be a CaseDInternals record") from None
-        for x in values:
-            if type(x) is not int and not is_plain_int(x):
+                "case_d must be a CaseDInternals record")
+        for x in (cd.r, cd.t, cd.a, cd.b, cd.coeff_a, cd.coeff_rb):
+            if type(x) is not int:
                 raise MalformedCertificate("case_d values must be integers")
     return (expected_case, fixed, (sigma, tau) if shaped else None,
             slots if covered else None)
@@ -292,7 +290,7 @@ def _check_case_d(cert: WitnessCertificate, n_ord: int | None, coeffs,
         fail(("V8", "case-D: a must be coprime to r"))
 
 
-@lru_cache(maxsize=64, typed=True)
+@lru_cache(maxsize=64)
 def _order_checks(N: int, e1: int, e2: int, e3: int, e4: int, twist: int,
                   p: int, claimed: int) -> tuple[tuple[str, str], ...]:
     """The failures of V1-V5, in that order, for theta order N, exponents

@@ -5,9 +5,10 @@ module-level key sets and its decimal strings with str.isascii and
 str.isdigit, and cli.canonical_json writes the str and int leaves of a
 dict or list in place.  This module keeps the earlier reader (a regex for
 decimal strings, key tuples diffed on every record) and writer (one _dump
-call per value) verbatim.  The live versions must return the same
-certificate or text, or raise the same exception with the same message,
-on every input the equivalence tests give them.
+call per value) verbatim, but for the library's one type rule: an
+integer is exactly an int and a list exactly a list.  The live versions
+must return the same certificate or text, or raise the same exception
+with the same message, on every input the equivalence tests give them.
 """
 
 import json
@@ -15,7 +16,7 @@ import re
 
 from sl4witness import arith
 from sl4witness.cli import SCHEMA_VERSION, DocumentError
-from sl4witness.params import derive, is_plain_int, sign_from_str
+from sl4witness.params import derive, sign_from_str
 from sl4witness.witness import (Adjustment, CaseDInternals, Selection,
                                 WitnessCertificate)
 
@@ -80,13 +81,13 @@ def _int_from_string(value, where):
 
 
 def _plain_int(value, where):
-    if not is_plain_int(value):
+    if type(value) is not int:
         raise DocumentError(f"{where} must be an integer")
     return value
 
 
 def _list(value, where):
-    if not isinstance(value, list):
+    if type(value) is not list:
         raise DocumentError(f"{where} must be a list")
     return value
 
@@ -119,7 +120,7 @@ def certificate_from_document(doc) -> WitnessCertificate:
         raise DocumentError("case must be a string")
 
     exponents = doc["exponents"]
-    if not isinstance(exponents, list) or len(exponents) != 4:
+    if type(exponents) is not list or len(exponents) != 4:
         raise DocumentError("exponents must be a list of four strings")
     exponents = tuple(_int_from_string(e, "exponent") for e in exponents)
 

@@ -1,5 +1,7 @@
+import ast
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -131,15 +133,44 @@ def test_check_profile_refuses_entries_that_are_not_plain_ints(entry):
         params.classify_profile((2, entry), params.derive(1, 3, 2))
 
 
-def test_check_profile_accepts_int_subclasses():
-    # as the document format's plain-int test does: bool is the one
-    # subclass of int it refuses
+def _isinstance_int_lines(tree):
+    """Line numbers of each isinstance(x, int), int alone or in a tuple."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(isinstance(k, ast.Name) and k.id == "int" for k in kinds):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_one_integer_rule_in_the_library():
+    # an integer is type(x) is int everywhere: isinstance also admits bool
+    # and any subclass, which may redefine the comparisons a check makes
+    sources = sorted(Path(params.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        assert "is_plain_int" not in text, path.name
+        assert _isinstance_int_lines(ast.parse(text)) == [], path.name
+    for snippet in ("isinstance(x, int)", "isinstance(x, (str, int))"):
+        assert _isinstance_int_lines(ast.parse(snippet)) == [1], snippet
+
+
+def test_check_profile_refuses_int_subclasses():
+    # an int subclass may redefine the comparisons the range test makes,
+    # so it is refused as a bool is, with the same message
     class Entry(int):
         pass
 
-    params.check_profile((Entry(2), Entry(0)), 2)
-    assert (params.classify_profile((Entry(2), 1), params.derive(1, 3, 2))
-            == params.CASE_D)
+    for profile in ((Entry(2), 0), (2, Entry(0))):
+        with pytest.raises(ValueError) as info:
+            params.check_profile(profile, 2)
+        assert str(info.value) == "profile entries must lie in {0, 1, 2, 3}"
+    with pytest.raises(ValueError):
+        params.classify_profile((Entry(2), 1), params.derive(1, 3, 2))
 
 
 @pytest.mark.parametrize("args, message", [
@@ -168,13 +199,24 @@ def test_derive_from_q_refuses_q_that_is_not_a_plain_int(q):
     assert str(info.value) == f"q must be an odd prime power, got {q!r}"
 
 
-def test_derive_accepts_int_subclasses():
-    # as check_profile does: bool is the one subclass of int it refuses
+def test_derive_refuses_int_subclasses():
+    # each argument earns the message a bool earns in its place
     class Arg(int):
         pass
 
-    assert params.derive(Arg(-1), Arg(7), Arg(2)) == params.derive(-1, 7, 2)
-    assert params.derive_from_q(Arg(1), Arg(49)) == params.derive(1, 7, 2)
+    for call, message in (
+            (lambda: params.derive(Arg(-1), 7, 2), "epsilon must be +1 or -1"),
+            (lambda: params.derive(-1, Arg(7), 2),
+             "p must be an odd prime, got 7"),
+            (lambda: params.derive(-1, 7, Arg(2)),
+             "m must be an integer, got 2"),
+            (lambda: params.derive_from_q(1, Arg(49)),
+             "q must be an odd prime power, got 49"),
+            (lambda: params.derive_from_q(Arg(1), 49),
+             "epsilon must be +1 or -1")):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 @pytest.fixture
@@ -204,14 +246,17 @@ def test_derive_memo_never_keeps_a_refused_input(cold_derive, args):
     assert cold_derive.cache_info().currsize == 1
 
 
-def test_derive_memo_keys_int_subclasses_apart(cold_derive):
+def test_derive_memo_never_keeps_an_int_subclass(cold_derive):
+    # Arg(7) hashes and compares like 7, and the warm entry for the plain
+    # call does not let it through
     class Arg(int):
         pass
 
-    plain = cold_derive(-1, 7, 2)
-    sub = cold_derive(Arg(-1), Arg(7), Arg(2))
-    assert sub == plain and type(sub.p) is Arg
-    assert cold_derive.cache_info().currsize == 2
+    cold_derive(-1, 7, 2)
+    for args in ((Arg(-1), 7, 2), (-1, Arg(7), 2), (-1, 7, Arg(2))):
+        with pytest.raises(ValueError):
+            cold_derive(*args)
+    assert cold_derive.cache_info().currsize == 1
 
 
 def test_derive_memo_stays_bounded(cold_derive):

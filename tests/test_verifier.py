@@ -246,6 +246,88 @@ def test_params_that_name_no_group_refused(cert_a, eps, p, m, q, message):
     assert str(realized.value) == message
 
 
+def test_q_above_the_cap_refused(cert_a):
+    # derive refuses both fields; the case-A certificate that construct
+    # builds at q = 65537 verified ok, and at q = 2^61 - 1 target_orders
+    # raised a bare ValueError; realize names the field first
+    big = params.GroupParams(1, 65537, 1, 65537)
+    huge = params.GroupParams(1, 2**61 - 1, 1, 2**61 - 1)
+    for bad in (witness.construct(big, (2,)),
+                cert_a._replace(params=huge, profile=(2,),
+                                selections=cert_a.selections[:1],
+                                target_order=huge.p * cert_a.claimed_order)):
+        q = bad.params.q
+        for verify in (verifier.verify, verifier_reference.verify):
+            with pytest.raises(MalformedCertificate) as info:
+                verify(bad)
+            assert (str(info.value)
+                    == f"params: q = {q} exceeds supported bound 65536")
+        with pytest.raises(RealizationError) as realized:
+            ffield.realize(bad)
+        assert str(realized.value) == f"field F_{q}^12 exceeds the size limit"
+
+
+class _Liar(int):
+    """Equal to everything, and 0 modulo anything."""
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+    def __mod__(self, other):
+        return 0
+
+    __hash__ = int.__hash__
+
+
+class _MinusParams(params.GroupParams):
+    """Reads epsilon = -1 over a tuple that says +1."""
+
+    @property
+    def epsilon(self):
+        return -1
+
+
+class _TagLikeA(str):
+    """Reads as some other tag, compares and hashes like A_R4."""
+
+    def __eq__(self, other):
+        return other == params.CASE_A
+
+    def __ne__(self, other):
+        return other != params.CASE_A
+
+    def __hash__(self):
+        return hash(params.CASE_A)
+
+
+def test_subclasses_cannot_pass_a_false_certificate(cert_a):
+    # each of these verified ok; the same claim in the plain type fails
+    cert_b5 = witness.construct(params.derive(-1, 5, 1), (1,))
+    assert cert_a.claimed_order == 41 and cert_b5.case == witness.CASE_B
+    for bad, plain, failed_labels, message in (
+            (cert_a._replace(claimed_order=_Liar(5), target_order=15),
+             cert_a._replace(claimed_order=5, target_order=15),
+             ("V4", "V8"), "orders must be integers"),
+            # the document written from it says "epsilon": "+"
+            (cert_b5._replace(params=_MinusParams(1, 5, 1, 5)),
+             cert_b5._replace(params=params.GroupParams(1, 5, 1, 5)),
+             ("V2", "V8"), "params must be a GroupParams record"),
+            (cert_a._replace(case=_TagLikeA(witness.CASE_C)),
+             cert_a._replace(case=witness.CASE_C),
+             ("V8",), "unknown case tag 'C_QcongMinusEps'")):
+        assert failed(plain) == failed_labels
+        for verify in (verifier.verify, verifier_reference.verify):
+            with pytest.raises(MalformedCertificate) as info:
+                verify(bad)
+            assert str(info.value) == message
+        with pytest.raises(RealizationError) as realized:
+            ffield.realize(bad)
+        assert str(realized.value) == message
+
+
 def test_spectrum_cross_check(cert_a):
     psl = spectrum.omega(cert_a.params, group="PSL")
     assert verifier.verify(cert_a, psl_orders=psl).ok
@@ -296,9 +378,51 @@ def cert_d125():
     return cert
 
 
+class _Tuple(tuple):
+    pass
+
+
+class _Certificate(witness.WitnessCertificate):
+    pass
+
+
+class _Selection(Selection):
+    pass
+
+
+class _CaseD(witness.CaseDInternals):
+    pass
+
+
 # Hand-built records with a wrong-typed field, and the message each earns;
-# each once raised TypeError or AttributeError, or verified ok.
+# each once raised TypeError or AttributeError, or verified ok.  A subclass
+# of a record, a tuple or an int is refused as a wrong type is: it may
+# redefine the reads and comparisons the checks make.
 _WRONG_TYPES = {
+    "certificate_tuple": (lambda c: tuple(c),
+                          "certificate must be a WitnessCertificate record"),
+    "certificate_subclass": (lambda c: _Certificate(*c),
+                             "certificate must be a WitnessCertificate "
+                             "record"),
+    "selection_subclass": (lambda c: c._replace(selections=tuple(
+        _Selection(*sel) for sel in c.selections)),
+        "selections must be Selection records"),
+    "positions_tuple_subclass": (lambda c: c._replace(selections=tuple(
+        sel._replace(positions=_Tuple(sel.positions))
+        for sel in c.selections)),
+        "selection positions must be integers in 1..4"),
+    "positions_int": (lambda c: c._replace(selections=(
+        c.selections[0]._replace(positions=3),) + c.selections[1:]),
+        "selection positions must be integers in 1..4"),
+    "case_d_subclass": (lambda c: c._replace(case_d=_CaseD(*c.case_d)),
+                        "case_d must be a CaseDInternals record"),
+    "profile_tuple_subclass": (lambda c: c._replace(
+        profile=_Tuple(c.profile)), "profile must be a list or tuple"),
+    "exponents_tuple_subclass": (lambda c: c._replace(
+        exponents=_Tuple(c.exponents)), "exponents must be a list or tuple"),
+    "selections_tuple_subclass": (lambda c: c._replace(
+        selections=_Tuple(c.selections)),
+        "selections must be a list or tuple"),
     "claimed_str": (lambda c: c._replace(claimed_order="41"),
                     "orders must be integers"),
     "orders_float": (lambda c: c._replace(claimed_order=41.0,
@@ -581,23 +705,27 @@ def test_warm_order_checks_still_refuse_wrong_types(cert_a):
             assert str(info.value) == message
 
 
-def test_int_subclass_twins_miss_the_order_cache(cert_a):
+def test_int_subclass_twins_are_refused_before_the_order_cache(cert_a):
+    # each earns the message a bool earns in its place, and no key of the
+    # untyped cache is built from it
     class Int(int):
         pass
 
-    twins = (cert_a._replace(exponents=tuple(map(Int, cert_a.exponents))),
-             cert_a._replace(theta_order=Int(cert_a.theta_order)),
-             cert_a._replace(claimed_order=Int(cert_a.claimed_order)))
+    twins = ((cert_a._replace(exponents=tuple(map(Int, cert_a.exponents))),
+              "exponents must be integers reduced mod theta_order"),
+             (cert_a._replace(theta_order=Int(cert_a.theta_order)),
+              "theta_order must be an integer >= 2"),
+             (cert_a._replace(claimed_order=Int(cert_a.claimed_order)),
+              "orders must be integers"))
     verifier._order_checks.cache_clear()
     assert verifier.verify(cert_a).ok
-    for twin in twins:
-        before = verifier._order_checks.cache_info()
-        assert verifier.verify(twin) == verifier_reference.verify(twin)
-        assert verifier.verify(twin).ok
-        after = verifier._order_checks.cache_info()
-        # typed: the first verify misses, the second hits its own entry
-        assert (after.misses, after.hits) == (before.misses + 1,
-                                              before.hits + 1)
+    before = verifier._order_checks.cache_info()
+    for twin, message in twins:
+        for verify in (verifier.verify, verifier_reference.verify):
+            with pytest.raises(MalformedCertificate) as info:
+                verify(twin)
+            assert str(info.value) == message
+    assert verifier._order_checks.cache_info() == before
 
 
 def test_order_checks_cache_stays_bounded():
@@ -620,13 +748,23 @@ def test_order_checks_cache_stays_bounded():
     assert verifier._order_checks.cache_info().misses > 2 * maxsize
 
 
-def test_int_subclass_epsilon_and_q_verify(cert_d):
-    # bool is the one subclass of int the structural check refuses
+def test_int_subclass_epsilon_and_q_are_refused(cert_d):
+    # as a bool is; q is tested before epsilon
     class Int(int):
         pass
 
     pr = cert_d.params
-    twin = cert_d._replace(params=pr._replace(epsilon=Int(pr.epsilon),
-                                              q=Int(pr.q)))
-    assert verifier.verify(twin) == verifier_reference.verify(twin)
-    assert verifier.verify(twin).ok
+    for twin_params, message in (
+            (pr._replace(epsilon=Int(pr.epsilon)),
+             "params: epsilon must be +1 or -1"),
+            (pr._replace(q=Int(pr.q)), "params: q != p^m"),
+            (pr._replace(epsilon=Int(pr.epsilon), q=Int(pr.q)),
+             "params: q != p^m")):
+        twin = cert_d._replace(params=twin_params)
+        for verify in (verifier.verify, verifier_reference.verify):
+            with pytest.raises(MalformedCertificate) as info:
+                verify(twin)
+            assert str(info.value) == message
+        with pytest.raises(RealizationError) as realized:
+            ffield.realize(twin)
+        assert str(realized.value) == message

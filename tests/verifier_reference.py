@@ -7,7 +7,9 @@ forms are tested against: V4 as the lcm of the four exponents' orders, V5
 as the lcm over all six pairwise differences, the profile and selection
 shapes element by element, and V7 and case D through the earlier
 constructor's helpers in witness_reference.  Reports and
-MalformedCertificate messages must agree.
+MalformedCertificate messages must agree.  The type rule is the
+library's: an int is type(x) is int, a record exactly its record type, a
+sequence exactly a tuple or a list.
 
 It also holds two helpers only tests use: failed_checks() lists a report's
 failed check labels, and brute_force_selections() is the exhaustive search
@@ -20,17 +22,24 @@ from itertools import combinations, product
 import witness_reference
 from sl4witness import arith, params as params_mod
 from sl4witness.params import (ALL_CASES, CASE_A, CASE_B, CASE_C, CASE_D,
-                               GroupParams)
+                               Q_CAP, GroupParams)
 from sl4witness.verifier import (CHECK_LABELS, MalformedCertificate,
                                  VerificationReport)
-from sl4witness.witness import Selection
+from sl4witness.witness import CaseDInternals, Selection, WitnessCertificate
+
+
+def _is_int(x):
+    return type(x) is int
+
+
+def _is_sequence(x):
+    return type(x) is tuple or type(x) is list
 
 
 def check_profile(profile, m):
     if len(profile) != m:
         raise ValueError(f"profile length {len(profile)} != m = {m}")
-    if any(not isinstance(k, int) or isinstance(k, bool)
-           or k not in (0, 1, 2, 3) for k in profile):
+    if any(not _is_int(k) or k not in (0, 1, 2, 3) for k in profile):
         raise ValueError("profile entries must lie in {0, 1, 2, 3}")
 
 
@@ -69,60 +78,63 @@ def in_spectrum(orders, x):
 
 
 def _structural_check(cert):
+    if type(cert) is not WitnessCertificate:
+        raise MalformedCertificate(
+            "certificate must be a WitnessCertificate record")
     pr = cert.params
-    if not isinstance(pr, GroupParams):
+    if type(pr) is not GroupParams:
         raise MalformedCertificate("params must be a GroupParams record")
-    if (any(not isinstance(x, int) or isinstance(x, bool)
-            for x in (pr.p, pr.m, pr.q))
+    if (not all(map(_is_int, (pr.p, pr.m, pr.q)))
             or arith.power_at_most(pr.p, pr.m, arith.SIZE_LIMIT) != pr.q):
         raise MalformedCertificate("params: q != p^m")
-    if (not isinstance(pr.epsilon, int) or isinstance(pr.epsilon, bool)
-            or pr.epsilon not in (1, -1)):
+    if not _is_int(pr.epsilon) or pr.epsilon not in (1, -1):
         raise MalformedCertificate("params: epsilon must be +1 or -1")
+    if pr.q > Q_CAP:
+        raise MalformedCertificate(
+            f"params: q = {pr.q} exceeds supported bound {Q_CAP}")
     if pr.m < 1:
         raise MalformedCertificate("params: m must be >= 1")
     if pr.p % 2 == 0:
         raise MalformedCertificate("params: p must be odd")
     if not arith.is_prime(pr.p):
         raise MalformedCertificate(f"{pr.p} is not prime")
-    if not isinstance(cert.profile, (tuple, list)):
+    if not _is_sequence(cert.profile):
         raise MalformedCertificate("profile must be a list or tuple")
     try:
         check_profile(cert.profile, pr.m)
     except ValueError as exc:
         raise MalformedCertificate(str(exc)) from None
-    if cert.case not in ALL_CASES:
+    if type(cert.case) is not str or cert.case not in ALL_CASES:
         raise MalformedCertificate(f"unknown case tag {cert.case!r}")
     N = cert.theta_order
-    if not isinstance(N, int) or N < 2:
+    if not _is_int(N) or N < 2:
         raise MalformedCertificate("theta_order must be an integer >= 2")
-    if not isinstance(cert.exponents, (tuple, list)):
+    if not _is_sequence(cert.exponents):
         raise MalformedCertificate("exponents must be a list or tuple")
     if len(cert.exponents) != 4:
         raise MalformedCertificate("exactly four exponents are required")
     for e in cert.exponents:
-        if (not isinstance(e, int) or isinstance(e, bool)
-                or not 0 <= e < N):
+        if not _is_int(e) or not 0 <= e < N:
             raise MalformedCertificate(
                 "exponents must be integers reduced mod theta_order")
     for order in (cert.claimed_order, cert.target_order):
-        if not isinstance(order, int) or isinstance(order, bool):
+        if not _is_int(order):
             raise MalformedCertificate("orders must be integers")
     if cert.claimed_order < 1 or cert.target_order < 1:
         raise MalformedCertificate("orders must be positive")
-    if not isinstance(cert.selections, (tuple, list)):
+    if not _is_sequence(cert.selections):
         raise MalformedCertificate("selections must be a list or tuple")
     for sel in cert.selections:
-        if not (hasattr(sel, "factor") and hasattr(sel, "positions")):
+        if type(sel) is not Selection:
             raise MalformedCertificate("selections must be Selection records")
-        if not isinstance(sel.factor, int) or isinstance(sel.factor, bool):
+        if not _is_int(sel.factor):
             raise MalformedCertificate("selection factor must be an integer")
         if not 0 <= sel.factor < pr.m:
             raise MalformedCertificate(
                 f"selection factor {sel.factor} out of range")
-        if not sel.positions or any(
-                not isinstance(j, int) or isinstance(j, bool)
-                or j not in (1, 2, 3, 4) for j in sel.positions):
+        if not _is_sequence(sel.positions) or not sel.positions or any(
+                not _is_int(j) or j not in (1, 2, 3, 4)
+                for j in sel.positions):
             raise MalformedCertificate(
                 "selection positions must be integers in 1..4")
         if tuple(sorted(set(sel.positions))) != sel.positions:
@@ -132,13 +144,11 @@ def _structural_check(cert):
         raise MalformedCertificate(
             "case_d data must be present exactly for case D_QcongEps")
     if cert.case_d is not None:
-        fields = ("r", "t", "a", "b", "coeff_a", "coeff_rb")
-        if not all(hasattr(cert.case_d, f) for f in fields):
+        if type(cert.case_d) is not CaseDInternals:
             raise MalformedCertificate(
                 "case_d must be a CaseDInternals record")
-        for f in fields:
-            value = getattr(cert.case_d, f)
-            if not isinstance(value, int) or isinstance(value, bool):
+        for f in ("r", "t", "a", "b", "coeff_a", "coeff_rb"):
+            if not _is_int(getattr(cert.case_d, f)):
                 raise MalformedCertificate("case_d values must be integers")
 
 
