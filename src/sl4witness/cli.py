@@ -172,7 +172,7 @@ def _dump(value, depth: int, parts: list) -> None:
 
 
 def _expect_keys(obj, required, optional=(), where="document"):
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise DocumentError(f"{where} must be a JSON object")
     diff = obj.keys() ^ required
     unknown = sorted(k for k in diff if k in obj and k not in optional)
@@ -187,7 +187,7 @@ def _int_from_string(value, where):
     # ASCII digits after an optional "-": str.isdigit alone also takes
     # other scripts' digits and superscripts.  No integer in a valid
     # document comes near SIZE_LIMIT.
-    if not isinstance(value, str):
+    if type(value) is not str:
         raise DocumentError(f"{where} must be a decimal string")
     digits = value[1:] if value[:1] == "-" else value
     if not (digits.isascii() and digits.isdigit()):
@@ -237,10 +237,9 @@ def certificate_from_document(doc) -> WitnessCertificate:
     Each value is first tested for the form the writer gives it: a dict
     with exactly its record's keys, an exact int, a decimal string of at
     most MAX_DIGITS ASCII digits after an optional "-".  Anything else
-    goes to the helper that refuses it or, for a dict or str subclass,
-    accepts it, so every message, and the order of the tests, is the
-    helpers' own.  An integer is exactly an int and a list exactly a
-    list, as the verifier requires; json.loads makes no other kind.
+    goes to the helper that refuses it, so every message and the order of
+    the tests are the helpers' own.  A value must be exactly the int,
+    list, dict or str the writer writes; json.loads makes no other kind.
     """
     if not (type(doc) is dict and (doc.keys() == _DOCUMENT_KEYS
                                    or doc.keys() == _CASE_D_DOCUMENT_KEYS)):
@@ -278,7 +277,7 @@ def certificate_from_document(doc) -> WitnessCertificate:
     profile = tuple(profile)
 
     case = doc["case"]
-    if not isinstance(case, str):
+    if type(case) is not str:
         raise DocumentError("case must be a string")
 
     exponents = doc["exponents"]
@@ -318,7 +317,7 @@ def certificate_from_document(doc) -> WitnessCertificate:
                     and entry.keys() == _ADJUSTMENT_KEYS):
                 _expect_keys(entry, _ADJUSTMENT_KEYS, where="adjustment")
             kind, factor = entry["kind"], entry["factor"]
-            if kind not in ("flip", "swap"):
+            if type(kind) is not str or kind not in ("flip", "swap"):
                 raise DocumentError(f"unknown adjustment kind {kind!r}")
             if type(factor) is not int:
                 _plain_int(factor, "adjustment factor")

@@ -45,8 +45,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import arith, verifier
-from .params import GroupParams
-from .witness import WitnessCertificate
 
 
 class RealizationError(RuntimeError):
@@ -316,7 +314,7 @@ def build_field(p: int, k: int) -> Field:
     if k < 1:
         raise ValueError("extension degree must be positive")
     if arith.power_at_most(p, k, arith.SIZE_LIMIT) is None:
-        raise ValueError(f"F_{p}^{k} exceeds the size limit")
+        raise ValueError(f"field F_{p}^{k} exceeds the size limit")
     if k == 1:
         return Field(p, 1, (0, 1))  # x, the first candidate
     start = 0
@@ -422,22 +420,16 @@ def realize(cert) -> Matrix4:
     That one field contains every characteristic value the four cases can
     ask for, since each case modulus divides q^12 - 1.  The element order
     is recomputed from the diagonal entries by the prime-divisor test,
-    starting from the theta order, and compared with the claim.  Fields
-    past SIZE_LIMIT, which build_field refuses, are not realized, and a
-    certificate that the verifier's structural check refuses (a p that is
-    not an odd prime among them) raises RealizationError before any field
-    arithmetic; so does a theta order that does not divide the field's
+    starting from the theta order, and compared with the claim.  A
+    certificate that the verifier's structural check refuses (parameters
+    that derive refuses among them) raises RealizationError in verify's
+    words before any field arithmetic; so does a field past SIZE_LIMIT,
+    in build_field's, and a theta order that does not divide the field's
     order minus one.
     """
-    pr = cert.params if type(cert) is WitnessCertificate else None
-    # an oversized field with int parameters is named as such first
-    if (type(pr) is GroupParams and type(pr.p) is int
-            and type(pr.m) is int and arith.power_at_most(
-                pr.p, 12 * pr.m, arith.SIZE_LIMIT) is None):
-        raise RealizationError(
-            f"field F_{pr.p}^{12 * pr.m} exceeds the size limit")
     try:
         verifier._structural_check(cert)
+        pr = cert.params
         field = build_field(pr.p, 12 * pr.m)
     except ValueError as exc:  # MalformedCertificate, or a field too large
         raise RealizationError(str(exc)) from None

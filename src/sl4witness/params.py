@@ -5,9 +5,10 @@ odd prime power.  A GroupParams value is the four integers that name the
 group, as a document's params block carries them; every other constant is
 computed where it is read, so none can disagree with the record.
 
-The case table is the one specification that the constructor and the
-verifier share: the four case tags, which case a profile falls in, and each
-case's witness order N (target_orders).
+derive is the one definition of a group, which every caller uses.  The
+case table is the one specification that the constructor and the
+verifier share: the four case tags, which case a profile falls in, and
+each case's witness order N (target_orders).
 """
 
 from functools import lru_cache
@@ -69,8 +70,8 @@ def derive(epsilon: int, p: int, m: int) -> GroupParams:
     int subclass may redefine the comparisons the range tests make.
 
     Memoized by (epsilon, p, m) in an LRU cache of 8 entries, so that a
-    process which derives one field twice (a CLI round trip: construct,
-    then the document reader) pays for it once.  typed=True keys each
+    process which derives one field again (construct, the document
+    reader, then verify) pays for it once.  typed=True keys each
     argument by its type as well as its value: True, 1.0 and 3.0 hash
     like 1 and 3, so an untyped key would let them hit a valid call's
     entry and skip the checks.  A refused input raises, and lru_cache

@@ -1,7 +1,7 @@
 """Independent re-checking of witness certificates.
 
-verify() trusts nothing: it checks all four group parameters (q = p^m,
-eps = +-1, q <= Q_CAP, m >= 1, p an odd prime) and re-derives every other
+verify() trusts nothing: it takes (eps, p, m) through params.derive and
+requires q to be exactly the int p^m, then re-derives every other
 property with integer arithmetic by this module's own helpers, which take
 only the record types from the constructor.  Each value must be exactly
 the type its record declares, an int, a str, a tuple or list, or the
@@ -58,11 +58,10 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple, NoReturn
 
-from .arith import (SIZE_LIMIT, is_prime, member as in_spectrum,
-                    power_at_most, two_part)
-from .params import (ALL_CASES, CASE_D, Q_CAP, GroupParams,
-                     classify_profile, target_orders)
-from .witness import CaseDInternals, Selection, WitnessCertificate
+from .arith import member as in_spectrum, two_part
+from .params import (ALL_CASES, CASE_D, GroupParams, classify_profile,
+                     derive, target_orders)
+from .witness import Adjustment, CaseDInternals, Selection, WitnessCertificate
 
 CHECK_LABELS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8")
 
@@ -113,9 +112,8 @@ def _case_d_exponents(a: int, b: int, r: int, t: int, eps: int,
 def _refuse_positions(positions) -> NoReturn:
     """Raise the shape rule that positions not found in _SHAPES as a tuple
     of ints break: every strictly increasing nonempty tuple of ints in
-    1..4 is a shape, so the rest are lists or out of order."""
-    if (type(positions) is not tuple and type(positions) is not list
-            or not positions
+    1..4 is a shape, so the rest are out of order."""
+    if (type(positions) is not tuple or not positions
             or any(type(j) is not int or j not in (1, 2, 3, 4)
                    for j in positions)):
         raise MalformedCertificate(
@@ -145,23 +143,14 @@ def _structural_check(cert: WitnessCertificate) -> tuple:
     if type(pr) is not GroupParams:
         raise MalformedCertificate("params must be a GroupParams record")
     eps, p, m, q = pr  # faster than four attribute loads
-    if (type(p) is not int or type(m) is not int or type(q) is not int
-            or power_at_most(p, m, SIZE_LIMIT) != q):
+    # derive's refusal in derive's words; a TypeError is an unhashable
+    # field failing its cache lookup
+    try:
+        derived_q = derive(eps, p, m).q
+    except (ValueError, TypeError) as exc:
+        raise MalformedCertificate(f"params: {exc}") from None
+    if type(q) is not int or q != derived_q:
         raise MalformedCertificate("params: q != p^m")
-    # True and 1.0 compare like 1; a str would reach V2's eps*q*e
-    if type(eps) is not int or eps != 1 and eps != -1:
-        raise MalformedCertificate("params: epsilon must be +1 or -1")
-    # derive's bound: target_orders cannot search q^4 - 1 past it
-    if q > Q_CAP:
-        raise MalformedCertificate(
-            f"params: q = {q} exceeds supported bound {Q_CAP}")
-    # m first, as q = p^0 bounds no p; a non-prime p in build_field's words
-    if m < 1:
-        raise MalformedCertificate("params: m must be >= 1")
-    if p % 2 == 0:
-        raise MalformedCertificate("params: p must be odd")
-    if not is_prime(p):
-        raise MalformedCertificate(f"{p} is not prime")
     profile = cert.profile
     if type(profile) is not tuple and type(profile) is not list:
         raise MalformedCertificate("profile must be a list or tuple")
@@ -211,6 +200,8 @@ def _structural_check(cert: WitnessCertificate) -> tuple:
         if not 0 <= factor < m:
             raise MalformedCertificate(
                 f"selection factor {factor} out of range")
+        if type(positions) is list:  # judged as the tuple it lists
+            positions = tuple(positions)
         # (1.0, 3.0) and (True, 3) are found in _SHAPES too, so each
         # position's type is tested before it indexes the exponents
         try:
@@ -253,6 +244,21 @@ def _structural_check(cert: WitnessCertificate) -> tuple:
         for x in (cd.r, cd.t, cd.a, cd.b, cd.coeff_a, cd.coeff_rb):
             if type(x) is not int:
                 raise MalformedCertificate("case_d values must be integers")
+        # the document reader's rule, in its words
+        adjustments = cd.adjustments
+        if type(adjustments) is not tuple and type(adjustments) is not list:
+            raise MalformedCertificate(
+                "case_d adjustments must be a list or tuple")
+        for adj in adjustments:
+            if type(adj) is not Adjustment:
+                raise MalformedCertificate(
+                    "case_d adjustments must be Adjustment records")
+            kind, factor = adj
+            if type(kind) is not str or kind != "flip" and kind != "swap":
+                raise MalformedCertificate(f"unknown adjustment kind {kind!r}")
+            if type(factor) is not int:
+                raise MalformedCertificate(
+                    "adjustment factor must be an integer")
     return (expected_case, fixed, (sigma, tau) if shaped else None,
             slots if covered else None)
 

@@ -6,9 +6,10 @@ str.isdigit, and cli.canonical_json writes the str and int leaves of a
 dict or list in place.  This module keeps the earlier reader (a regex for
 decimal strings, key tuples diffed on every record) and writer (one _dump
 call per value) verbatim, but for the library's one type rule: an
-integer is exactly an int and a list exactly a list.  The live versions
-must return the same certificate or text, or raise the same exception
-with the same message, on every input the equivalence tests give them.
+integer is exactly an int, a list exactly a list, an object exactly a
+dict and a string exactly a str.  The live versions must return the
+same certificate or text, or raise the same exception with the same
+message, on every input the equivalence tests give them.
 """
 
 import json
@@ -57,7 +58,7 @@ def _dump(value, newline: str) -> str:
 
 
 def _expect_keys(obj, required, optional=(), where="document"):
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise DocumentError(f"{where} must be a JSON object")
     diff = obj.keys() ^ required
     if not diff:
@@ -72,7 +73,7 @@ def _expect_keys(obj, required, optional=(), where="document"):
 
 def _int_from_string(value, where):
     # no integer in a valid document comes near SIZE_LIMIT
-    if not isinstance(value, str) or not _INT_STRING.fullmatch(value):
+    if type(value) is not str or not _INT_STRING.fullmatch(value):
         raise DocumentError(f"{where} must be a decimal string")
     digits = arith.MAX_DIGITS
     if len(value) > digits and len(value.lstrip("-")) > digits:
@@ -116,7 +117,7 @@ def certificate_from_document(doc) -> WitnessCertificate:
                     for k in _list(doc["profile"], "profile"))
 
     case = doc["case"]
-    if not isinstance(case, str):
+    if type(case) is not str:
         raise DocumentError("case must be a string")
 
     exponents = doc["exponents"]
@@ -142,8 +143,9 @@ def certificate_from_document(doc) -> WitnessCertificate:
         adjustments = []
         for entry in _list(block["adjustments"], "case_d adjustments"):
             _expect_keys(entry, ("kind", "factor"), where="adjustment")
-            if entry["kind"] not in ("flip", "swap"):
-                raise DocumentError(f"unknown adjustment kind {entry['kind']!r}")
+            kind = entry["kind"]
+            if type(kind) is not str or kind not in ("flip", "swap"):
+                raise DocumentError(f"unknown adjustment kind {kind!r}")
             adjustments.append(Adjustment(
                 kind=entry["kind"],
                 factor=_plain_int(entry["factor"], "adjustment factor"),

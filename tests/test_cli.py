@@ -14,6 +14,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cli_reference
 from sl4witness import arith, cli, params, spectrum, verifier, witness
 from sl4witness.cli import DocumentError
 
@@ -247,40 +248,78 @@ def test_parse_rejects_bad_adjustment_kind(cert_d_adjusted):
 
 
 def test_parse_decimal_string_edges(cert_a):
-    # a 39-digit string, a signed one and a str subclass parse;
-    # 40 digits, an int and a bool are refused
+    # a 39-digit string and a signed one parse; 40 digits, an int, a bool
+    # and a str subclass are refused
     class Text(str):
         pass
 
     for value, expected in (("9" * 39, 10**39 - 1),
-                            ("-" + "9" * 39, 1 - 10**39),
-                            (Text("41"), 41)):
+                            ("-" + "9" * 39, 1 - 10**39)):
         doc = doc_of(cert_a)
         doc["theta_order"] = value
         assert cli.certificate_from_document(doc).theta_order == expected
     for value, message in (("9" * 40, "more than 39 digits"),
                            ("-" + "9" * 40, "more than 39 digits"),
-                           (41, "decimal string"), (True, "decimal string")):
+                           (41, "decimal string"), (True, "decimal string"),
+                           (Text("41"), "decimal string")):
         doc = doc_of(cert_a)
         doc["theta_order"] = value
         with pytest.raises(DocumentError, match=message):
             cli.certificate_from_document(doc)
 
 
-def test_parse_accepts_dict_subclass(cert_d_adjusted):
-    class Obj(dict):
-        pass
+class _Obj(dict):
+    pass
 
-    def wrap(value):
-        if isinstance(value, dict):
-            return Obj({k: wrap(v) for k, v in value.items()})
-        if isinstance(value, list):
-            return [wrap(v) for v in value]
-        return value
 
-    doc = wrap(doc_of(cert_d_adjusted))
-    assert type(doc) is Obj and type(doc["case_d"]) is Obj
-    assert cli.certificate_from_document(doc) == cert_d_adjusted
+class _Text(str):
+    pass
+
+
+def _subclassed(doc, path):
+    """doc with the value at path (keys and indices) made a _Obj or a
+    _Text that equals it."""
+    *outer, last = path
+    node = doc
+    for key in outer:
+        node = node[key]
+    node[last] = (_Obj if type(node[last]) is dict else _Text)(node[last])
+    return doc
+
+
+# (path to the value made a subclass, the reader's message)
+_SUBCLASSED = [
+    ((), "document must be a JSON object"),
+    (("params",), "params must be a JSON object"),
+    (("selections", 0), "selection must be a JSON object"),
+    (("case_d",), "case_d must be a JSON object"),
+    (("case_d", "adjustments", 0), "adjustment must be a JSON object"),
+    (("theta_order",), "theta_order must be a decimal string"),
+    (("exponents", 2), "exponent must be a decimal string"),
+    (("case_d", "A"), "case_d.A must be a decimal string"),
+    (("case",), "case must be a string"),
+    (("case_d", "adjustments", 0, "kind"), "unknown adjustment kind 'flip'"),
+]
+
+
+@pytest.mark.parametrize("path, message", _SUBCLASSED, ids=[
+    ".".join(map(str, path)) or "document" for path, _ in _SUBCLASSED])
+def test_parse_refuses_dict_and_str_subclasses(cert_d_adjusted, path,
+                                               message):
+    # the reader takes each value only in exactly the type the writer
+    # writes, as verify does: a dict-subclass record and a str-subclass
+    # decimal once read fine, and a str-subclass case passed the reader
+    # to earn verify's "unknown case tag 'D_QcongEps'"
+    assert cert_d_adjusted.case_d.adjustments[0].kind == "flip"
+    if path:
+        doc = _subclassed(doc_of(cert_d_adjusted), path)
+    else:
+        doc = _Obj(doc_of(cert_d_adjusted))
+    for read in (cli.certificate_from_document,
+                 cli_reference.certificate_from_document):
+        with pytest.raises(DocumentError) as info:
+            read(doc)
+        assert str(info.value) == message
 
 
 def test_construct_then_verify_ok(tmp_path, capsys):

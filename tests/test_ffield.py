@@ -651,7 +651,8 @@ def test_realize_rejects_tampered_order():
 
 def test_realize_size_limit():
     cert = witness.construct(params.derive(1, 13, 3), (1, 1, 1))
-    with pytest.raises(RealizationError):
+    with pytest.raises(RealizationError,
+                       match=r"^field F_13\^36 exceeds the size limit$"):
         ffield.realize(cert)  # 13^36 overruns the default ceiling
     with pytest.raises(ValueError, match="exceeds the size limit"):
         ffield.build_field(13, 36)  # build_field refuses it too
@@ -662,7 +663,8 @@ def test_realize_refuses_huge_m_promptly():
     bad = cert._replace(params=cert.params._replace(m=3 * 10**6))
     start = time.perf_counter()
     with pytest.raises(RealizationError,
-                       match=r"^field F_3\^36000000 exceeds the size limit$"):
+                       match=r"^params: q = 3\^3000000 exceeds supported "
+                             r"bound 65536$"):
         ffield.realize(bad)
     assert time.perf_counter() - start < 0.1
 
@@ -688,10 +690,15 @@ def test_realize_rejects_determinant_not_one():
         ffield.realize(bad)
 
 
+# Each id names its case by the message it earned before verify took the
+# group through derive, so that the ids stay stable.
 @pytest.mark.parametrize("field, value, message", [
-    ("p", 3.0, "^params: q != p\\^m$"),
-    ("m", 2.0, "^params: q != p\\^m$"),
-    ("p", 9, "^params: q != p\\^m$"),
+    pytest.param("p", 3.0, r"^params: p must be an odd prime, got 3\.0$",
+                 id="p-3.0-^params: q != p\\^m$"),
+    pytest.param("m", 2.0, r"^params: m must be an integer, got 2\.0$",
+                 id="m-2.0-^params: q != p\\^m$"),
+    pytest.param("p", 9, "^params: p must be an odd prime, got 9$",
+                 id="p-9-^params: q != p\\^m$"),
 ])
 def test_realize_refuses_malformed_params(field, value, message):
     # the verifier's structural check runs before any field arithmetic
@@ -703,11 +710,12 @@ def test_realize_refuses_malformed_params(field, value, message):
 
 def test_realize_refuses_non_prime_p():
     # p = 9, m = 1 and q = 9: the structural check refuses 9 in
-    # build_field's words, which come back as RealizationError
+    # derive's words, which come back as RealizationError
     cert = witness.construct(params.derive(1, 3, 2), (2, 2))
     bad = cert._replace(params=cert.params._replace(p=9, m=1), profile=(2,),
                         selections=cert.selections[:1])
-    with pytest.raises(RealizationError, match="^9 is not prime$"):
+    with pytest.raises(RealizationError,
+                       match="^params: p must be an odd prime, got 9$"):
         ffield.realize(bad)
 
 

@@ -1,6 +1,7 @@
 """Verifier tests: each check must catch the tampering aimed at it."""
 
 import itertools
+import json
 import random
 import time
 
@@ -12,7 +13,7 @@ from sl4witness import (arith, cli, ffield, params, spectrum, verifier,
 from verifier_reference import brute_force_selections, failed_checks
 from sl4witness.ffield import RealizationError
 from sl4witness.verifier import MalformedCertificate
-from sl4witness.witness import Selection
+from sl4witness.witness import Adjustment, Selection
 
 
 @pytest.fixture(scope="module")
@@ -206,32 +207,46 @@ def test_case_that_does_not_apply(cert_d):
 @pytest.mark.parametrize("p, m", [(3, 3 * 10**7), (3, 10**18),
                                   (10**1000, 10**4), (3.0, 2), (0, -1)])
 def test_oversized_or_non_int_params_refused_promptly(cert_a, p, m):
-    # q = 9 stays; p**m is never computed for the huge ones, 3.0**2
-    # equals 9 but is not an integer power, and 0**-1 would divide by zero
+    # q = 9 stays; derive bounds p**m before it computes it, 3.0**2
+    # equals 9 but 3.0 is not an int, and 0**-1 would divide by zero
     bad = cert_a._replace(params=cert_a.params._replace(p=p, m=m))
+    with pytest.raises(ValueError) as derived:
+        params.derive(1, p, m)
     for verify in (verifier.verify, verifier_reference.verify):
         start = time.perf_counter()
         with pytest.raises(MalformedCertificate) as info:
             verify(bad)
         assert time.perf_counter() - start < 0.1
-        assert str(info.value) == "params: q != p^m"
+        assert str(info.value) == "params: " + str(derived.value)
 
 
+# Each id but the last names its case by the message it earned before
+# verify took the group through derive, so that the ids stay stable.
 @pytest.mark.parametrize("eps, p, m, q, message", [
-    (1, 9, 1, 9, "9 is not prime"),
-    (1, 1, 10**18, 1, "1 is not prime"),
-    (1, -3, 1, -3, "-3 is not prime"),
-    (1, 2, 1, 2, "params: p must be odd"),
-    (1, 3, 0, 1, "params: m must be >= 1"),
-    (1, 10**1000, 0, 1, "params: m must be >= 1"),
-    (0, 9, 1, 9, "params: epsilon must be +1 or -1"),
-    (1, 9, 2, 9, "params: q != p^m"),
+    pytest.param(1, 9, 1, 9, "params: p must be an odd prime, got 9",
+                 id="1-9-1-9-9 is not prime"),
+    pytest.param(1, 1, 10**18, 1, "params: p must be an odd prime, got 1",
+                 id="1-1-1000000000000000000-1-1 is not prime"),
+    pytest.param(1, -3, 1, -3, "params: p must be an odd prime, got -3",
+                 id="1--3-1--3--3 is not prime"),
+    pytest.param(1, 2, 1, 2, "params: p must be an odd prime, got 2",
+                 id="1-2-1-2-params: p must be odd"),
+    pytest.param(1, 3, 0, 1, "params: m must be >= 1, got 0",
+                 id="1-3-0-1-params: m must be >= 1"),
+    pytest.param(1, 10**1000, 0, 1,
+                 f"params: p must be an odd prime, got {10**1000}",
+                 id=f"1-{10**1000}-0-1-params: m must be >= 1"),
+    pytest.param(0, 9, 1, 9, "params: epsilon must be +1 or -1",
+                 id="0-9-1-9-params: epsilon must be +1 or -1"),
+    pytest.param(1, 9, 2, 9, "params: p must be an odd prime, got 9",
+                 id="1-9-2-9-params: q != p^m"),
+    pytest.param(1, 3, 3, 9, "params: q != p^m", id="1-3-3-9-q is not p^m"),
 ])
 def test_params_that_name_no_group_refused(cert_a, eps, p, m, q, message):
     # p = 9 passed case A at q = 9 (theta order 41, target 369), and m = 0
-    # raised a bare ValueError from the primitive prime search; m is tested
-    # before p, so is_prime never reads a p that q = p^0 leaves unbounded,
-    # and both come after the q and epsilon tests
+    # raised a bare ValueError from the primitive prime search; each is
+    # refused in derive's words, and q is compared with p^m only once
+    # derive has accepted (eps, p, m)
     bad = cert_a._replace(params=params.GroupParams(eps, p, m, q),
                           profile=(2,), selections=cert_a.selections[:1],
                           target_order=9 * cert_a.claimed_order)
@@ -249,7 +264,7 @@ def test_params_that_name_no_group_refused(cert_a, eps, p, m, q, message):
 def test_q_above_the_cap_refused(cert_a):
     # derive refuses both fields; the case-A certificate that construct
     # builds at q = 65537 verified ok, and at q = 2^61 - 1 target_orders
-    # raised a bare ValueError; realize names the field first
+    # raised a bare ValueError; realize refuses in verify's words
     big = params.GroupParams(1, 65537, 1, 65537)
     huge = params.GroupParams(1, 2**61 - 1, 1, 2**61 - 1)
     for bad in (witness.construct(big, (2,)),
@@ -261,10 +276,10 @@ def test_q_above_the_cap_refused(cert_a):
             with pytest.raises(MalformedCertificate) as info:
                 verify(bad)
             assert (str(info.value)
-                    == f"params: q = {q} exceeds supported bound 65536")
+                    == f"params: q = {q}^1 exceeds supported bound 65536")
         with pytest.raises(RealizationError) as realized:
             ffield.realize(bad)
-        assert str(realized.value) == f"field F_{q}^12 exceeds the size limit"
+        assert str(realized.value) == str(info.value)
 
 
 class _Liar(int):
@@ -362,13 +377,15 @@ def test_malformed_selection_factor_type(cert_a, factor):
 
 
 @pytest.mark.parametrize("positions", [(1.0, 3.0), (1, 3.0), (True, 3),
-                                       [1.0, 3.0]])
+                                       [1.0, 3.0], [[1], 3], []])
 def test_malformed_selection_position_type(cert_a, positions):
     # (1.0, 3.0) and (True, 3) hash like the allowed shape (1, 3)
     sels = (cert_a.selections[0], Selection(1, positions))
-    with pytest.raises(MalformedCertificate,
-                       match=r"positions must be integers in 1\.\.4"):
-        verifier.verify(cert_a._replace(selections=sels))
+    for verify in (verifier.verify, verifier_reference.verify):
+        with pytest.raises(MalformedCertificate,
+                           match=r"^selection positions must be integers "
+                                 r"in 1\.\.4$"):
+            verify(cert_a._replace(selections=sels))
 
 
 @pytest.fixture(scope="module")
@@ -379,6 +396,10 @@ def cert_d125():
 
 
 class _Tuple(tuple):
+    pass
+
+
+class _Text(str):
     pass
 
 
@@ -443,7 +464,8 @@ _WRONG_TYPES = {
     "params_none": (lambda c: c._replace(params=None),
                     "params must be a GroupParams record"),
     # epsilon and the type of q, which once verified ok (1.0, True, 9.0),
-    # failed V2 and V8 (0, 2) or raised TypeError ('x'); q is tested first
+    # failed V2 and V8 (0, 2) or raised TypeError ('x'); epsilon is tested
+    # first, by derive
     "q_float": (lambda c: c._replace(params=c.params._replace(
         q=float(c.params.q))), "params: q != p^m"),
     "epsilon_float": (lambda c: c._replace(params=c.params._replace(
@@ -457,7 +479,8 @@ _WRONG_TYPES = {
     "epsilon_str": (lambda c: c._replace(params=c.params._replace(
         epsilon="x")), "params: epsilon must be +1 or -1"),
     "epsilon_str_q_float": (lambda c: c._replace(params=c.params._replace(
-        epsilon="x", q=float(c.params.q))), "params: q != p^m"),
+        epsilon="x", q=float(c.params.q))),
+        "params: epsilon must be +1 or -1"),
     "profile_none": (lambda c: c._replace(profile=None),
                      "profile must be a list or tuple"),
     "exponents_none": (lambda c: c._replace(exponents=None),
@@ -515,14 +538,139 @@ def test_one_structural_pass_per_certificate(grid_inputs, monkeypatch):
 
 def test_list_fields_verify_like_tuples(cert_a, cert_d125):
     # a document parses into tuples, but lists are accepted too; case D's
-    # exponents are compared with the ones reproduced from (a, b)
+    # exponents are compared with the ones reproduced from (a, b), and
+    # positions given as a list were refused as not strictly increasing
     for cert in (cert_a, cert_d125):
         listed = cert._replace(profile=list(cert.profile),
                                exponents=list(cert.exponents),
                                selections=list(cert.selections))
+        positions = cert._replace(selections=tuple(
+            sel._replace(positions=list(sel.positions))
+            for sel in cert.selections))
+        for twin in (listed, positions):
+            for verify in (verifier.verify, verifier_reference.verify):
+                assert verify(twin) == verify(cert)
+                assert verify(twin).ok
+            assert ffield.realize(twin) == ffield.realize(cert)
+
+
+@pytest.fixture(scope="module")
+def cert_d25():
+    cert = witness.construct(params.derive(1, 5, 2), (1, 2))
+    assert cert.case == witness.CASE_D and cert.case_d.adjustments == ()
+    return cert
+
+
+@pytest.mark.parametrize("adjustments, message", [
+    (None, "case_d adjustments must be a list or tuple"),
+    (_Tuple(), "case_d adjustments must be a list or tuple"),
+    ((("bogus", 9.5),), "case_d adjustments must be Adjustment records"),
+    ((("flip", 1),), "case_d adjustments must be Adjustment records"),
+    ((Adjustment("bogus", 1),), "unknown adjustment kind 'bogus'"),
+    ((Adjustment(None, 1),), "unknown adjustment kind None"),
+    ((Adjustment(_Text("flip"), 1),), "unknown adjustment kind 'flip'"),
+    ((Adjustment("swap", 1.0),), "adjustment factor must be an integer"),
+    ((Adjustment("flip", True),), "adjustment factor must be an integer"),
+    ([Adjustment("flip", 0), Adjustment("swap", "1")],
+     "adjustment factor must be an integer"),
+])
+def test_case_d_adjustments_are_read_by_the_readers_rule(cert_d25,
+                                                         adjustments,
+                                                         message):
+    # None and (("bogus", 9.5),) verified ok, and the document writer then
+    # raised TypeError and AttributeError
+    bad = cert_d25._replace(case_d=cert_d25.case_d._replace(
+        adjustments=adjustments))
+    for verify in (verifier.verify, verifier_reference.verify):
+        with pytest.raises(MalformedCertificate) as info:
+            verify(bad)
+        assert str(info.value) == message
+    with pytest.raises(RealizationError) as realized:
+        ffield.realize(bad)
+    assert str(realized.value) == message
+
+
+def test_case_d_adjustments_need_no_range(cert_d25):
+    # the document reader checks no range, so neither does verify: what it
+    # accepts writes a document that reads back to the same certificate
+    for adjustments in ([], (Adjustment("flip", 0),),
+                        [Adjustment("swap", -7), Adjustment("flip", 10**30)]):
+        twin = cert_d25._replace(case_d=cert_d25.case_d._replace(
+            adjustments=adjustments))
         for verify in (verifier.verify, verifier_reference.verify):
-            assert verify(listed) == verify(cert)
-            assert verify(listed).ok
+            assert verify(twin) == (True, (), ())
+        back = cli.certificate_from_document(json.loads(cli.canonical_json(
+            cli.certificate_to_document(twin))))
+        assert back == twin._replace(case_d=twin.case_d._replace(
+            adjustments=tuple(adjustments)))
+
+
+class _Int(int):
+    pass
+
+
+def _one_definition_params():
+    """A fixed hostile set of (eps, p, m, q), then a seeded sample of
+    fields with p below 60 and m below 5, some past Q_CAP."""
+    hostile = [(1, p, 2, 9) for p in (-3, 0, 1, 2, 9, 3.0, True, 10**1000,
+                                      10**40 + 1, [3], _Int(3))]
+    hostile += [(1, p, 1, p) for p in (-3, 0, 1, 2, 9, 10**40 + 1,
+                                       65537, 2**61 - 1)]
+    hostile += [(1, 3, m, 9) for m in (0, -1, 2.0, 10**18, _Int(2), [2])]
+    hostile += [(1, p, 0, 1) for p in (3, 9, 10**1000)]
+    hostile += [(eps, 3, 2, 9) for eps in (0, 2, 1.0, True, "x", -1.0,
+                                           _Int(1), None, [1])]
+    hostile += [(1, 3, 2, q) for q in (9.0, 8, 10, _Int(9), True, "9", None)]
+    hostile += [("x", 9, 0, 9.0), (0, [3], {2}, None), (1, 3, 3, 9)]
+    rnd = random.Random(3501)
+    primes = [p for p in range(3, 60) if arith.is_prime(p)]
+    sample = [(rnd.choice((1, -1)), rnd.choice(primes), rnd.randint(1, 4))
+              for _ in range(40)]
+    return hostile + [(eps, p, m, p**m) for eps, p, m in sample]
+
+
+def _refusal(eps, p, m, q):
+    """derive's words for what it refuses, the q test's when q is not
+    exactly p^m, or None when the parameters name a group."""
+    try:
+        pr = params.derive(eps, p, m)
+    except (ValueError, TypeError) as exc:
+        return "params: " + str(exc)
+    return None if type(q) is int and q == pr.q else "params: q != p^m"
+
+
+def test_verify_and_realize_take_the_group_through_derive(cert_a):
+    refused = 0
+    for eps, p, m, q in _one_definition_params():
+        message = _refusal(eps, p, m, q)
+        if message is None:
+            pr = params.derive(eps, p, m)
+            rnd = random.Random(q)
+            cert = witness.construct(pr, tuple(rnd.randint(0, 3)
+                                               for _ in range(m)))
+            for verify in (verifier.verify, verifier_reference.verify):
+                assert verify(cert).ok
+            if arith.power_at_most(p, 12 * m, arith.SIZE_LIMIT) is None:
+                with pytest.raises(RealizationError) as realized:
+                    ffield.realize(cert)
+                assert (str(realized.value)
+                        == f"field F_{p}^{12 * m} exceeds the size limit")
+            else:
+                assert (ffield.realize(cert).field.order
+                        == p ** (12 * m))
+            continue
+        refused += 1
+        bad = cert_a._replace(params=params.GroupParams(eps, p, m, q))
+        for check, error in ((verifier.verify, MalformedCertificate),
+                             (verifier_reference.verify,
+                              MalformedCertificate),
+                             (ffield.realize, RealizationError)):
+            start = time.perf_counter()
+            with pytest.raises(error) as info:
+                check(bad)
+            assert time.perf_counter() - start < 0.1, (eps, p, m, q)
+            assert str(info.value) == message, (eps, p, m, q)
+    assert refused > 50
 
 
 def test_construct_refuses_what_the_document_format_refuses():
@@ -554,10 +702,15 @@ def test_malformed_exponent_count(cert_a):
 
 
 def test_malformed_positions(cert_a):
-    sels = (Selection(0, (3, 1)),) + cert_a.selections[1:]
-    bad = cert_a._replace(selections=sels)
-    with pytest.raises(MalformedCertificate):
-        verifier.verify(bad)
+    # a list is judged as the tuple it lists
+    for positions in ((3, 1), [3, 1], [1, 1]):
+        sels = (Selection(0, positions),) + cert_a.selections[1:]
+        bad = cert_a._replace(selections=sels)
+        for verify in (verifier.verify, verifier_reference.verify):
+            with pytest.raises(MalformedCertificate,
+                               match="^selection positions must be "
+                                     "strictly increasing$"):
+                verify(bad)
     sels = (Selection(0, (1, 5)),) + cert_a.selections[1:]
     bad = cert_a._replace(selections=sels)
     with pytest.raises(MalformedCertificate):
@@ -749,7 +902,7 @@ def test_order_checks_cache_stays_bounded():
 
 
 def test_int_subclass_epsilon_and_q_are_refused(cert_d):
-    # as a bool is; q is tested before epsilon
+    # as a bool is; derive tests epsilon before q is compared
     class Int(int):
         pass
 
@@ -759,7 +912,7 @@ def test_int_subclass_epsilon_and_q_are_refused(cert_d):
              "params: epsilon must be +1 or -1"),
             (pr._replace(q=Int(pr.q)), "params: q != p^m"),
             (pr._replace(epsilon=Int(pr.epsilon), q=Int(pr.q)),
-             "params: q != p^m")):
+             "params: epsilon must be +1 or -1")):
         twin = cert_d._replace(params=twin_params)
         for verify in (verifier.verify, verifier_reference.verify):
             with pytest.raises(MalformedCertificate) as info:

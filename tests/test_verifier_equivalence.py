@@ -273,8 +273,8 @@ def _imports_from_witness(tree):
 def test_verifier_takes_only_records_from_witness():
     tree = ast.parse(Path(verifier.__file__).read_text(encoding="utf-8"))
     found = _imports_from_witness(tree)
-    assert found == [("witness", ["CaseDInternals", "Selection",
-                                  "WitnessCertificate"])]
+    assert found == [("witness", ["Adjustment", "CaseDInternals",
+                                  "Selection", "WitnessCertificate"])]
     assert _imports_from_witness(ast.parse("from . import witness")) != []
     assert _imports_from_witness(ast.parse("import sl4witness.witness")) != []
 

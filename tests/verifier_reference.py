@@ -9,7 +9,9 @@ shapes element by element, and V7 and case D through the earlier
 constructor's helpers in witness_reference.  Reports and
 MalformedCertificate messages must agree.  The type rule is the
 library's: an int is type(x) is int, a record exactly its record type, a
-sequence exactly a tuple or a list.
+sequence exactly a tuple or a list.  The group parameters are checked
+here in params.derive's order and words without calling derive, so that
+a defect in derive shows as a disagreement.
 
 It also holds two helpers only tests use: failed_checks() lists a report's
 failed check labels, and brute_force_selections() is the exhaustive search
@@ -25,7 +27,8 @@ from sl4witness.params import (ALL_CASES, CASE_A, CASE_B, CASE_C, CASE_D,
                                Q_CAP, GroupParams)
 from sl4witness.verifier import (CHECK_LABELS, MalformedCertificate,
                                  VerificationReport)
-from sl4witness.witness import CaseDInternals, Selection, WitnessCertificate
+from sl4witness.witness import (Adjustment, CaseDInternals, Selection,
+                                WitnessCertificate)
 
 
 def _is_int(x):
@@ -77,6 +80,32 @@ def in_spectrum(orders, x):
     return any(o % x == 0 for o in orders)
 
 
+def _group_order(eps, p, m):
+    """p^m, or ValueError or TypeError in derive's order and words."""
+    hash((eps, p, m))  # an unhashable field fails derive's cache lookup
+    if not _is_int(eps) or eps not in (1, -1):
+        raise ValueError("epsilon must be +1 or -1")
+    if not _is_int(p):
+        raise ValueError(f"p must be an odd prime, got {p!r}")
+    # is_prime refuses a p past SIZE_LIMIT in its own words
+    if p < 3 or p % 2 == 0 or not arith.is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if not _is_int(m):
+        raise ValueError(f"m must be an integer, got {m!r}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    q = arith.power_at_most(p, m, Q_CAP)
+    if q is None:
+        raise ValueError(f"q = {p}^{m} exceeds supported bound {Q_CAP}")
+    return q
+
+
+def _positions(sel):
+    """The selection's positions, a list judged as the tuple it lists."""
+    positions = sel.positions
+    return tuple(positions) if type(positions) is list else positions
+
+
 def _structural_check(cert):
     if type(cert) is not WitnessCertificate:
         raise MalformedCertificate(
@@ -84,20 +113,12 @@ def _structural_check(cert):
     pr = cert.params
     if type(pr) is not GroupParams:
         raise MalformedCertificate("params must be a GroupParams record")
-    if (not all(map(_is_int, (pr.p, pr.m, pr.q)))
-            or arith.power_at_most(pr.p, pr.m, arith.SIZE_LIMIT) != pr.q):
+    try:
+        q = _group_order(pr.epsilon, pr.p, pr.m)
+    except (ValueError, TypeError) as exc:
+        raise MalformedCertificate(f"params: {exc}") from None
+    if not _is_int(pr.q) or pr.q != q:
         raise MalformedCertificate("params: q != p^m")
-    if not _is_int(pr.epsilon) or pr.epsilon not in (1, -1):
-        raise MalformedCertificate("params: epsilon must be +1 or -1")
-    if pr.q > Q_CAP:
-        raise MalformedCertificate(
-            f"params: q = {pr.q} exceeds supported bound {Q_CAP}")
-    if pr.m < 1:
-        raise MalformedCertificate("params: m must be >= 1")
-    if pr.p % 2 == 0:
-        raise MalformedCertificate("params: p must be odd")
-    if not arith.is_prime(pr.p):
-        raise MalformedCertificate(f"{pr.p} is not prime")
     if not _is_sequence(cert.profile):
         raise MalformedCertificate("profile must be a list or tuple")
     try:
@@ -132,12 +153,12 @@ def _structural_check(cert):
         if not 0 <= sel.factor < pr.m:
             raise MalformedCertificate(
                 f"selection factor {sel.factor} out of range")
-        if not _is_sequence(sel.positions) or not sel.positions or any(
-                not _is_int(j) or j not in (1, 2, 3, 4)
-                for j in sel.positions):
+        positions = _positions(sel)
+        if type(positions) is not tuple or not positions or any(
+                not _is_int(j) or j not in (1, 2, 3, 4) for j in positions):
             raise MalformedCertificate(
                 "selection positions must be integers in 1..4")
-        if tuple(sorted(set(sel.positions))) != sel.positions:
+        if tuple(sorted(set(positions))) != positions:
             raise MalformedCertificate(
                 "selection positions must be strictly increasing")
     if (cert.case == CASE_D) != (cert.case_d is not None):
@@ -150,9 +171,22 @@ def _structural_check(cert):
         for f in ("r", "t", "a", "b", "coeff_a", "coeff_rb"):
             if not _is_int(getattr(cert.case_d, f)):
                 raise MalformedCertificate("case_d values must be integers")
+        if not _is_sequence(cert.case_d.adjustments):
+            raise MalformedCertificate(
+                "case_d adjustments must be a list or tuple")
+        for adj in cert.case_d.adjustments:
+            if type(adj) is not Adjustment:
+                raise MalformedCertificate(
+                    "case_d adjustments must be Adjustment records")
+            if type(adj.kind) is not str or adj.kind not in ("flip", "swap"):
+                raise MalformedCertificate(
+                    f"unknown adjustment kind {adj.kind!r}")
+            if not _is_int(adj.factor):
+                raise MalformedCertificate(
+                    "adjustment factor must be an integer")
 
 
-def _check_case_d(cert, fail):
+def _check_case_d(cert, selections, fail):
     pr = cert.params
     eps, q = pr.epsilon, pr.q
     cd = cert.case_d
@@ -166,8 +200,7 @@ def _check_case_d(cert, fail):
         fail("V8", f"case-D modulus t = {cd.t} is inconsistent")
         return
     try:
-        A, B = witness_reference.compute_AB(cert.profile, pr,
-                                            cert.selections)
+        A, B = witness_reference.compute_AB(cert.profile, pr, selections)
     except ValueError:
         fail("V8", "selections do not have case-D shapes")
         return
@@ -186,6 +219,8 @@ def _check_case_d(cert, fail):
 
 def verify(cert, *, strict_values=True, psl_orders=None):
     _structural_check(cert)
+    selections = [Selection(sel.factor, _positions(sel))
+                  for sel in cert.selections]
     pr = cert.params
     eps, p, q = pr.epsilon, pr.p, pr.q
     N = cert.theta_order
@@ -217,15 +252,15 @@ def verify(cert, *, strict_values=True, psl_orders=None):
                    "claimed order, so the projective order is smaller")
 
     active = tuple(i for i, k in enumerate(cert.profile) if k > 0)
-    if tuple(s.factor for s in cert.selections) != active:
+    if tuple(s.factor for s in selections) != active:
         fail("V6", "selections do not cover exactly the active profile slots")
     else:
-        for sel in cert.selections:
+        for sel in selections:
             want = cert.profile[sel.factor]
             if len(sel.positions) != want:
                 fail("V6", f"slot {sel.factor} selects {len(sel.positions)} "
                            f"positions, profile wants {want}")
-        for sel in cert.selections:
+        for sel in selections:
             vals = [cert.exponents[j - 1] for j in sel.positions]
             if len(set(vals)) != len(vals):
                 msg = (f"slot {sel.factor} selects coinciding "
@@ -236,7 +271,7 @@ def verify(cert, *, strict_values=True, psl_orders=None):
                     warnings.append(("V6", msg))
 
     if (witness_reference.fixed_point_exponent(p, cert.exponents,
-                                               cert.selections) % N != 0):
+                                               selections) % N != 0):
         fail("V7", "weighted fixed-point exponent does not vanish mod N")
 
     expected_case = classify_profile(cert.profile, pr)
@@ -256,7 +291,7 @@ def verify(cert, *, strict_values=True, psl_orders=None):
     if cert.target_order != p * cert.claimed_order:
         fail("V8", "target order is not p * claimed order")
     if cert.case_d is not None:
-        _check_case_d(cert, fail)
+        _check_case_d(cert, selections, fail)
     if psl_orders is not None:
         if not in_spectrum(psl_orders, cert.claimed_order):
             fail("V8", f"claimed order {cert.claimed_order} is not an order "
